@@ -125,8 +125,6 @@ def simulate(workload: Union[str, Workload], config: str = "conv32", *,
         machine = SMTMachine(
             [w.generate() for w in components], build_icache(base),
             params=params, telemetry=telemetry, policy=workload.policy)
-        for thread, comp in zip(machine.threads, components):
-            thread.name = comp.name
         result = machine.run([w.windows() for w in components])
         result.workload = workload.name
         result.config = config

@@ -90,7 +90,7 @@ class Backend:
         when the operand is absent). :meth:`accept_range_arrays` then
         does one tuple unpack per instruction instead of five column
         reads plus kind dispatch. One linear pass, built whole-column
-        with numpy when available; ``Machine.__init__`` binds eagerly so
+        with numpy when available; machines bind eagerly at construction so
         timed runs never pay for it.
 
         ``addr_offset`` shifts every data address by a constant — SMT
@@ -205,93 +205,16 @@ class Backend:
         self._count = count + 1
         return complete, commit
 
-    def accept_range(self, trace, base: int, n: int,
-                     fetch_cycle: int) -> Tuple[int, int]:
-        """Time ``n`` consecutive instructions ``trace[base:base + n]``
-        fetched at ``fetch_cycle``; returns the last instruction's
-        (complete_cycle, commit_cycle).
-
-        Semantically identical to ``n`` ``accept`` calls, but hoists the
-        scoreboard state into locals once per delivered chunk instead of
-        once per instruction — the machine's delivery loop is the hottest
-        call site in the simulator.
-        """
-        count = self._count
-        rob = self._rob
-        ring = self._ring
-        reg_ready = self._reg_ready
-        exec_latency = self._exec_latency
-        data_access = self._data_access
-        commit_width = self._commit_width
-        last_commit = self._last_commit
-        commits_this_cycle = self._commits_this_cycle
-        loads = self.loads
-        stores = self.stores
-        base_dispatch = fetch_cycle + self._decode_latency
-        complete = 0
-        commit = last_commit
-        for i in range(base, base + n):
-            instr = trace[i]
-            slot = count % rob
-            dispatch = base_dispatch
-            if count >= rob:
-                slot_free = ring[slot]
-                if slot_free > dispatch:
-                    dispatch = slot_free
-
-            ready = dispatch
-            src1 = instr.src1
-            if src1 >= 0 and reg_ready[src1 & 63] > ready:
-                ready = reg_ready[src1 & 63]
-            src2 = instr.src2
-            if src2 >= 0 and reg_ready[src2 & 63] > ready:
-                ready = reg_ready[src2 & 63]
-
-            kind = instr.kind
-            if kind is _LOAD:
-                loads += 1
-                complete = ready + data_access(instr.mem_addr, ready)
-            elif kind is _STORE:
-                stores += 1
-                data_access(instr.mem_addr, ready, is_store=True)
-                complete = ready + 1
-            else:
-                complete = ready + exec_latency[kind]
-
-            dst = instr.dst
-            if dst >= 0:
-                reg_ready[dst & 63] = complete
-
-            if complete > last_commit:
-                commit = complete
-                commits_this_cycle = 1
-            else:
-                commit = last_commit
-                if commits_this_cycle >= commit_width:
-                    commit += 1
-                    commits_this_cycle = 1
-                else:
-                    commits_this_cycle += 1
-            last_commit = commit
-            ring[slot] = commit
-            count += 1
-
-        self._count = count
-        self._last_commit = last_commit
-        self._commits_this_cycle = commits_this_cycle
-        self.loads = loads
-        self.stores = stores
-        return complete, commit
-
     def accept_range_arrays(self, trace, base: int, n: int,
                             fetch_cycle: int) -> Tuple[int, int]:
-        """:meth:`accept_range` for a columnar
-        :class:`~repro.trace.arrays.ArrayTrace`: consumes the fused op
-        tuples precomputed by :meth:`bind_trace`, so the delivery hot
-        path does one tuple unpack per instruction instead of five
-        column reads and kind dispatch, and never builds ``Instruction``
-        objects. Timing is identical to ``n`` ``accept`` calls on the
-        object view of the same trace."""
+        """Time ``n`` consecutive instructions ``trace[base:base + n]`` of
+        a columnar :class:`~repro.trace.arrays.ArrayTrace` fetched at
+        ``fetch_cycle``; returns the last one's (complete_cycle,
+        commit_cycle). Timing is identical to ``n`` :meth:`accept` calls
+        on the object view of the same trace, but the scoreboard state
+        lives in locals and each instruction is one unpack of the fused
+        op tuples :meth:`bind_trace` precomputed — the machine's
+        delivery loop is the hottest call site in the simulator."""
         if trace is not self._ops_trace:
             self.bind_trace(trace, self._ops_offset)
         ops = self._ops

@@ -1,4 +1,4 @@
-"""The full machine: decoupled FDIP front-end + OoO back-end.
+"""The simulated core: decoupled FDIP front-end + OoO back-end.
 
 The front-end is simulated cycle by cycle:
 
@@ -13,9 +13,12 @@ The front-end is simulated cycle by cycle:
   the L2/L3/DRAM hierarchy; mispredicts block fetch until the branch
   resolves in the back-end (BTB misses resteer at decode).
 
-Long stalls are skipped over in bulk once the BPU and FDIP run out of
-work, which keeps pure-Python simulation tractable without changing any
-event timing.
+One cycle loop, :meth:`Core._simulate`, runs every simulation. Its
+:class:`HardwareThread` s share the L1-I, the MSHR file, the FTQ capacity,
+the BPU build port, FDIP's prefetch budget and the fetch port.
+:class:`Machine` is the one-thread entry point, :class:`repro.smt.SMTMachine`
+the N-thread one. Long stalls are skipped over in bulk once the BPU and
+FDIP run out of work, without changing any event timing.
 """
 
 from __future__ import annotations
@@ -25,13 +28,11 @@ import re
 from collections import deque
 from dataclasses import fields as _dataclass_fields, replace
 from time import perf_counter
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..frontend.bpu import BranchPredictionUnit, Resteer
-from ..frontend.ftq import (FetchRange, FetchTargetQueue, RangeBuilder,
-                            ReplayRangeBuilder, precompute_range_stream,
-                            segment_range)
+from ..frontend.ftq import precompute_range_stream, segment_range
 from ..memory.distillation import DistillationICache
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.icache import (InstructionCacheBase, ConventionalICache,
@@ -57,10 +58,14 @@ from ..trace.record import Instruction
 from ..core.configs import ubs_params_for_budget, way_config
 from ..core.predictor import PredictorConfig
 from ..core.ubs_cache import UBSICache
+from .backend import Backend
 
-_STALL_MISS = 1
-_STALL_RESTEER = 2
-_STALL_BACKEND = 3
+#: Address-space stride between hardware threads. Far above any set-index
+#: or block-offset bit, so the shift lands entirely in tag bits: threads
+#: fight over the same sets but never hit each other's blocks.
+THREAD_ADDR_STRIDE = 1 << 40
+
+_STALL_MISS, _STALL_RESTEER, _STALL_BACKEND = 1, 2, 3
 
 #: Hoisted enum member: the fetch loop compares against it every cycle.
 _HIT = MissKind.HIT
@@ -72,108 +77,181 @@ _STALL_NAMES = {
     _STALL_BACKEND: "backend",
 }
 
+#: Co-run miss attribution: the per-thread counter of each partial miss.
+_PARTIAL_FIELDS = {
+    MissKind.MISSING_SUBBLOCK: "l1i_partial_missing",
+    MissKind.OVERRUN: "l1i_partial_overrun",
+    MissKind.UNDERRUN: "l1i_partial_underrun",
+}
+
+#: Front-end counters a run-summary event reports, in field order.
+_SUMMARY_FIELDS = ("fetch_stall_cycles", "mispredict_stall_cycles",
+                   "l1i_hits", "l1i_misses", "partial_misses",
+                   "branch_mispredicts", "btb_resteers", "prefetches_issued")
+
 #: Cycle mask between FTQ/MSHR occupancy samples when tracing.
 _FTQ_SAMPLE_MASK = 255
 
+#: Later than any simulated cycle ("no resteer pending", "no sampling").
+_NEVER = 1 << 62
 
-class Machine:
-    """One simulated core with a configurable L1-I organisation."""
 
-    def __init__(self, trace: Sequence[Instruction],
+class HardwareThread:
+    """One architectural stream plus its private front/back-end state:
+    BPU (predictor state is not shared — threads run disjoint code), FTQ
+    entries, FDIP queue, back-end/ROB, :class:`FrontEndStats` and stall
+    attribution. Thread ``tid`` lives ``tid * THREAD_ADDR_STRIDE`` into
+    the shared address space."""
+
+    # Slots keep attribute reads on the interpreter's fast path (an
+    # instance dict this wide would not be).
+    __slots__ = (
+        "tid", "trace", "addr_offset", "ev", "bpu", "stream", "stream_len",
+        "bpu_pos", "bpu_blocked", "range_segs", "ftq_q", "fdip_queue",
+        "backend", "accept", "cur", "cur_byte", "cur_end", "n_ends",
+        "delivered_in_range", "cur_segs", "seg_idx", "range_seq",
+        "delivered", "last_commit", "blocked_until", "blocked_kind",
+        "stall_pc", "resume_at", "stats", "total", "measure",
+        "warmup_commit", "warmup_boundary", "measuring", "finished",
+        "snapshot", "arb_lost_cycles", "result")
+
+    def __init__(self, tid: int, trace: ArrayTrace, params: MachineParams,
+                 hierarchy: MemoryHierarchy, tag_events: bool) -> None:
+        if not trace:
+            raise ConfigurationError(f"thread {tid}: empty trace")
+        self.tid = tid
+        self.trace = trace
+        self.addr_offset = tid * THREAD_ADDR_STRIDE
+        #: Extra telemetry-event fields naming the thread (co-runs only).
+        self.ev = {"thread": tid} if tag_events else {}
+        self.bpu = BranchPredictionUnit(params.branch)
+        # The range stream is a pure function of (trace, BPU params):
+        # precompute it off the measured clock and replay it in the BPU
+        # stage. Streams and their per-cycle delivery chunks are cached on
+        # the trace, so every L1-I configuration shares one BPU walk.
+        core = params.core
+        derived = trace.derived
+        skey = ("range_stream", params.branch)
+        stream = derived.get(skey)
+        if stream is None:
+            stream = precompute_range_stream(trace, self.bpu)
+            derived[skey] = stream
+        self.bpu.cond_lookups = self.bpu.mispredicts = 0
+        self.stream = stream
+        self.stream_len = len(stream)
+        self.bpu_pos = 0              # next stream entry the BPU builds
+        self.bpu_blocked = False      # run-ahead stopped behind a resteer
+        ckey = ("range_segs", params.branch, core.fetch_bytes,
+                core.fetch_width)
+        segs = derived.get(ckey)
+        if segs is None:
+            segs = [segment_range(fr, core.fetch_bytes, core.fetch_width)
+                    for fr, _lookups, _mispredicts in stream]
+            derived[ckey] = segs
+        self.range_segs = segs
+        self.ftq_q = deque()
+        self.fdip_queue = deque()
+        self.backend = Backend(core, hierarchy)
+        self.backend.bind_trace(trace, self.addr_offset)  # off the clock
+        self.accept = self.backend.accept_range_arrays
+        # Fetch progress (see park) and stall state.
+        self.park(None, 0, 0, 0, 0, [], 0, 0, 0, 0)
+        self.blocked_until = self.blocked_kind = self.stall_pc = 0
+        self.resume_at = _NEVER       # BPU resumes here after a resteer
+        # Window bookkeeping.
+        self.stats = FrontEndStats()
+        self.total = self.measure = self.warmup_commit = 0
+        self.warmup_boundary = 1
+        self.measuring = self.finished = False
+        # Counters as the measured window opened: cache hits and misses,
+        # prefetches issued, conditional-branch lookups.
+        self.snapshot = (0, 0, 0, 0)
+        self.arb_lost_cycles = 0
+        self.result: Optional[SimResult] = None
+
+    def park(self, *progress) -> None:
+        """Store the fetch progress the cycle loop keeps in locals while
+        this thread holds the fetch port."""
+        (self.cur, self.cur_byte, self.cur_end, self.n_ends,
+         self.delivered_in_range, self.cur_segs, self.seg_idx,
+         self.range_seq, self.delivered, self.last_commit) = progress
+
+    def take_port(self) -> tuple:
+        """Everything the cycle loop binds to locals for the port owner:
+        the parked progress, the stall state, then per-run constants."""
+        b = self.backend
+        return (self.cur, self.cur_byte, self.cur_end, self.n_ends,
+                self.delivered_in_range, self.cur_segs, self.seg_idx,
+                self.range_seq, self.delivered, self.last_commit,
+                self.measuring, self.blocked_until, self.blocked_kind,
+                self.total, self.warmup_boundary, self.trace,
+                self.range_segs, self.ftq_q, self.stats, self.accept, b,
+                b._ring, b._rob, b._decode_latency, b.rob_free_cycle,
+                self.addr_offset, self.trace.pc, self.ev)
+
+    @property
+    def pending_instrs(self) -> int:
+        """ICOUNT metric: instructions fetched-ahead but undelivered (the
+        end of the last range built minus the instructions delivered —
+        ranges are built and delivered in trace order)."""
+        if not self.bpu_pos:
+            return 0
+        last = self.stream[self.bpu_pos - 1][0]
+        return last.first_index + len(last.instr_ends) - self.delivered
+
+
+class Core:
+    """Hardware threads on one core with a shared front end; ``traces``
+    (one per thread) are converted to :class:`ArrayTrace` once, here.
+    Subclasses are the entry points: each defines ``run`` and adds its
+    metric names in ``_register_metrics``."""
+
+    #: Tag every telemetry event with its thread (``thread=<tid>``).
+    tag_thread_events = False
+
+    def __init__(self, traces: Sequence[Sequence[Instruction]],
                  icache: InstructionCacheBase,
                  params: Optional[MachineParams] = None,
-                 telemetry: Optional[Telemetry] = None) -> None:
-        if not trace:
-            raise ConfigurationError("empty trace")
-        self.trace = trace
-        self.icache = icache
+                 telemetry: Optional[Telemetry] = None,
+                 policy: str = "rr") -> None:
         self.params = params or MachineParams()
+        self.icache = icache
+        self.policy = policy
         self.hierarchy = MemoryHierarchy(self.params)
-        self.bpu = BranchPredictionUnit(self.params.branch)
-        if isinstance(trace, ArrayTrace):
-            # The range stream is a pure function of (trace, BPU params):
-            # precompute it once — off the measured clock — and replay it
-            # in run(). Streams and their per-cycle delivery chunks are
-            # cached on the trace, so machines simulating the same trace
-            # under different L1-I configurations share one BPU walk.
-            core_p = self.params.core
-            derived = trace.derived
-            skey = ("range_stream", self.params.branch)
-            stream = derived.get(skey)
-            if stream is None:
-                stream = precompute_range_stream(trace, self.bpu)
-                derived[skey] = stream
-            self.builder = ReplayRangeBuilder(stream, self.bpu)
-            ckey = ("range_segs", self.params.branch,
-                    core_p.fetch_bytes, core_p.fetch_width)
-            segs = derived.get(ckey)
-            if segs is None:
-                segs = [segment_range(fr, core_p.fetch_bytes,
-                                      core_p.fetch_width)
-                        for fr, _lookups, _mispredicts in stream]
-                derived[ckey] = segs
-            self._range_segs = segs
-        else:
-            self.builder = RangeBuilder(trace, self.bpu)
-            self._range_segs = None
-        self.ftq = FetchTargetQueue(self.params.core.ftq_entries)
         self.mshr = MSHRFile(icache.mshr_entries)
-        from .backend import Backend
-        self.backend = Backend(self.params.core, self.hierarchy)
-        if isinstance(trace, ArrayTrace):
-            # Precompute the fused delivery ops while still off the
-            # measured clock (perfgate times run(), not construction).
-            self.backend.bind_trace(trace)
-
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         recorder = self.telemetry.recorder
-        # Hot paths test ``self._rec is not None`` — with the default null
+        # Hot paths test ``rec is not None`` — with the default null
         # recorder nothing is ever constructed or emitted.
         self._rec = recorder if recorder.enabled else None
         if self._rec is not None:
             icache.telemetry = recorder
             self.hierarchy.dram.telemetry = recorder
-
-        self._fills: List[Tuple[int, int]] = []     # (cycle, block_addr)
-        self._fdip_queue: Deque[FetchRange] = deque()
-        self._prefetcher = self.params.core.prefetcher
-        # Hoisted per-cycle parameters (attribute chains cost in the loop).
-        core = self.params.core
-        self._bpu_ranges_per_cycle = core.bpu_ranges_per_cycle
-        self._fdip_degree = core.fdip_degree
-        self._fdip_on = self._prefetcher == "fdip"
-        self.stats = FrontEndStats()
+        self.threads = [
+            HardwareThread(tid, tr if isinstance(tr, ArrayTrace)
+                           else ArrayTrace.from_instructions(tr),
+                           self.params, self.hierarchy,
+                           self.tag_thread_events)
+            for tid, tr in enumerate(traces)
+        ]
+        self.n_threads = len(self.threads)
+        self._ftq_capacity = self.params.core.ftq_entries
+        self._ftq_occ = 0
+        self._fills: List[Tuple[int, int]] = []    # (cycle, block_addr)
         self.cycle = 0
-        self.delivered = 0
-        self._last_commit = 0
-        self._stall_pc = 0
         self.wall_seconds = 0.0
-
         self.metrics = MetricsRegistry()
         self._register_metrics()
 
-    # -- telemetry ----------------------------------------------------------------
-
     def _register_metrics(self) -> None:
-        """Expose every component's counters under stable dotted names.
-
-        All registrations are pull-style gauges reading live attributes,
-        so the simulator hot paths carry no metrics bookkeeping; call
-        ``self.metrics.snapshot()`` at any point for a consistent view.
-        """
+        """Pull-style gauges over the shared structures (the hot paths
+        carry no metrics bookkeeping); entry points add their own."""
         reg = self.metrics
         reg.gauge("machine.cycles", lambda: self.cycle)
-        reg.gauge("machine.instructions_delivered", lambda: self.delivered)
-        stats = self.stats
-        for f in _dataclass_fields(FrontEndStats):
-            reg.gauge(f"frontend.{f.name}",
-                      lambda name=f.name: getattr(stats, name))
-        self.ftq.register_metrics(reg)
+        reg.gauge("ftq.capacity", lambda: self._ftq_capacity)
         reg.gauge("mshr.allocations", lambda: self.mshr.allocations)
         reg.gauge("mshr.merges", lambda: self.mshr.merges)
         reg.gauge("mshr.occupancy", lambda: len(self.mshr))
-        reg.gauge("bpu.cond_lookups", lambda: self.bpu.cond_lookups)
-        reg.gauge("bpu.mispredicts", lambda: self.bpu.mispredicts)
         self.icache.register_metrics(reg)
         self.hierarchy.register_metrics(reg)
 
@@ -182,9 +260,433 @@ class Machine:
         prof = self.telemetry.profiler
         if prof is None:
             return None
-        return prof.report(cycles=self.cycle, instructions=self.delivered)
+        return prof.report(cycles=self.cycle, instructions=sum(
+            t.delivered for t in self.threads))
 
-    # -- per-cycle stages ---------------------------------------------------------
+    # -- the cycle loop -----------------------------------------------------------
+
+    def _simulate(self, windows: Sequence[Tuple[int, int]],
+                  sample_efficiency: bool,
+                  efficiency_interval: Optional[int]) -> None:
+        """Simulate every thread's ``(warmup, measure)`` window, leaving
+        each thread's :class:`SimResult` in ``thread.result``.
+
+        The thread holding the fetch port (the *owner*) keeps its fetch
+        progress in frame locals, parked on its :class:`HardwareThread`
+        only when another thread wins the port or the owner retires; the
+        state other stages read (``blocked_until``, ``blocked_kind``,
+        ``measuring``, ``stall_pc``, ``resume_at``) is written through on
+        every change. Counts over the shared structures are locals too,
+        so with one live thread every per-cycle check is a local compare.
+        """
+        threads = self.threads
+        if len(windows) != len(threads):
+            raise ConfigurationError(
+                f"{len(windows)} windows for {len(threads)} threads")
+        solo = len(threads) == 1
+        for t, (warmup, measure) in zip(threads, windows):
+            total = warmup + measure
+            if total > len(t.trace):
+                raise ConfigurationError(
+                    f"thread {t.tid}: trace has {len(t.trace)} "
+                    f"instructions, need {total}")
+            t.total = total
+            t.measure = measure
+            # The measured window opens after the instruction that reaches
+            # the warm-up count — with warmup=0, after the very first one.
+            t.warmup_boundary = warmup if warmup > 0 else 1
+        # Efficiency sampling needs the cache to itself: solo runs only.
+        # The interval defaults to ~1/75th of the measured window.
+        sampler = None
+        if solo and sample_efficiency:
+            sampler = EfficiencySampler(
+                efficiency_interval if efficiency_interval is not None
+                else max(250, threads[0].measure // 75))
+        next_sample = _NEVER          # set when the measured window opens
+
+        icache = self.icache
+        icache.recording = False
+        rec = self._rec
+        rec_hits = rec is not None and rec.record_hits
+        # Co-runs count L1-I hits per thread (both threads bump the
+        # shared cache's counters); solo runs read the cache's own.
+        per_thread_l1i = not solo
+        hit_hook = per_thread_l1i or rec_hits
+        core_p = self.params.core
+        btb_penalty = core_p.btb_resteer_penalty
+        ftq_cap = self._ftq_capacity
+        fills = self._fills
+        mshr = self.mshr
+        mshr_full, mshr_lookup, mshr_allocate = \
+            mshr.full, mshr.lookup, mshr.allocate
+        probe = icache.probe_range
+        fetch_block = self.hierarchy.fetch_block
+        push = heapq.heappush
+        resteer_none = Resteer.NONE
+        resteer_decode = Resteer.DECODE
+        skip_stalls = self._skip_stalls
+        arbitrate = self._arbitrate
+
+        live = [t for t in threads if t.total]
+        n_live = len(live)
+        # Counts over the shared structures, kept in step by every stage.
+        ftq_occ = 0
+        fdip_busy = False
+        bpu_ready = n_live
+        resume_at = _NEVER
+        fdip_on = core_p.prefetcher == "fdip"
+        ranges_per_cycle = range(core_p.bpu_ranges_per_cycle)
+        budget = core_p.fdip_degree
+
+        def run_bpu(cycle: int) -> None:
+            """The BPU build port: ranges for the first thread, round-robin
+            from ``cycle``, able to run ahead (the caller checks for one,
+            and for room in the FTQ pool)."""
+            nonlocal ftq_occ, bpu_ready, fdip_busy
+            t = live[0]
+            if n_live > 1:
+                k = cycle % n_live
+                t = live[k]
+                while t.bpu_blocked or t.bpu_pos >= t.stream_len:
+                    k = k + 1 if k + 1 < n_live else 0
+                    t = live[k]
+            stream = t.stream
+            pos = t.bpu_pos
+            end = t.stream_len
+            for _ in ranges_per_cycle:
+                entry = stream[pos]
+                pos += 1
+                fetch_range = entry[0]
+                t.ftq_q.append(fetch_range)
+                ftq_occ += 1
+                if fdip_on:
+                    t.fdip_queue.append(fetch_range)
+                    fdip_busy = True
+                if fetch_range.resteer:
+                    # Run-ahead stops behind a resteer-causing branch.
+                    t.bpu_blocked = True
+                    bpu_ready -= 1
+                    break
+                if pos >= end:
+                    bpu_ready -= 1
+                    break
+                if ftq_occ >= ftq_cap:
+                    break
+            t.bpu_pos = pos
+            # Replay the BPU's counters as of the last range built.
+            bpu = t.bpu
+            bpu.cond_lookups = entry[1]
+            bpu.mispredicts = entry[2]
+
+        def run_fdip(cycle: int) -> None:
+            """Issue FDIP prefetches from the threads' pending ranges: one
+            shared budget per cycle; each issue rotates to the next thread
+            (probe/merge pops cost no budget and do not rotate)."""
+            nonlocal fdip_busy
+            k = cycle % n_live
+            issued = idle = 0
+            while True:
+                t = live[k]
+                queue = t.fdip_queue
+                while queue:
+                    if mshr_full(cycle):
+                        return
+                    fr = queue.popleft()
+                    start = fr.start + t.addr_offset
+                    if probe(start, fr.nbytes):
+                        continue
+                    block_addr = start & ~63
+                    if mshr_lookup(block_addr, cycle) is not None:
+                        continue
+                    # _start_fill, inlined: FDIP issues are per-cycle work.
+                    fill_at = cycle + fetch_block(block_addr, cycle)
+                    mshr_allocate(block_addr, fill_at, cycle)
+                    push(fills, (fill_at, block_addr))
+                    t.stats.prefetches_issued += 1
+                    if rec is not None:
+                        rec.emit(EV_MSHR, cycle, block=block_addr,
+                                 fill=fill_at, source="fdip", **t.ev)
+                    issued += 1
+                    if issued == budget:
+                        return
+                    idle = -1             # an issue rotates to the next
+                    break
+                idle += 1
+                if idle == n_live:        # every queue drained
+                    fdip_busy = False
+                    return
+                k = k + 1 if k + 1 < n_live else 0
+
+        # Stage callables are bound into locals (and wrapped there when
+        # profiling), so unprofiled runs never pay the wrapper cost and no
+        # component instance is ever monkey-patched.
+        process_fills = self._process_fills
+        lookup = icache.lookup
+        prof = self.telemetry.profiler
+        if prof is not None:
+            process_fills = prof.wrap("fills", process_fills)
+            run_bpu = prof.wrap("bpu", run_bpu)
+            run_fdip = prof.wrap("fdip", run_fdip)
+            lookup = prof.wrap("fetch", lookup)
+            for t in threads:
+                t.accept = prof.wrap("backend", t.accept)
+            prof.start()
+        wall_start = perf_counter()
+        cycle = self.cycle
+        # Nobody holds the fetch port yet: the first arbitration hands it
+        # out, and so does the one after its owner retires.
+        owner = None
+        corun = True
+
+        while live:
+            if fills and fills[0][0] <= cycle:
+                process_fills(cycle)
+            # Resume BPU run-ahead once a resteer has resolved.
+            if cycle >= resume_at:
+                resume_at = _NEVER
+                for t in live:
+                    if t.resume_at <= cycle:
+                        t.resume_at = _NEVER
+                        t.bpu_blocked = False
+                        bpu_ready += t.bpu_pos < t.stream_len
+                    elif t.resume_at < resume_at:
+                        resume_at = t.resume_at
+            if bpu_ready and ftq_occ < ftq_cap:
+                run_bpu(cycle)
+            if fdip_busy:
+                run_fdip(cycle)
+
+            if rec is not None and (cycle & _FTQ_SAMPLE_MASK) == 0:
+                for t in live:
+                    rec.emit(EV_FTQ, cycle, occupancy=len(t.ftq_q),
+                             mshr=len(mshr), **t.ev)
+
+            # -- fetch port. A co-run syncs the owner and lets _arbitrate
+            # classify every live thread in tid order; a lone thread is
+            # classified right here, from the locals.
+            if corun:
+                if owner is not None:
+                    owner.cur = cur
+                    owner.delivered = delivered
+                winner, all_blocked = arbitrate(cycle, live)
+                if winner is None:
+                    if all_blocked and (ftq_occ >= ftq_cap or not bpu_ready):
+                        cycle = skip_stalls(cycle, live)
+                    cycle += 1
+                    continue
+                if winner is not owner:
+                    # Park the owner's progress and take over the winner's.
+                    if owner is not None:
+                        owner.park(cur, cur_byte, cur_end, n_ends,
+                                   delivered_in_range, cur_segs, seg_idx,
+                                   range_seq, delivered, last_commit)
+                    owner = winner
+                    corun = n_live > 1
+                    (cur, cur_byte, cur_end, n_ends, delivered_in_range,
+                     cur_segs, seg_idx, range_seq, delivered, last_commit,
+                     measuring, blocked_until, blocked_kind, total,
+                     warmup_boundary, trace, range_segs, ftq_q, stats,
+                     accept, backend, rob_ring, rob_cap, decode_lat,
+                     rob_free_cycle, addr_offset, pc_col,
+                     ev) = owner.take_port()
+            elif cycle < blocked_until:
+                if measuring:
+                    if blocked_kind == _STALL_MISS:
+                        stats.fetch_stall_cycles += 1
+                    elif blocked_kind == _STALL_RESTEER:
+                        stats.mispredict_stall_cycles += 1
+                    if rec is not None:
+                        rec.emit(EV_STALL, cycle,
+                                 cause=_STALL_NAMES.get(blocked_kind,
+                                                        "unknown"),
+                                 cycles=1, pc=owner.stall_pc, **ev)
+                # Fast-forward once the BPU is idle (FTQ pool full, or
+                # every builder blocked or exhausted).
+                if ftq_occ >= ftq_cap or not bpu_ready:
+                    cycle = skip_stalls(cycle, live)
+                if cycle >= next_sample:
+                    sampler.maybe_sample(icache, cycle)
+                    next_sample = sampler._next_sample
+                cycle += 1
+                continue
+            elif cur is None and not ftq_q:
+                # FTQ empty: either the BPU is blocked behind a resteer
+                # (fetch waits for it) or run-ahead starved this cycle.
+                if measuring and owner.resume_at != _NEVER:
+                    self._stall_cycles(owner, _STALL_RESTEER, 1, cycle)
+                cycle += 1
+                continue
+
+            if cur is None:
+                cur = ftq_q.popleft()
+                ftq_occ -= 1
+                cur_byte = cur.start
+                cur_end = cur_byte + cur.nbytes
+                n_ends = len(cur.instr_ends)
+                delivered_in_range = 0
+                # Per-cycle delivery chunks: ranges pop in emission
+                # order, so the precomputed stream aligns by sequence.
+                cur_segs = range_segs[range_seq]
+                range_seq += 1
+                seg_idx = 0
+
+            # Inlined Backend.rob_has_space(cycle).
+            count = backend._count
+            if count >= rob_cap \
+                    and rob_ring[count % rob_cap] > cycle + decode_lat:
+                blocked_until = owner.blocked_until = \
+                    max(cycle + 1, rob_free_cycle())
+                blocked_kind = owner.blocked_kind = _STALL_BACKEND
+                owner.stall_pc = cur_byte
+                cycle += 1
+                continue
+
+            # This cycle's chunk (bytes up to the fetch bandwidth,
+            # instructions up to the fetch width) comes precomputed; a
+            # stalled chunk is simply retried at the same seg_idx.
+            chunk_end, i = cur_segs[seg_idx]
+            result = lookup(cur_byte + addr_offset, chunk_end - cur_byte)
+            if result.kind is not _HIT:
+                owner.stall_pc = cur_byte
+                if rec is not None:
+                    rec.emit(EV_L1I, cycle, result=result.kind.name,
+                             pc=cur_byte, nbytes=chunk_end - cur_byte, **ev)
+                blocked_until = owner.blocked_until = \
+                    self._handle_miss(result.block_addr, cycle, owner)
+                blocked_kind = owner.blocked_kind = _STALL_MISS
+                if measuring:
+                    stats.fetch_stall_cycles += 1
+                    if per_thread_l1i:
+                        stats.l1i_misses += 1
+                        field = _PARTIAL_FIELDS.get(result.kind)
+                        if field is not None:
+                            setattr(stats, field, getattr(stats, field) + 1)
+                    if rec is not None:
+                        rec.emit(EV_STALL, cycle, cause="miss", cycles=1,
+                                 pc=cur_byte, **ev)
+                cycle += 1
+                continue
+            if hit_hook:
+                if per_thread_l1i and measuring:
+                    stats.l1i_hits += 1
+                if rec_hits:
+                    rec.emit(EV_L1I, cycle, result="HIT", pc=cur_byte,
+                             nbytes=chunk_end - cur_byte, **ev)
+
+            # Deliver the completed instructions to the back-end in one
+            # chunked call (identical timing to per-instruction accept).
+            last_complete = 0
+            base = cur.first_index + delivered_in_range
+            n_accept = i - delivered_in_range
+            if delivered + n_accept > total:
+                n_accept = total - delivered
+            if not measuring and n_accept \
+                    and delivered + n_accept >= warmup_boundary:
+                # The warm-up boundary falls inside this chunk: split it
+                # so the snapshot is taken at the exact instruction.
+                n1 = warmup_boundary - delivered
+                last_complete, last_commit = accept(trace, base, n1, cycle)
+                delivered += n1
+                measuring = True
+                self._open_window(owner, last_commit, solo)
+                if sampler is not None:
+                    sampler.reset(cycle)
+                    next_sample = sampler._next_sample
+                n2 = n_accept - n1
+                if n2:
+                    last_complete, last_commit = accept(trace, base + n1, n2,
+                                                        cycle)
+                    delivered += n2
+            elif n_accept:
+                last_complete, last_commit = accept(trace, base, n_accept,
+                                                    cycle)
+                delivered += n_accept
+            delivered_in_range = i
+            seg_idx += 1
+            cur_byte = chunk_end
+
+            if cur_byte >= cur_end and delivered < total:
+                resteer = cur.resteer
+                if resteer is not resteer_none \
+                        and delivered_in_range >= n_ends:
+                    if resteer is resteer_decode:
+                        resume = cycle + btb_penalty
+                        if measuring:
+                            stats.btb_resteers += 1
+                    else:
+                        resume = last_complete + 1
+                        if measuring:
+                            stats.branch_mispredicts += 1
+                    owner.resume_at = resume
+                    if resume < resume_at:
+                        resume_at = resume
+                    blocked_until = owner.blocked_until = resume
+                    blocked_kind = owner.blocked_kind = _STALL_RESTEER
+                    # Attribute the resteer stall to the causing branch.
+                    owner.stall_pc = pc_col[cur.first_index + n_ends - 1]
+                cur = None
+
+            if cycle >= next_sample:
+                sampler.maybe_sample(icache, cycle)
+                next_sample = sampler._next_sample
+            cycle += 1
+            if delivered >= total:
+                # Retire the owner and release its claims on the shared
+                # structures and the fetch port.
+                owner.park(cur, cur_byte, cur_end, n_ends,
+                           delivered_in_range, cur_segs, seg_idx, range_seq,
+                           delivered, last_commit)
+                owner.finished = True
+                live.remove(owner)
+                n_live -= 1
+                ftq_occ -= len(ftq_q)
+                owner.fdip_queue.clear()
+                bpu_ready -= (not owner.bpu_blocked
+                              and owner.bpu_pos < owner.stream_len)
+                owner = None
+                corun = True
+
+        self.cycle = cycle
+        self._ftq_occ = ftq_occ
+        if prof is not None:
+            prof.stop()
+        self.wall_seconds = perf_counter() - wall_start
+        for t in threads:
+            t.result = self._finish_thread(t, solo, sampler)
+
+    def _arbitrate(self, cycle: int, live: List[HardwareThread]
+                   ) -> Tuple[Optional[HardwareThread], bool]:
+        """Classify every live thread and pick the fetch port's winner:
+        ``(None, all_blocked)`` when no thread can fetch. Blocked threads
+        accrue a stall cycle, idle ones (FTQ empty) a resteer stall while
+        one is pending, fetchable losers ``arb_lost_cycles``."""
+        fetchable = []
+        all_blocked = True
+        for t in live:
+            if cycle < t.blocked_until:
+                if t.measuring:
+                    self._stall_cycles(t, t.blocked_kind, 1, cycle)
+                continue
+            all_blocked = False
+            if t.cur is None and not t.ftq_q:
+                if t.resume_at != _NEVER and t.measuring:
+                    self._stall_cycles(t, _STALL_RESTEER, 1, cycle)
+                continue
+            fetchable.append(t)
+        if len(fetchable) <= 1:
+            return (fetchable[0] if fetchable else None), all_blocked
+        n = self.n_threads
+        if self.policy == "icount":
+            winner = min(fetchable, key=lambda t: (t.pending_instrs,
+                                                   (t.tid - cycle) % n))
+        else:
+            winner = min(fetchable, key=lambda t: (t.tid - cycle) % n)
+        for t in fetchable:
+            if t is not winner and t.measuring:
+                t.arb_lost_cycles += 1
+        return winner, False
+
+    # -- helpers -----------------------------------------------------------------------
 
     def _process_fills(self, cycle: int) -> None:
         fills = self._fills
@@ -197,348 +699,20 @@ class Machine:
         while fills and fills[0][0] <= cycle:
             fill(pop(fills)[1])
 
-    def _make_run_bpu(self):
-        """Build the per-cycle BPU stage as a closure: every otherwise
-        per-call rebinding happens once per ``run``."""
-        ftq_q = self.ftq._queue
-        capacity = self.ftq.capacity
-        ftq_append = ftq_q.append
-        # ``build_next`` returns None when the builder is blocked or the
-        # trace is exhausted, so only the FTQ-full guard is needed here.
-        build_next = self.builder.build_next
-        fdip_append = self._fdip_queue.append if self._fdip_on else None
-        ranges_per_cycle = range(self._bpu_ranges_per_cycle)
+    def _start_fill(self, addr: int, cycle: int, t: HardwareThread,
+                    source: str) -> int:
+        """Allocate an MSHR and queue the fill of ``addr``; returns the
+        fill cycle."""
+        fill_at = cycle + self.hierarchy.fetch_block(addr, cycle)
+        self.mshr.allocate(addr, fill_at, cycle)
+        heapq.heappush(self._fills, (fill_at, addr))
+        if self._rec is not None:
+            self._rec.emit(EV_MSHR, cycle, block=addr, fill=fill_at,
+                           source=source, **t.ev)
+        return fill_at
 
-        def run_bpu() -> None:
-            for _ in ranges_per_cycle:
-                if len(ftq_q) >= capacity:
-                    return
-                fetch_range = build_next()
-                if fetch_range is None:
-                    return
-                ftq_append(fetch_range)
-                if fdip_append is not None:
-                    fdip_append(fetch_range)
-
-        return run_bpu
-
-    def _make_run_fdip(self):
-        """Build the per-cycle FDIP stage as a closure (see _make_run_bpu)."""
-        queue = self._fdip_queue
-        mshr = self.mshr
-        mshr_full = mshr.full
-        mshr_lookup = mshr.lookup
-        mshr_allocate = mshr.allocate
-        probe = self.icache.probe_range
-        popleft = queue.popleft
-        fetch_block = self.hierarchy.fetch_block
-        fills = self._fills
-        push = heapq.heappush
-        rec = self._rec
-        stats = self.stats
-        budget = self._fdip_degree
-
-        def run_fdip(cycle: int) -> None:
-            issued = 0
-            while queue and issued < budget:
-                if mshr_full(cycle):
-                    return
-                fr = queue[0]
-                start = fr.start
-                if probe(start, fr.nbytes):
-                    popleft()
-                    continue
-                block_addr = start & ~63
-                if mshr_lookup(block_addr, cycle) is not None:
-                    popleft()
-                    continue
-                fill_at = cycle + fetch_block(block_addr, cycle)
-                mshr_allocate(block_addr, fill_at, cycle)
-                push(fills, (fill_at, block_addr))
-                stats.prefetches_issued += 1
-                if rec is not None:
-                    rec.emit(EV_MSHR, cycle, block=block_addr,
-                             fill=fill_at, source="fdip")
-                popleft()
-                issued += 1
-
-        return run_fdip
-
-    # -- main loop -------------------------------------------------------------------
-
-    def run(self, warmup: int, measure: int,
-            sample_efficiency: bool = True,
-            efficiency_interval: Optional[int] = None) -> SimResult:
-        """Simulate ``warmup + measure`` instructions; report the measured
-        window. The efficiency sampling interval defaults to ~1/75th of the
-        measured window (the paper's 100K cycles is ~1/1000th of its 50M+
-        instruction windows; we keep the same spirit at our scale)."""
-        total = warmup + measure
-        if total > len(self.trace):
-            raise ConfigurationError(
-                f"trace has {len(self.trace)} instructions, need {total}"
-            )
-        if efficiency_interval is None:
-            efficiency_interval = max(250, measure // 75)
-        sampler = EfficiencySampler(efficiency_interval)
-
-        icache = self.icache
-        stats = self.stats
-        icache.recording = False
-
-        rec = self._rec
-        rec_hits = rec is not None and rec.record_hits
-        prof = self.telemetry.profiler
-        # Stage callables are bound into locals (and wrapped there when
-        # profiling), so unprofiled runs never pay the wrapper cost and no
-        # component instance is ever monkey-patched.
-        process_fills = self._process_fills
-        run_bpu = self._make_run_bpu()
-        run_fdip = self._make_run_fdip()
-        maybe_skip = self._maybe_skip
-        lookup = icache.lookup
-        # Columnar traces deliver through the array-reading back-end entry
-        # point (no Instruction objects on the hot path); both paths are
-        # bit-identical (tests/test_golden_parity.py).
-        if isinstance(self.trace, ArrayTrace):
-            accept = self.backend.accept_range_arrays
-            pc_col = self.trace.pc
-        else:
-            accept = self.backend.accept_range
-            pc_col = None
-        if prof is not None:
-            process_fills = prof.wrap("fills", process_fills)
-            run_bpu = prof.wrap("bpu", run_bpu)
-            run_fdip = prof.wrap("fdip", run_fdip)
-            lookup = prof.wrap("fetch", lookup)
-            accept = prof.wrap("backend", accept)
-            prof.start()
-        wall_start = perf_counter()
-
-        # Fetch state.
-        cur: Optional[FetchRange] = None
-        cur_byte = 0
-        cur_end = 0
-        n_ends = 0
-        delivered_in_range = 0
-        cur_segs: List[Tuple[int, int]] = []
-        seg_idx = 0
-        range_segs = self._range_segs
-        range_seq = 0
-        blocked_until = 0
-        blocked_kind = 0
-        pending_resteer: Optional[Tuple[int, int]] = None  # (resume, kind)
-        measuring = False
-        warmup_commit = 0
-        warmup_snapshot = None
-        # The measured window opens after the instruction that reaches the
-        # warm-up count — with warmup=0, after the very first instruction
-        # (the per-instruction flip check ran after each accept).
-        warmup_boundary = warmup if warmup > 0 else 1
-
-        # Hot-loop locals: every name inside the cycle loop resolves in the
-        # frame instead of through attribute chains. ``self.cycle`` is
-        # synced back around dispatched helpers (which tests may patch) and
-        # at loop exit, together with ``self.delivered``/``self._last_commit``.
-        core = self.params.core
-        fetch_bytes = core.fetch_bytes
-        fetch_width = core.fetch_width
-        btb_penalty = core.btb_resteer_penalty
-        trace = self.trace
-        fills = self._fills
-        fdip_queue = self._fdip_queue
-        ftq_q = self.ftq._queue
-        ftq_capacity = self.ftq.capacity
-        builder = self.builder
-        mshr = self.mshr
-        backend = self.backend
-        rob_ring = backend._ring
-        rob_cap = backend._rob
-        decode_lat = backend._decode_latency
-        rob_free_cycle = backend.rob_free_cycle
-        maybe_sample = sampler.maybe_sample
-        next_sample = sampler._next_sample
-        resteer_none = Resteer.NONE
-        resteer_decode = Resteer.DECODE
-        cycle = self.cycle
-        delivered = self.delivered
-        last_commit = self._last_commit
-
-        while delivered < total:
-            if fills and fills[0][0] <= cycle:
-                process_fills(cycle)
-            # Resume BPU run-ahead once a resteer has resolved.
-            if pending_resteer is not None and cycle >= pending_resteer[0]:
-                builder.resume()
-                pending_resteer = None
-            if not builder.blocked and len(ftq_q) < ftq_capacity:
-                run_bpu()
-            if fdip_queue:
-                run_fdip(cycle)
-
-            if rec is not None and (cycle & _FTQ_SAMPLE_MASK) == 0:
-                rec.emit(EV_FTQ, cycle, occupancy=len(ftq_q),
-                         mshr=len(mshr))
-
-            if cycle < blocked_until:
-                # Inlined _account_stall(blocked_kind, 1, measuring).
-                if measuring:
-                    if blocked_kind == _STALL_MISS:
-                        stats.fetch_stall_cycles += 1
-                    elif blocked_kind == _STALL_RESTEER:
-                        stats.mispredict_stall_cycles += 1
-                    if rec is not None:
-                        rec.emit(EV_STALL, cycle,
-                                 cause=_STALL_NAMES.get(blocked_kind,
-                                                        "unknown"),
-                                 cycles=1, pc=self._stall_pc)
-                self.cycle = cycle
-                maybe_skip(blocked_until, blocked_kind, measuring)
-                cycle = self.cycle
-                if measuring and sample_efficiency and cycle >= next_sample:
-                    maybe_sample(icache, cycle)
-                    next_sample = sampler._next_sample
-                cycle += 1
-                continue
-            blocked_kind = 0
-
-            if cur is None:
-                if not ftq_q:
-                    # FTQ empty: either the BPU is blocked behind a resteer
-                    # (fetch waits for it) or run-ahead starved this cycle.
-                    if pending_resteer is not None and measuring:
-                        # Inlined _account_stall(_STALL_RESTEER, 1, ...).
-                        stats.mispredict_stall_cycles += 1
-                        if rec is not None:
-                            rec.emit(EV_STALL, cycle, cause="resteer",
-                                     cycles=1, pc=self._stall_pc)
-                    cycle += 1
-                    continue
-                cur = ftq_q.popleft()
-                cur_byte = cur.start
-                cur_end = cur_byte + cur.nbytes
-                n_ends = len(cur.instr_ends)
-                delivered_in_range = 0
-                # Per-cycle delivery chunks: ranges pop in emission
-                # order, so the precomputed columnar stream aligns by
-                # sequence number; object traces segment at pop time.
-                if range_segs is not None:
-                    cur_segs = range_segs[range_seq]
-                    range_seq += 1
-                else:
-                    cur_segs = segment_range(cur, fetch_bytes, fetch_width)
-                seg_idx = 0
-
-            # Inlined backend.rob_has_space(cycle).
-            count = backend._count
-            if count >= rob_cap \
-                    and rob_ring[count % rob_cap] > cycle + decode_lat:
-                blocked_until = max(cycle + 1, rob_free_cycle())
-                blocked_kind = _STALL_BACKEND
-                self._stall_pc = cur_byte
-                cycle += 1
-                continue
-
-            # This cycle's chunk (bytes up to the fetch bandwidth,
-            # instructions up to the fetch width) comes precomputed;
-            # a stalled chunk is simply retried at the same seg_idx.
-            chunk_end, i = cur_segs[seg_idx]
-            n_ready = i - delivered_in_range
-
-            result = lookup(cur_byte, chunk_end - cur_byte)
-            if result.kind is not _HIT:
-                self._stall_pc = cur_byte
-                if rec is not None:
-                    rec.emit(EV_L1I, cycle, result=result.kind.name,
-                             pc=cur_byte, nbytes=chunk_end - cur_byte)
-                blocked_until = self._handle_miss(result.block_addr, cycle)
-                blocked_kind = _STALL_MISS
-                # Inlined _account_stall(_STALL_MISS, 1, measuring).
-                if measuring:
-                    stats.fetch_stall_cycles += 1
-                    if rec is not None:
-                        rec.emit(EV_STALL, cycle, cause="miss", cycles=1,
-                                 pc=cur_byte)
-                cycle += 1
-                continue
-            if rec_hits:
-                rec.emit(EV_L1I, cycle, result="HIT", pc=cur_byte,
-                         nbytes=chunk_end - cur_byte)
-
-            # Deliver the completed instructions to the back-end in one
-            # chunked call (identical timing to per-instruction accept).
-            last_complete = 0
-            base = cur.first_index + delivered_in_range
-            n_accept = n_ready
-            if delivered + n_accept > total:
-                n_accept = total - delivered
-            if not measuring and n_accept \
-                    and delivered + n_accept >= warmup_boundary:
-                # The warm-up boundary falls inside this chunk: split it so
-                # the snapshot is taken at the exact instruction.
-                n1 = warmup_boundary - delivered
-                last_complete, last_commit = accept(trace, base, n1, cycle)
-                delivered += n1
-                measuring = True
-                warmup_commit = last_commit
-                icache.recording = True
-                icache.reset_stats()
-                self.cycle = cycle
-                self.delivered = delivered
-                warmup_snapshot = self._snapshot()
-                sampler.reset(cycle)
-                next_sample = sampler._next_sample
-                n2 = n_accept - n1
-                if n2:
-                    last_complete, last_commit = accept(trace, base + n1,
-                                                        n2, cycle)
-                    delivered += n2
-            elif n_accept:
-                last_complete, last_commit = accept(trace, base, n_accept,
-                                                    cycle)
-                delivered += n_accept
-            delivered_in_range = i
-            seg_idx += 1
-            cur_byte = chunk_end
-
-            if cur_byte >= cur_end and delivered < total:
-                if cur.resteer is not resteer_none \
-                        and delivered_in_range >= n_ends:
-                    if cur.resteer is resteer_decode:
-                        resume = cycle + btb_penalty
-                        if measuring:
-                            stats.btb_resteers += 1
-                    else:
-                        resume = last_complete + 1
-                        if measuring:
-                            stats.branch_mispredicts += 1
-                    pending_resteer = (resume, int(cur.resteer))
-                    blocked_until = resume
-                    blocked_kind = _STALL_RESTEER
-                    # Attribute the resteer stall to the causing branch.
-                    if pc_col is not None:
-                        self._stall_pc = pc_col[cur.first_index + n_ends - 1]
-                    else:
-                        self._stall_pc = trace[cur.first_index + n_ends - 1].pc
-                cur = None
-
-            if measuring and sample_efficiency and cycle >= next_sample:
-                maybe_sample(icache, cycle)
-                next_sample = sampler._next_sample
-            cycle += 1
-
-        self.cycle = cycle
-        self.delivered = delivered
-        self._last_commit = last_commit
-        if prof is not None:
-            prof.stop()
-        self.wall_seconds = perf_counter() - wall_start
-        return self._finish(warmup_commit, warmup_snapshot, measure,
-                            sampler if sample_efficiency else None)
-
-    # -- helpers -----------------------------------------------------------------------
-
-    def _handle_miss(self, block_addr: int, cycle: int) -> int:
+    def _handle_miss(self, block_addr: int, cycle: int,
+                     t: HardwareThread) -> int:
         """Start or join the fill for ``block_addr``; returns its cycle."""
         mshr = self.mshr
         inflight = mshr.lookup(block_addr, cycle)
@@ -549,120 +723,137 @@ class Machine:
             if earliest is None:  # pragma: no cover - defensive
                 raise SimulationError("MSHR full but empty")
             return earliest
-        latency = self.hierarchy.fetch_block(block_addr, cycle)
-        fill_at = cycle + latency
-        mshr.allocate(block_addr, fill_at, cycle)
-        heapq.heappush(self._fills, (fill_at, block_addr))
-        if self._rec is not None:
-            self._rec.emit(EV_MSHR, cycle, block=block_addr, fill=fill_at,
-                           source="demand")
-        if self._prefetcher == "nextline":
-            self._issue_next_lines(block_addr, cycle)
+        fill_at = self._start_fill(block_addr, cycle, t, "demand")
+        if self.params.core.prefetcher == "nextline":
+            # Sequential prefetch of the blocks following a demand miss.
+            for i in range(1, self.params.core.nextline_degree + 1):
+                addr = block_addr + i * 64
+                if mshr.full(cycle):
+                    break
+                if not self.icache.probe_range(addr, 1) \
+                        and mshr.lookup(addr, cycle) is None:
+                    t.stats.prefetches_issued += 1
+                    self._start_fill(addr, cycle, t, "nextline")
         return fill_at
 
-    def _issue_next_lines(self, block_addr: int, cycle: int) -> None:
-        """Sequential prefetch of the blocks following a demand miss."""
-        mshr = self.mshr
-        for i in range(1, self.params.core.nextline_degree + 1):
-            addr = block_addr + i * 64
-            if mshr.full(cycle):
-                return
-            if self.icache.probe_range(addr, 1) \
-                    or mshr.lookup(addr, cycle) is not None:
-                continue
-            latency = self.hierarchy.fetch_block(addr, cycle)
-            fill_at = cycle + latency
-            mshr.allocate(addr, fill_at, cycle)
-            heapq.heappush(self._fills, (fill_at, addr))
-            self.stats.prefetches_issued += 1
-            if self._rec is not None:
-                self._rec.emit(EV_MSHR, cycle, block=addr, fill=fill_at,
-                               source="nextline")
-
-    def _account_stall(self, kind: int, cycles: int, measuring: bool) -> None:
-        if not measuring or not cycles:
-            return
+    def _stall_cycles(self, t: HardwareThread, kind: int, cycles: int,
+                      cycle: int) -> None:
+        """Charge a measuring thread ``cycles`` stall cycles of ``kind``."""
         if kind == _STALL_MISS:
-            self.stats.fetch_stall_cycles += cycles
+            t.stats.fetch_stall_cycles += cycles
         elif kind == _STALL_RESTEER:
-            self.stats.mispredict_stall_cycles += cycles
+            t.stats.mispredict_stall_cycles += cycles
         if self._rec is not None:
-            self._rec.emit(EV_STALL, self.cycle,
+            self._rec.emit(EV_STALL, cycle,
                            cause=_STALL_NAMES.get(kind, "unknown"),
-                           cycles=cycles, pc=self._stall_pc)
+                           cycles=cycles, pc=t.stall_pc, **t.ev)
 
-    def _maybe_skip(self, blocked_until: int, kind: int,
-                    measuring: bool) -> None:
-        """Fast-forward through a stall once the BPU and FDIP are idle."""
-        bpu_idle = (self.ftq.full or self.builder.blocked
-                    or self.builder.exhausted)
-        if not bpu_idle:
-            return
-        target = blocked_until
-        if self._fdip_queue:
+    def _skip_stalls(self, cycle: int, live: List[HardwareThread]) -> int:
+        """Fast-forward while every live thread is blocked and the BPU is
+        idle, to one cycle before the earliest stall resolves (or, while
+        FDIP waits on a full MSHR file, the next fill lands); returns the
+        cycle to resume from. Each thread accrues the skipped cycles under
+        its own stall kind, exactly as stepping cycle by cycle would."""
+        target = _NEVER
+        fdip_waiting = False
+        for t in live:
+            if t.blocked_until < target:
+                target = t.blocked_until
+            if t.fdip_queue:
+                fdip_waiting = True
+        if fdip_waiting:
             # FDIP can resume as soon as a fill frees an MSHR entry.
-            if not self.mshr.full(self.cycle):
-                return
-            next_fill = self._fills[0][0] if self._fills else blocked_until
-            target = min(blocked_until, next_fill)
-        skip = target - (self.cycle + 1)
-        if skip > 0:
-            self._account_stall(kind, skip, measuring)
-            self.cycle += skip
+            if not self.mshr.full(cycle):
+                return cycle
+            if self._fills and self._fills[0][0] < target:
+                target = self._fills[0][0]
+        skip = target - (cycle + 1)
+        if skip <= 0:
+            return cycle
+        for t in live:
+            if t.measuring:
+                self._stall_cycles(t, t.blocked_kind, skip, cycle)
+        return cycle + skip
 
-    def _snapshot(self) -> dict:
-        return {
-            "hits": self.icache.hits,
-            "misses": self.icache.misses,
-            "prefetches": self.stats.prefetches_issued,
-            "bpu_lookups": self.bpu.cond_lookups,
-            "bpu_mispredicts": self.bpu.mispredicts,
-        }
-
-    def _finish(self, warmup_commit: int, snapshot: Optional[dict],
-                measure: int,
-                sampler: Optional[EfficiencySampler]) -> SimResult:
-        snapshot = snapshot or {
-            "hits": 0, "misses": 0, "prefetches": 0,
-            "bpu_lookups": 0, "bpu_mispredicts": 0,
-        }
-        stats = self.stats
-        stats.l1i_hits = self.icache.hits - snapshot["hits"]
-        stats.l1i_misses = self.icache.misses - snapshot["misses"]
-        stats.branch_lookups = self.bpu.cond_lookups - snapshot["bpu_lookups"]
+    def _open_window(self, t: HardwareThread, last_commit: int,
+                     solo: bool) -> None:
+        """Open ``t``'s measured window (warm-up boundary just crossed)."""
         icache = self.icache
-        if isinstance(icache, UBSICache):
-            stats.l1i_partial_missing = icache.partial_missing
-            stats.l1i_partial_overrun = icache.partial_overrun
-            stats.l1i_partial_underrun = icache.partial_underrun
-        cycles = max(1, self._last_commit - warmup_commit)
+        if solo:
+            icache.recording = True
+            icache.reset_stats()
+        t.measuring = True
+        t.warmup_commit = last_commit
+        t.snapshot = (icache.hits, icache.misses, t.stats.prefetches_issued,
+                      t.bpu.cond_lookups)
+
+    def _finish_thread(self, t: HardwareThread, solo: bool,
+                       sampler: Optional[EfficiencySampler]) -> SimResult:
+        hits0, misses0, prefetches0, lookups0 = t.snapshot
+        stats = t.stats
+        icache = self.icache
+        if solo:
+            # The cache's own counters (co-runs count per thread instead).
+            stats.l1i_hits = icache.hits - hits0
+            stats.l1i_misses = icache.misses - misses0
+            if isinstance(icache, UBSICache):
+                stats.l1i_partial_missing = icache.partial_missing
+                stats.l1i_partial_overrun = icache.partial_overrun
+                stats.l1i_partial_underrun = icache.partial_underrun
+        stats.branch_lookups = t.bpu.cond_lookups - lookups0
+        cycles = max(1, t.last_commit - t.warmup_commit)
         if self._rec is not None:
-            self._rec.emit(
-                RUN_SUMMARY, self.cycle,
-                cycles=cycles, instructions=measure,
-                fetch_stall_cycles=stats.fetch_stall_cycles,
-                mispredict_stall_cycles=stats.mispredict_stall_cycles,
-                l1i_hits=stats.l1i_hits, l1i_misses=stats.l1i_misses,
-                partial_misses=stats.partial_misses,
-                branch_mispredicts=stats.branch_mispredicts,
-                btb_resteers=stats.btb_resteers,
-                prefetches_issued=stats.prefetches_issued,
-            )
+            self._rec.emit(RUN_SUMMARY, self.cycle, cycles=cycles,
+                           instructions=t.measure,
+                           **{f: getattr(stats, f) for f in _SUMMARY_FIELDS},
+                           **t.ev)
         extra = {
             "block_count": icache.block_count(),
-            "prefetches": stats.prefetches_issued - snapshot["prefetches"],
+            "prefetches": stats.prefetches_issued - prefetches0,
             "dram_accesses": self.hierarchy.dram.accesses,
         }
+        if not solo:
+            extra["thread"] = t.tid
+            extra["arb_lost_cycles"] = t.arb_lost_cycles
         if sampler is not None and not sampler.samples:
             sampler.force_sample(icache)
-        return SimResult(
-            workload="", config="",
-            instructions=measure,
-            cycles=cycles,
-            frontend=stats,
-            efficiency=sampler.summary() if sampler else None,
-            extra=extra,
-        )
+        return SimResult(workload="", config="", instructions=t.measure,
+                         cycles=cycles, frontend=stats, extra=extra,
+                         efficiency=sampler and sampler.summary())
+
+
+class Machine(Core):
+    """One simulated core running one thread, with a configurable L1-I
+    organisation."""
+
+    def __init__(self, trace: Sequence[Instruction],
+                 icache: InstructionCacheBase,
+                 params: Optional[MachineParams] = None,
+                 telemetry: Optional[Telemetry] = None) -> None:
+        super().__init__([trace], icache, params, telemetry)
+
+    def _register_metrics(self) -> None:
+        reg = self.metrics
+        t = self.threads[0]
+        reg.gauge("machine.instructions_delivered", lambda: t.delivered)
+        for f in _dataclass_fields(FrontEndStats):
+            reg.gauge(f"frontend.{f.name}",
+                      lambda name=f.name: getattr(t.stats, name))
+        reg.gauge("ftq.occupancy", lambda: len(t.ftq_q))
+        reg.gauge("bpu.cond_lookups", lambda: t.bpu.cond_lookups)
+        reg.gauge("bpu.mispredicts", lambda: t.bpu.mispredicts)
+        super()._register_metrics()
+
+    def run(self, warmup: int, measure: int,
+            sample_efficiency: bool = True,
+            efficiency_interval: Optional[int] = None) -> SimResult:
+        """Simulate ``warmup + measure`` instructions; report the measured
+        window. The efficiency sampling interval defaults to ~1/75th of the
+        measured window (the paper's 100K cycles is ~1/1000th of its 50M+
+        instruction windows; we keep the same spirit at our scale)."""
+        self._simulate([(warmup, measure)], sample_efficiency,
+                       efficiency_interval)
+        return self.threads[0].result
 
 
 def build_icache(config: str) -> InstructionCacheBase:

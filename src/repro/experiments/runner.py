@@ -298,8 +298,6 @@ def _simulate_smt(workload: SMTWorkload, config: str,
     traces = [cache.array_trace_for(w) for w in components]
     windows = [w.windows() for w in components]
     machine = build_smt_machine(traces, config, policy=workload.policy)
-    for thread, comp in zip(machine.threads, components):
-        thread.name = comp.name
     t0 = perf_counter()
     result = machine.run(windows)
     wall = perf_counter() - t0

@@ -4,13 +4,12 @@ from .perceptron import HashedPerceptron
 from .btb import BTB
 from .ras import ReturnAddressStack
 from .bpu import BranchPredictionUnit, Resteer
-from .ftq import FetchRange, FetchTargetQueue, RangeBuilder
+from .ftq import FetchRange, RangeBuilder
 
 __all__ = [
     "BTB",
     "BranchPredictionUnit",
     "FetchRange",
-    "FetchTargetQueue",
     "HashedPerceptron",
     "RangeBuilder",
     "Resteer",

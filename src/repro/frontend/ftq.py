@@ -1,4 +1,4 @@
-"""Fetch Target Queue and the BPU-run-ahead range builder.
+"""Fetch ranges and the BPU-run-ahead range builder.
 
 A :class:`FetchRange` is the unit the decoupled front-end works with: a
 contiguous byte span *within one 64-byte block*, the trace instructions
@@ -16,8 +16,7 @@ resumes it).
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..trace.arrays import ArrayTrace
@@ -265,13 +264,14 @@ def precompute_range_stream(trace: Sequence[Instruction],
     the clock, and resteer blocking only delays *when* the next range is
     built, never *what* it is. Precomputing the stream therefore moves
     the entire BPU/perceptron/BTB walk out of the timed cycle loop while
-    staying bit-identical.
+    staying bit-identical: the machine's BPU stage replays it, blocking
+    after each resteer-causing range exactly as a live builder would.
 
     Returns ``[(range, cond_lookups, mispredicts), ...]`` where the
     counters are the BPU's cumulative values right after each range was
     built, so a replay can keep the externally visible counters exact at
     every cycle boundary. The caller's ``bpu`` is fully advanced on
-    return and should only be reused through :class:`ReplayRangeBuilder`.
+    return.
     """
     builder = RangeBuilder(trace, bpu)
     stream: List[Tuple[FetchRange, int, int]] = []
@@ -286,89 +286,3 @@ def precompute_range_stream(trace: Sequence[Instruction],
             break
         append((fetch_range, bpu.cond_lookups, bpu.mispredicts))
     return stream
-
-
-class ReplayRangeBuilder:
-    """Drop-in :class:`RangeBuilder` replaying a precomputed stream.
-
-    Emits the exact ranges (same objects) a live builder would produce,
-    mirroring its ``blocked``/``exhausted`` protocol, and restores the
-    BPU's ``cond_lookups``/``mispredicts`` counters alongside each range
-    so snapshots taken between emissions read identical values.
-    """
-
-    __slots__ = ("bpu", "blocked", "_stream", "_pos", "_n")
-
-    def __init__(self, stream: List[Tuple[FetchRange, int, int]],
-                 bpu: BranchPredictionUnit) -> None:
-        self.bpu = bpu
-        self.blocked = False
-        self._stream = stream
-        self._pos = 0
-        self._n = len(stream)
-        bpu.cond_lookups = 0
-        bpu.mispredicts = 0
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= self._n
-
-    def resume(self) -> None:
-        self.blocked = False
-
-    def build_next(self) -> Optional[FetchRange]:
-        pos = self._pos
-        if self.blocked or pos >= self._n:
-            return None
-        fetch_range, lookups, mispredicts = self._stream[pos]
-        self._pos = pos + 1
-        bpu = self.bpu
-        bpu.cond_lookups = lookups
-        bpu.mispredicts = mispredicts
-        if fetch_range.resteer:
-            self.blocked = True
-        return fetch_range
-
-
-class FetchTargetQueue:
-    """Bounded FIFO of fetch ranges between the BPU and the fetch engine."""
-
-    __slots__ = ("capacity", "_queue")
-
-    def __init__(self, capacity: int = 128) -> None:
-        self.capacity = capacity
-        self._queue: Deque[FetchRange] = deque()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __iter__(self):
-        return iter(self._queue)
-
-    @property
-    def full(self) -> bool:
-        return len(self._queue) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._queue
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._queue)
-
-    def register_metrics(self, registry, prefix: str = "ftq") -> None:
-        """Register occupancy/capacity gauges under ``prefix``."""
-        registry.gauge(f"{prefix}.occupancy", lambda: len(self._queue))
-        registry.gauge(f"{prefix}.capacity", lambda: self.capacity)
-
-    def push(self, fetch_range: FetchRange) -> None:
-        if self.full:
-            raise SimulationError("FTQ overflow")
-        self._queue.append(fetch_range)
-
-    def head(self) -> Optional[FetchRange]:
-        return self._queue[0] if self._queue else None
-
-    def pop(self) -> FetchRange:
-        return self._queue.popleft()

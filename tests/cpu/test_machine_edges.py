@@ -4,6 +4,7 @@ import pytest
 
 from repro.cpu.machine import Machine, build_icache
 from repro.params import CoreParams, MachineParams
+from repro.smt import SMTMachine
 from repro.trace.synthesis import ProgramBuilder, TraceWalker
 
 from ..conftest import small_spec
@@ -11,28 +12,53 @@ from ..conftest import small_spec
 
 class TestSkipAheadEquivalence:
     """The stall fast-forward is a pure optimisation: disabling it must
-    not change a single cycle or counter."""
+    not change a single cycle or counter, solo or co-running."""
+
+    @staticmethod
+    def _counters(result):
+        d = result.to_dict()
+        threads = d["extra"].get("threads", [])
+        return (d["cycles"], d["frontend"],
+                [(t["cycles"], t["frontend"], t["extra"]["arb_lost_cycles"])
+                 for t in threads])
+
+    @staticmethod
+    def _traces(n):
+        """``n`` walks of one program (the first with the spec's seed)."""
+        spec = small_spec(seed=99, n_functions=300, n_entry_points=24)
+        program = ProgramBuilder(spec).build()
+        return [TraceWalker(program, spec, seed=k or None).run(20_000)
+                for k in range(n)]
+
+    def _assert_skip_is_invisible(self, fast, slow, run):
+        skipped = []
+        skip = fast._skip_stalls
+
+        def counting(cycle, live):
+            resumed = skip(cycle, live)
+            skipped.append(resumed - cycle)
+            return resumed
+
+        fast._skip_stalls = counting
+        slow._skip_stalls = lambda cycle, live: cycle  # disable
+        assert self._counters(run(fast)) == self._counters(run(slow))
+        assert max(skipped) > 0, "the run never fast-forwarded"
 
     @pytest.mark.parametrize("config", ["conv32", "ubs"])
     def test_identical_results(self, config):
-        spec = small_spec(seed=99, n_functions=300, n_entry_points=24)
-        trace = TraceWalker(ProgramBuilder(spec).build(), spec).run(20_000)
+        trace, = self._traces(1)
+        self._assert_skip_is_invisible(
+            Machine(trace, build_icache(config)),
+            Machine(trace, build_icache(config)),
+            lambda machine: machine.run(4000, 12_000))
 
-        fast = Machine(trace, build_icache(config))
-        r_fast = fast.run(4000, 12_000)
-
-        slow = Machine(trace, build_icache(config))
-        slow._maybe_skip = lambda *args, **kwargs: None  # disable
-        r_slow = slow.run(4000, 12_000)
-
-        assert r_fast.cycles == r_slow.cycles
-        assert r_fast.frontend.fetch_stall_cycles == \
-            r_slow.frontend.fetch_stall_cycles
-        assert r_fast.frontend.mispredict_stall_cycles == \
-            r_slow.frontend.mispredict_stall_cycles
-        assert r_fast.frontend.l1i_misses == r_slow.frontend.l1i_misses
-        assert r_fast.frontend.prefetches_issued == \
-            r_slow.frontend.prefetches_issued
+    @pytest.mark.parametrize("config", ["conv32", "ubs"])
+    def test_identical_corun_results(self, config):
+        traces = self._traces(2)
+        self._assert_skip_is_invisible(
+            SMTMachine(traces, build_icache(config)),
+            SMTMachine(traces, build_icache(config)),
+            lambda machine: machine.run([(4000, 12_000)] * 2))
 
 
 class TestVariableISA:

@@ -1,11 +1,9 @@
-"""Fetch range builder and FTQ tests."""
+"""Fetch range builder tests."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SimulationError
 from repro.frontend.bpu import BranchPredictionUnit, Resteer
-from repro.frontend.ftq import FetchRange, FetchTargetQueue, RangeBuilder
+from repro.frontend.ftq import RangeBuilder
 from repro.trace.record import Instruction, InstrKind
 from repro.trace.synthesis import generate_trace
 
@@ -128,26 +126,3 @@ class TestRangesCoverTrace:
                 continue
             assert fr.start >> 6 == (fr.end - 1) >> 6
             assert 0 < fr.nbytes <= 64
-
-
-class TestFTQ:
-    def test_fifo_order(self):
-        q = FetchTargetQueue(4)
-        frs = [FetchRange(i * 64, 16, 0, (), Resteer.NONE) for i in range(3)]
-        for fr in frs:
-            q.push(fr)
-        assert q.head() is frs[0]
-        assert q.pop() is frs[0]
-        assert q.pop() is frs[1]
-
-    def test_capacity(self):
-        q = FetchTargetQueue(1)
-        q.push(FetchRange(0, 16, 0, (), Resteer.NONE))
-        assert q.full
-        with pytest.raises(SimulationError, match="overflow"):
-            q.push(FetchRange(64, 16, 0, (), Resteer.NONE))
-
-    def test_empty(self):
-        q = FetchTargetQueue(2)
-        assert q.empty
-        assert q.head() is None

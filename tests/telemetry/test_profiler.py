@@ -78,3 +78,27 @@ class TestMachineIntegration:
         machine.run(*workload.windows())
         assert machine.profile_report() is None
         assert machine.wall_seconds > 0
+
+    def test_corun_profiles_every_stage_without_changing_results(
+            self, monkeypatch):
+        """Co-runs go through the same stage hooks as solo runs, and the
+        wrappers only time — they never change a result."""
+        from repro.smt import SMTMachine
+        from repro.telemetry.profiler import STAGES
+        from repro.trace.arrays import ArrayTrace
+
+        monkeypatch.setenv("REPRO_SCALE", "0.03")
+        workloads = [get_workload("spec_000"), get_workload("client_000")]
+        traces = [ArrayTrace.from_instructions(w.generate())
+                  for w in workloads]
+        windows = [w.windows() for w in workloads]
+        prof = StageProfiler()
+        profiled = SMTMachine(traces, build_icache("ubs"),
+                              telemetry=Telemetry(profiler=prof))
+        result = profiled.run(windows)
+        report = profiled.profile_report()
+        for stage in STAGES:
+            assert report.stage_calls.get(stage, 0) > 0, stage
+        assert report.cycles == profiled.cycle
+        plain = SMTMachine(traces, build_icache("ubs")).run(windows)
+        assert result.to_dict() == plain.to_dict()

@@ -8,6 +8,11 @@ recorded before the optimization pass of PR 3; this test re-simulates
 each pinned (workload, config) pair and compares the full result dict —
 counters, efficiency summary and extras — key for key.
 
+Every entry point into the cycle loop is held to the same goldens: a
+:class:`Machine` built from an instruction list, one built from an
+:class:`ArrayTrace`, and a one-thread :func:`build_smt_machine`. Co-runs
+and degenerate traces have goldens of their own.
+
 Regenerate the goldens (only after an *intentional* semantics change,
 together with a ``RESULTS_VERSION`` bump) with::
 
@@ -22,8 +27,10 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cpu.machine import Machine, build_icache
 from repro.errors import ConfigurationError
+from repro.smt import build_smt_machine
 from repro.trace.arrays import ArrayTrace
 from repro.trace.record import Instruction, InstrKind
 from repro.trace.workloads import get_workload
@@ -45,33 +52,21 @@ GOLDEN_PAIRS = [
     ("google_000", "ubs"),
 ]
 
+#: Two-thread co-runs: both headline configurations under round-robin
+#: fetch arbitration, and UBS under ICOUNT.
+CORUN_PAIRS = [
+    ("smt:server_000+client_000", "conv32"),
+    ("smt:server_000+client_000", "ubs"),
+    ("smt:server_000+client_000@icount", "ubs"),
+]
+
 
 def _golden_path(workload: str, config: str) -> Path:
-    return GOLDEN_DIR / f"{workload}__{config}__s{GOLDEN_SCALE}.json"
+    safe = workload.replace("smt:", "smt_")
+    return GOLDEN_DIR / f"{safe}__{config}__s{GOLDEN_SCALE}.json"
 
 
-def _simulate(workload: str, config: str, columnar: bool = False) -> dict:
-    wl = get_workload(workload)
-    trace = wl.generate()
-    if columnar:
-        trace = ArrayTrace.from_instructions(trace)
-    warmup, measure = wl.windows()
-    machine = Machine(trace, build_icache(config))
-    result = machine.run(warmup, measure)
-    result.workload = workload
-    result.config = config
-    return result.to_dict()
-
-
-@pytest.fixture(autouse=True)
-def pinned_scale(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALE", GOLDEN_SCALE)
-
-
-@pytest.mark.parametrize("workload,config", GOLDEN_PAIRS)
-def test_bit_identical_to_golden(workload, config):
-    path = _golden_path(workload, config)
-    produced = _simulate(workload, config)
+def _check_golden(path: Path, produced: dict, what: str) -> None:
     if os.environ.get("REPRO_UPDATE_GOLDENS"):
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(produced, indent=1, sort_keys=True) + "\n")
@@ -81,33 +76,84 @@ def test_bit_identical_to_golden(workload, config):
     )
     golden = json.loads(path.read_text())
     assert produced == golden, (
-        f"{workload}/{config} drifted from its pre-optimization golden — "
-        "simulation semantics changed (if intentional, bump RESULTS_VERSION "
-        "and regenerate with REPRO_UPDATE_GOLDENS=1)"
+        f"{what} drifted from its golden — simulation semantics changed "
+        "(if intentional, bump RESULTS_VERSION and regenerate with "
+        "REPRO_UPDATE_GOLDENS=1)"
     )
 
 
+def _run_list(instrs, config, warmup, measure):
+    return Machine(list(instrs), build_icache(config)).run(warmup, measure)
+
+
+def _run_columnar(instrs, config, warmup, measure):
+    return Machine(ArrayTrace.from_instructions(instrs),
+                   build_icache(config)).run(warmup, measure)
+
+
+def _run_smt_solo(instrs, config, warmup, measure):
+    machine = build_smt_machine([ArrayTrace.from_instructions(instrs)],
+                                config)
+    return machine.run([(warmup, measure)])
+
+
+#: Entry points into the one cycle loop, keyed by test-id prefix (the
+#: instruction-list ``Machine`` keeps the bare ``<workload>-<config>`` id).
+ENTRY_POINTS = {
+    "": _run_list,
+    "columnar": _run_columnar,
+    "smt_solo": _run_smt_solo,
+}
+
+
+@pytest.fixture(autouse=True)
+def pinned_scale(monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", GOLDEN_SCALE)
+
+
+@pytest.mark.parametrize("entry,workload,config", [
+    pytest.param(entry, workload, config,
+                 id="-".join(p for p in (entry, workload, config) if p))
+    for entry in ENTRY_POINTS for workload, config in GOLDEN_PAIRS
+])
+def test_bit_identical_to_golden(entry, workload, config):
+    wl = get_workload(workload)
+    result = ENTRY_POINTS[entry](wl.generate(), config, *wl.windows())
+    result.workload = workload
+    result.config = config
+    _check_golden(_golden_path(workload, config), result.to_dict(),
+                  f"{workload}/{config} via {entry or 'list'}")
+
+
+@pytest.mark.parametrize("workload,config", [
+    pytest.param(workload, config,
+                 id=f"{workload[len('smt:'):]}-{config}")
+    for workload, config in CORUN_PAIRS
+])
+def test_smt_corun_bit_identical_to_golden(workload, config):
+    """Two hardware threads sharing the front end: the composite result,
+    including every thread's own result dict, is pinned."""
+    result = repro.simulate(workload, config)
+    _check_golden(_golden_path(workload, config), result.to_dict(),
+                  f"{workload}/{config}")
+
+
 class TestEdgeTraces:
-    """Degenerate traces through the vectorized columnar paths: the
-    precomputed boundary/segment machinery must agree with the scalar
-    object-list walk at the extremes, not just on realistic workloads."""
+    """Degenerate traces through the precomputed range-stream and
+    delivery-segment machinery, pinned against snapshots recorded with
+    the scalar object-list walk before it was retired."""
 
     CONFIGS = ("conv32", "ubs")
 
-    @staticmethod
-    def _run(trace, config, warmup, measure):
-        machine = Machine(trace, build_icache(config))
-        result = machine.run(warmup, measure)
-        result.workload = "edge"
-        result.config = config
-        return result.to_dict()
-
-    def _assert_paths_agree(self, instrs, warmup, measure):
+    def _assert_golden(self, name, instrs, warmup, measure):
+        produced = {}
         for config in self.CONFIGS:
-            scalar = self._run(list(instrs), config, warmup, measure)
-            columnar = self._run(ArrayTrace.from_instructions(instrs),
-                                 config, warmup, measure)
-            assert columnar == scalar, config
+            result = _run_list(instrs, config, warmup, measure)
+            result.workload = "edge"
+            result.config = config
+            produced[config] = result.to_dict()
+        _check_golden(GOLDEN_DIR / f"edge__{name}.json", produced,
+                      f"edge trace {name}")
 
     def test_empty_trace_rejected_on_both_paths(self):
         with pytest.raises(ConfigurationError, match="empty trace"):
@@ -117,11 +163,13 @@ class TestEdgeTraces:
                     build_icache("conv32"))
 
     def test_single_instruction(self):
-        self._assert_paths_agree(
+        self._assert_golden(
+            "single_instruction",
             [Instruction(0x1000, 4, InstrKind.ALU)], 0, 1)
 
     def test_single_taken_branch(self):
-        self._assert_paths_agree(
+        self._assert_golden(
+            "single_taken_branch",
             [Instruction(0x1000, 4, InstrKind.JUMP, taken=True,
                          target=0x2000)], 0, 1)
 
@@ -139,50 +187,4 @@ class TestEdgeTraces:
             instrs.append(Instruction(pc, 4, kind, taken=taken,
                                       target=target))
             pc = target if taken else pc + 4
-        self._assert_paths_agree(instrs, 40, 200)
-
-
-@pytest.mark.parametrize("workload,config", GOLDEN_PAIRS)
-def test_smt_solo_bit_identical_to_golden(workload, config):
-    """A single-thread ``repro.smt`` run must be bit-identical to
-    ``Machine.run`` on every pinned golden: the SMT cycle loop reduces
-    stage by stage to the solo machine when only one hardware thread is
-    live, so SMT plumbing can never perturb solo results."""
-    from repro.smt import build_smt_machine
-
-    path = _golden_path(workload, config)
-    if not path.exists():
-        pytest.skip(f"golden {path.name} not recorded yet")
-    wl = get_workload(workload)
-    trace = ArrayTrace.from_instructions(wl.generate())
-    warmup, measure = wl.windows()
-    machine = build_smt_machine([trace], config)
-    result = machine.run([(warmup, measure)])
-    result.workload = workload
-    result.config = config
-    produced = result.to_dict()
-    golden = json.loads(path.read_text())
-    assert produced == golden, (
-        f"{workload}/{config} drifted between SMTMachine (solo) and the "
-        "golden recorded by Machine.run — the SMT loop is no longer "
-        "bit-identical in single-thread mode"
-    )
-
-
-@pytest.mark.parametrize("workload,config", GOLDEN_PAIRS)
-def test_columnar_trace_bit_identical_to_golden(workload, config):
-    """The ArrayTrace delivery/run-ahead fast paths (columnar BPU walk,
-    ``Backend.accept_range_arrays``) must match the same pre-recorded
-    goldens as the object-list path — the parallel sweep engine feeds
-    every worker columnar traces, so any drift here would silently change
-    every campaign result."""
-    path = _golden_path(workload, config)
-    if not path.exists():
-        pytest.skip(f"golden {path.name} not recorded yet")
-    produced = _simulate(workload, config, columnar=True)
-    golden = json.loads(path.read_text())
-    assert produced == golden, (
-        f"{workload}/{config} columnar simulation drifted from the golden "
-        "recorded with object-list traces — the ArrayTrace hot paths are "
-        "no longer bit-identical"
-    )
+        self._assert_golden("all_branch_kinds", instrs, 40, 200)
