@@ -15,17 +15,14 @@ from typing import List, Optional, Tuple
 
 from ..memory.hierarchy import MemoryHierarchy
 from ..params import CoreParams
-from ..trace.record import EXEC_LATENCY, Instruction, InstrKind
+from ..trace.record import EXEC_LATENCY, InstrKind
 
 try:  # pragma: no cover - exercised indirectly on hosts with numpy
     import numpy as _np
 except ImportError:  # pragma: no cover
     _np = None
 
-_LOAD = InstrKind.LOAD
-_STORE = InstrKind.STORE
-#: Plain-int kind codes for the columnar delivery path (column reads
-#: yield ints, not InstrKind members).
+#: Plain-int kind codes (column reads yield ints, not InstrKind members).
 _LOAD_I = int(InstrKind.LOAD)
 _STORE_I = int(InstrKind.STORE)
 
@@ -36,7 +33,7 @@ class Backend:
     __slots__ = ("params", "hierarchy", "_rob", "_ring", "_count",
                  "_reg_ready", "_last_commit", "_commits_this_cycle",
                  "loads", "stores", "_decode_latency", "_commit_width",
-                 "_exec_latency", "_data_access", "_ops", "_ops_trace",
+                 "_exec_latency", "_ops", "_ops_trace",
                  "_ops_offset", "_l1d_touch", "_l1d_latency",
                  "_data_load_miss", "_data_store_miss")
 
@@ -54,18 +51,16 @@ class Backend:
         self._commits_this_cycle = 0
         self.loads = 0
         self.stores = 0
-        # Hoisted per-accept constants; ``accept`` runs once per
-        # instruction and is one of the hottest calls in the simulator.
+        # Hoisted constants for the delivery loop (accept_range_arrays).
         self._decode_latency = params.decode_latency
         self._commit_width = params.commit_width
         # EXEC_LATENCY as a tuple indexed by the InstrKind value.
         self._exec_latency = tuple(
             EXEC_LATENCY[kind] for kind in sorted(EXEC_LATENCY, key=int)
         )
-        self._data_access = hierarchy.data_access
-        # Inlined L1-D hit fast path for the columnar delivery loop: the
-        # common case (load/store hitting the L1-D) resolves with one
-        # bound call instead of going through data_access.
+        # Inlined L1-D hit fast path: the common case (load/store hitting
+        # the L1-D) resolves with one bound call instead of going through
+        # the hierarchy's data_access.
         self._l1d_touch = hierarchy.l1d.touch
         self._l1d_latency = hierarchy.params.l1d.latency
         self._data_load_miss = hierarchy.data_load_miss
@@ -149,72 +144,22 @@ class Backend:
             return 0
         return self._ring[self._count % self._rob] - self._decode_latency
 
-    def accept(self, instr: Instruction, fetch_cycle: int) -> Tuple[int, int]:
-        """Time one instruction; returns (complete_cycle, commit_cycle)."""
-        count = self._count
-        rob = self._rob
-        slot = count % rob
-        dispatch = fetch_cycle + self._decode_latency
-        ring = self._ring
-        if count >= rob:
-            slot_free = ring[slot]
-            if slot_free > dispatch:
-                dispatch = slot_free
-
-        ready = dispatch
-        reg_ready = self._reg_ready
-        src1 = instr.src1
-        if src1 >= 0 and reg_ready[src1 & 63] > ready:
-            ready = reg_ready[src1 & 63]
-        src2 = instr.src2
-        if src2 >= 0 and reg_ready[src2 & 63] > ready:
-            ready = reg_ready[src2 & 63]
-
-        kind = instr.kind
-        if kind is _LOAD:
-            self.loads += 1
-            latency = self._data_access(instr.mem_addr, ready)
-            complete = ready + latency
-        elif kind is _STORE:
-            self.stores += 1
-            # Stores retire via the store queue; the pipeline only waits
-            # for address/data readiness.
-            self._data_access(instr.mem_addr, ready, is_store=True)
-            complete = ready + 1
-        else:
-            complete = ready + self._exec_latency[kind]
-
-        dst = instr.dst
-        if dst >= 0:
-            reg_ready[dst & 63] = complete
-
-        last_commit = self._last_commit
-        if complete > last_commit:
-            commit = complete
-            self._commits_this_cycle = 1
-        else:
-            commit = last_commit
-            if self._commits_this_cycle >= self._commit_width:
-                commit += 1
-                self._commits_this_cycle = 1
-            else:
-                self._commits_this_cycle += 1
-        self._last_commit = commit
-
-        ring[slot] = commit
-        self._count = count + 1
-        return complete, commit
-
     def accept_range_arrays(self, trace, base: int, n: int,
                             fetch_cycle: int) -> Tuple[int, int]:
         """Time ``n`` consecutive instructions ``trace[base:base + n]`` of
         a columnar :class:`~repro.trace.arrays.ArrayTrace` fetched at
         ``fetch_cycle``; returns the last one's (complete_cycle,
-        commit_cycle). Timing is identical to ``n`` :meth:`accept` calls
-        on the object view of the same trace, but the scoreboard state
-        lives in locals and each instruction is one unpack of the fused
-        op tuples :meth:`bind_trace` precomputed — the machine's
-        delivery loop is the hottest call site in the simulator."""
+        commit_cycle).
+
+        Per instruction: dispatch waits for decode and a free ROB slot,
+        issue for both source registers, completion adds the execution
+        latency (loads through the L1-D and, on a miss, the hierarchy;
+        stores one cycle after issue, their miss handled off the critical
+        path), and commit is in order with at most ``commit_width``
+        instructions per cycle. The scoreboard state lives in locals and
+        each instruction is one unpack of the fused op tuples
+        :meth:`bind_trace` precomputed — the machine's delivery loop is
+        the hottest call site in the simulator."""
         if trace is not self._ops_trace:
             self.bind_trace(trace, self._ops_offset)
         ops = self._ops

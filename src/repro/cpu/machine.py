@@ -574,7 +574,7 @@ class Core:
                              nbytes=chunk_end - cur_byte, **ev)
 
             # Deliver the completed instructions to the back-end in one
-            # chunked call (identical timing to per-instruction accept).
+            # chunked call (identical timing to one instruction per call).
             last_complete = 0
             base = cur.first_index + delivered_in_range
             n_accept = i - delivered_in_range

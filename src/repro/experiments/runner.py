@@ -27,6 +27,7 @@ from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cpu.machine import Machine, build_icache, build_machine
+from ..errors import TraceError
 from ..memory.icache import ConventionalICache
 from ..stats.counters import SimResult
 from ..trace.arrays import ArrayTrace
@@ -247,11 +248,12 @@ class ResultCache:
         path = self._trace_path(workload.name)
         if path.exists():
             try:
-                trace = read_trace(path)
-                if isinstance(trace, ArrayTrace):
-                    return trace
-                return ArrayTrace.from_instructions(trace)
-            except Exception:
+                return read_trace(path)
+            except (OSError, TraceError) as exc:
+                # Damaged files and containers older than the current
+                # format: warn, drop the file and regenerate the trace.
+                _log.warning("regenerating unreadable cached trace %s "
+                             "(%s: %s)", path, type(exc).__name__, exc)
                 path.unlink(missing_ok=True)
         trace = ArrayTrace.from_instructions(workload.generate())
         # Atomic publish: concurrent generators of the same workload
@@ -268,10 +270,6 @@ class ResultCache:
             os.unlink(fh.name)
             raise
         return trace
-
-    def trace_for(self, workload: Workload) -> List[Instruction]:
-        """Object-list view of :meth:`array_trace_for` (compatibility)."""
-        return self.array_trace_for(workload).to_instructions()
 
 
 _default_cache = None

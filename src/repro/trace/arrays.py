@@ -11,25 +11,23 @@ simulation cheap to move around:
   ``memoryview`` casts over the buffer, so loading a multi-megabyte
   trace from :mod:`multiprocessing.shared_memory` costs O(1) instead of
   one Python object per instruction;
-* the simulator hot paths (:class:`~repro.cpu.backend.Backend` delivery,
-  :class:`~repro.frontend.ftq.RangeBuilder` run-ahead) read the columns
-  directly and never materialise :class:`Instruction` objects.
+* it is the only trace form the simulator's hot paths know: the BPU
+  run-ahead (:func:`~repro.frontend.ftq.precompute_range_stream`) and
+  the back-end's delivery loop
+  (:meth:`~repro.cpu.backend.Backend.accept_range_arrays`) read the
+  columns directly and never materialise :class:`Instruction` objects.
 
 ``ArrayTrace`` is also a read-only ``Sequence[Instruction]``: indexing
-builds the object view lazily, so every existing consumer of a
-``List[Instruction]`` trace keeps working unchanged and bit-identically.
+builds the object view lazily, for tools and tests that want to look at
+individual instructions.
 
 Serialised layout (little endian)::
 
     7s  magic   b"REPROAT"
-    B   format version (1 or 2; anything else is rejected)
+    B   format version (2; anything else is rejected)
     Q   instruction count n
-    then the columns; version 1 stores the nine instruction columns in
-    :data:`COLUMNS` order:
-    pc[u64*n] target[u64*n] mem_addr[u64*n]
-    size[u8*n] kind[u8*n] taken[u8*n] src1[i8*n] src2[i8*n] dst[i8*n]
-    and version 2 interleaves the two *sidecar* columns so every column
-    stays naturally aligned:
+    then the nine instruction columns with the two *sidecar* columns
+    interleaved so every column stays naturally aligned:
     pc[u64*n] target[u64*n] mem_addr[u64*n] end[u64*n] boundary[u32*n]
     size[u8*n] kind[u8*n] taken[u8*n] src1[i8*n] src2[i8*n] dst[i8*n]
 
@@ -39,13 +37,13 @@ The sidecar columns are *derived* (never authoritative): ``end[i]`` is
 ``i``: the next control-flow instruction, fall-through discontinuity
 (``pc[i+1] != end[i]``) or the final instruction. Between ``i`` and
 ``boundary[i]`` the ``end`` column is strictly increasing, which is what
-lets the fetch-range builder binary-search a whole straight-line run
+lets the fetch-range walk binary-search a whole straight-line run
 instead of walking it instruction by instruction
-(:meth:`repro.frontend.ftq.RangeBuilder._build_next_columnar`).
+(:func:`repro.frontend.ftq.precompute_range_stream`).
 
-Version-1 buffers (older trace caches, shared-memory segments published
-by older hosts) are still accepted: :meth:`ArrayTrace.from_buffer`
-auto-detects the version and recomputes the sidecars on load.
+Buffers of the earlier format version (the nine instruction columns
+without sidecars) are no longer read: :meth:`ArrayTrace.from_buffer`
+rejects them, and the trace cache regenerates such files.
 
 The 16-byte header keeps the u64 columns 8-aligned, which
 ``memoryview.cast`` requires when the buffer is shared memory.
@@ -65,16 +63,14 @@ except ImportError:  # pragma: no cover - exercised via _sidecars_python
     _np = None
 
 #: Column name -> array/struct typecode for the nine instruction-field
-#: columns (the version-1 serialisation order). The wide (8-byte)
-#: columns come first so every column stays naturally aligned after the
-#: 16-byte header.
+#: columns.
 COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("pc", "Q"), ("target", "Q"), ("mem_addr", "Q"),
     ("size", "B"), ("kind", "B"), ("taken", "B"),
     ("src1", "b"), ("src2", "b"), ("dst", "b"),
 )
 
-#: Derived sidecar columns added by the version-2 container.
+#: Derived sidecar columns, serialised alongside the instruction columns.
 SIDECAR_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("end", "Q"), ("boundary", "I"),
 )
@@ -90,21 +86,17 @@ V2_COLUMNS: Tuple[Tuple[str, str], ...] = (
 
 MAGIC = b"REPROAT"
 VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
+SUPPORTED_VERSIONS = (VERSION,)
 _HEADER = struct.Struct("<7sBQ")
 _ITEMSIZE = {"Q": 8, "I": 4, "B": 1, "b": 1}
-_BYTES_PER_INSTRUCTION = sum(_ITEMSIZE[f] for _, f in COLUMNS)
-_BYTES_PER_INSTRUCTION_V2 = sum(_ITEMSIZE[f] for _, f in V2_COLUMNS)
-_COLUMN_ORDER = {1: COLUMNS, 2: V2_COLUMNS}
+_BYTES_PER_INSTRUCTION = sum(_ITEMSIZE[f] for _, f in V2_COLUMNS)
 
 Buffer = Union[bytes, bytearray, memoryview]
 
 
-def serialized_nbytes(n: int, version: int = VERSION) -> int:
+def serialized_nbytes(n: int) -> int:
     """Size in bytes of an ``n``-instruction serialised ArrayTrace."""
-    if version == 1:
-        return _HEADER.size + n * _BYTES_PER_INSTRUCTION
-    return _HEADER.size + n * _BYTES_PER_INSTRUCTION_V2
+    return _HEADER.size + n * _BYTES_PER_INSTRUCTION
 
 
 def _sidecars_numpy(pc, size, kind, n):
@@ -239,10 +231,10 @@ class ArrayTrace(Sequence):
             raise TraceError(f"bad array-trace magic {bytes(magic)!r}")
         if version not in SUPPORTED_VERSIONS:
             raise TraceError(
-                f"unsupported array-trace version {version} "
-                f"(supported: {', '.join(map(str, SUPPORTED_VERSIONS))})"
+                f"unsupported array-trace version {version} (only version "
+                f"{VERSION} is read; older containers are no longer read)"
             )
-        need = serialized_nbytes(count, version)
+        need = serialized_nbytes(count)
         if len(view) < need:
             raise TraceError(
                 f"truncated array trace: {len(view)} bytes for "
@@ -250,16 +242,12 @@ class ArrayTrace(Sequence):
             )
         by_name = {}
         offset = _HEADER.size
-        for name, fmt in _COLUMN_ORDER[version]:
+        for name, fmt in V2_COLUMNS:
             nbytes = count * _ITEMSIZE[fmt]
             by_name[name] = view[offset:offset + nbytes].cast(fmt)
             offset += nbytes
-        cols = tuple(by_name[name] for name, _ in COLUMNS)
-        if version == 1:
-            # Older container: derive the sidecar columns on load.
-            return cls(cols, count)
-        sidecars = tuple(by_name[name] for name, _ in SIDECAR_COLUMNS)
-        return cls(cols, count, sidecars)
+        return cls(tuple(by_name[name] for name, _ in COLUMNS), count,
+                   tuple(by_name[name] for name, _ in SIDECAR_COLUMNS))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ArrayTrace":

@@ -1,24 +1,17 @@
-"""Binary trace file formats.
+"""Binary trace files.
 
-The on-disk formats are small, self-describing binary containers so that
-synthesised workloads can be persisted and re-used without re-running the
-generator (mirroring how ChampSim consumes pre-packaged trace files).
-Two versions exist, distinguished by their leading magic:
-
-* **v1 — record-oriented** (``b"REPROTR1"``): 8-byte magic, u32
-  instruction count, then one packed ``<QQQBBBbbb`` record per
-  instruction (pc, target, mem_addr, size, kind, flags with bit0 =
-  taken, src1, src2, dst — 30 bytes each). Reads back as a
-  ``List[Instruction]``.
-* **v2 — columnar** (``b"REPROAT"`` + version byte): the
-  :class:`~repro.trace.arrays.ArrayTrace` structure-of-arrays layout.
-  Reads back as an ``ArrayTrace`` whose columns are zero-copy views
-  over the file bytes.
-
-:func:`read_trace` auto-detects the container; :func:`write_trace`
-writes v2 when given an :class:`ArrayTrace` and v1 for plain
-instruction iterables (keeping old callers and old files working).
-Files ending in ``.gz`` are transparently gzip-compressed.
+Synthesised workloads are persisted so they can be re-used without
+re-running the generator (mirroring how ChampSim consumes pre-packaged
+trace files). The one on-disk container is the columnar
+:class:`~repro.trace.arrays.ArrayTrace` layout (``b"REPROAT"`` + format
+version 2): :func:`write_trace` writes it for an ``ArrayTrace`` or any
+iterable of instructions, and :func:`read_trace` returns an
+``ArrayTrace`` whose columns are zero-copy views over the file bytes.
+Older containers (the earlier record-oriented format and ``REPROAT``
+files without sidecar columns) are no longer read: :func:`read_trace`
+rejects them with a :class:`~repro.errors.TraceError`, and the trace
+cache regenerates such files. Files ending in ``.gz`` are transparently
+gzip-compressed.
 
 Raw ChampSim trace files carry no magic of their own, so
 :func:`read_trace` detects them by extension (``.champsim`` /
@@ -30,17 +23,12 @@ traces be named as workloads (``champsim:<path>``) in sweeps.
 from __future__ import annotations
 
 import gzip
-import struct
 from pathlib import Path
-from typing import BinaryIO, Iterable, List, Sequence, Union
+from typing import BinaryIO, Iterable, List, Union
 
 from ..errors import TraceError
-from .arrays import ArrayTrace
-from .arrays import MAGIC as ARRAY_MAGIC
-from .record import Instruction, InstrKind
-
-MAGIC = b"REPROTR1"
-_REC = struct.Struct("<QQQBBBbbb")
+from .arrays import MAGIC, VERSION, ArrayTrace, as_array_trace
+from .record import Instruction
 
 PathLike = Union[str, Path]
 
@@ -56,26 +44,14 @@ def _open(path: PathLike, mode: str) -> BinaryIO:
 
 def write_trace(path: PathLike,
                 instructions: Union[Iterable[Instruction], ArrayTrace]) -> int:
-    """Write a trace to ``path``; returns the number of instructions.
-
-    An :class:`ArrayTrace` is written in the columnar v2 container; any
-    other iterable of instructions in the record-oriented v1 container.
-    """
-    if isinstance(instructions, ArrayTrace):
-        with _open(path, "wb") as fh:
-            for chunk in instructions._chunks():
-                fh.write(chunk)
-        return len(instructions)
-    records = list(instructions)
+    """Write a trace to ``path`` in the columnar container; returns the
+    number of instructions. Instruction iterables are converted with
+    :meth:`ArrayTrace.from_instructions` first."""
+    trace = as_array_trace(instructions)
     with _open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(records)))
-        for ins in records:
-            fh.write(_REC.pack(
-                ins.pc, ins.target, ins.mem_addr, ins.size, int(ins.kind),
-                1 if ins.taken else 0, ins.src1, ins.src2, ins.dst,
-            ))
-    return len(records)
+        for chunk in trace._chunks():
+            fh.write(chunk)
+    return len(trace)
 
 
 def is_champsim_file(path: PathLike) -> bool:
@@ -91,41 +67,23 @@ def read_trace(path: PathLike) -> Trace:
     """Read a trace previously written by :func:`write_trace`, or a raw
     ChampSim trace (detected by extension).
 
-    Returns a ``List[Instruction]`` for v1 and ChampSim files and an
-    :class:`ArrayTrace` for v2 (columnar) files; both are valid
-    ``Sequence[Instruction]`` trace inputs everywhere in the simulator.
+    Returns an :class:`ArrayTrace` for trace containers and a
+    ``List[Instruction]`` for ChampSim files. Raises
+    :class:`~repro.errors.TraceError`, naming ``path``, for anything
+    else — including containers older than the current version.
     """
     if is_champsim_file(path):
         from .champsim import read_champsim
 
         return read_champsim(path)
     with _open(path, "rb") as fh:
-        head = fh.read(len(MAGIC))
-        if head == MAGIC:
-            return _read_v1(path, fh)
-        if head[:len(ARRAY_MAGIC)] == ARRAY_MAGIC:
-            try:
-                return ArrayTrace.from_buffer(head + fh.read())
-            except TraceError as exc:
-                raise TraceError(f"{path}: {exc}") from None
-        raise TraceError(f"{path}: bad magic {head!r}")
-
-
-def _read_v1(path: PathLike, fh: BinaryIO) -> List[Instruction]:
-    (count,) = struct.unpack("<I", fh.read(4))
-    payload = fh.read(count * _REC.size)
-    if len(payload) != count * _REC.size:
+        data = fh.read()
+    if data[:len(MAGIC)] != MAGIC:
         raise TraceError(
-            f"{path}: truncated trace (expected {count} records)"
-        )
-    out: List[Instruction] = []
-    append = out.append
-    for off in range(0, len(payload), _REC.size):
-        pc, target, mem, size, kind, flags, s1, s2, d = _REC.unpack_from(
-            payload, off
-        )
-        append(Instruction(
-            pc, size, InstrKind(kind), taken=bool(flags & 1),
-            target=target, src1=s1, src2=s2, dst=d, mem_addr=mem,
-        ))
-    return out
+            f"{path}: bad magic {data[:8]!r}: not a version-{VERSION} "
+            f"trace container (older record-oriented trace files are "
+            f"no longer read)")
+    try:
+        return ArrayTrace.from_buffer(data)
+    except TraceError as exc:
+        raise TraceError(f"{path}: {exc}") from None

@@ -6,6 +6,18 @@ import repro.experiments.runner as runner_mod
 from repro.experiments.runner import ResultCache, run_pair, sweep
 from repro.stats.counters import SimResult
 
+from ..trace.test_io import _v1_array_file, _v1_record_file
+
+VOLATILE = ("sim_wall_seconds", "sim_cycles_per_sec", "sim_instrs_per_sec")
+
+
+def _stable(result):
+    """A result's dict without its host-timing extras."""
+    data = result.to_dict()
+    data["extra"] = {k: v for k, v in data["extra"].items()
+                     if k not in VOLATILE}
+    return data
+
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
@@ -61,10 +73,32 @@ class TestCache:
     def test_trace_cache_reused(self, isolated_cache):
         from repro.trace.workloads import get_workload
         wl = get_workload("client_000")
-        t1 = isolated_cache.trace_for(wl)
-        t2 = isolated_cache.trace_for(wl)
+        t1 = isolated_cache.array_trace_for(wl)
+        t2 = isolated_cache.array_trace_for(wl)
         assert t1 == t2
         assert isolated_cache._trace_path("client_000").exists()
+
+    @pytest.mark.parametrize("write_old", [_v1_record_file, _v1_array_file],
+                             ids=["v1_records", "v1_array"])
+    def test_old_trace_container_regenerated(self, isolated_cache, caplog,
+                                             write_old):
+        """A cached trace in a retired container is replaced by a fresh
+        version-2 file, with a warning, and simulates exactly as a fresh
+        run does."""
+        import logging
+
+        from repro.trace.workloads import get_workload
+        fresh = run_pair("client_000", "conv32")
+        trace_path = isolated_cache._trace_path("client_000")
+        write_old(trace_path, get_workload("client_000").generate())
+        isolated_cache._result_path("client_000", "conv32").unlink()
+        with caplog.at_level(logging.WARNING, "repro.experiments.runner"):
+            again = run_pair("client_000", "conv32")
+        assert any("unreadable cached trace" in rec.getMessage()
+                   and str(trace_path) in rec.getMessage()
+                   for rec in caplog.records)
+        assert trace_path.read_bytes()[:8] == b"REPROAT\x02"
+        assert _stable(again) == _stable(fresh)
 
     def test_analysis_extras_on_baseline(self):
         r = run_pair("client_000", "conv32")

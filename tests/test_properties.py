@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cpu.machine import Machine, build_icache
 from repro.frontend.bpu import BranchPredictionUnit
-from repro.frontend.ftq import RangeBuilder
+from repro.frontend.ftq import precompute_range_stream
+from repro.trace.arrays import ArrayTrace
 from repro.trace.record import validate_trace
 from repro.trace.synthesis import ProgramBuilder, SynthesisSpec, TraceWalker
 
@@ -54,17 +55,14 @@ class TestGeneratorProperties:
     @settings(max_examples=10, deadline=None)
     def test_fetch_ranges_partition_any_trace(self, spec):
         trace = TraceWalker(ProgramBuilder(spec).build(), spec).run(3000)
-        builder = RangeBuilder(trace, BranchPredictionUnit())
+        stream = precompute_range_stream(ArrayTrace.from_instructions(trace),
+                                         BranchPredictionUnit())
         delivered = 0
-        while not builder.exhausted:
-            fr = builder.build_next()
-            if fr is None:
-                builder.resume()
-                continue
-            assert fr.first_index == delivered - 0 or fr.n_instrs == 0 \
-                or fr.first_index == delivered
+        for fr, _lookups, _mispredicts in stream:
+            assert fr.first_index == delivered
             delivered += fr.n_instrs
             assert fr.start >> 6 == (fr.end - 1) >> 6
+            assert 0 < fr.nbytes <= 64
         assert delivered == len(trace)
 
 

@@ -10,7 +10,6 @@ from repro.trace.arrays import (
     ArrayTrace,
     COLUMNS,
     MAGIC,
-    SIDECAR_COLUMNS,
     SUPPORTED_VERSIONS,
     V2_COLUMNS,
     VERSION,
@@ -113,14 +112,14 @@ class TestCodec:
             "pc", "target", "mem_addr", "size", "kind", "taken",
             "src1", "src2", "dst")
         assert VERSION == 2
-        assert SUPPORTED_VERSIONS == (1, 2)
+        assert SUPPORTED_VERSIONS == (2,)
         assert tuple(name for name, _ in V2_COLUMNS) == (
             "pc", "target", "mem_addr", "end", "boundary",
             "size", "kind", "taken", "src1", "src2", "dst")
 
 
 class TestSidecars:
-    """The v2 container's derived columns and its v1 auto-detect."""
+    """The v2 container's derived columns; v1 buffers are rejected."""
 
     def test_sidecar_semantics(self, trace500):
         at = ArrayTrace.from_instructions(trace500)
@@ -147,23 +146,20 @@ class TestSidecars:
         assert end.tobytes() == end_py.tobytes()
         assert boundary.tobytes() == boundary_py.tobytes()
 
-    def test_v1_buffer_autodetected_and_sidecars_recomputed(self, trace500):
+    def test_v1_buffer_rejected(self, trace500):
         at = ArrayTrace.from_instructions(trace500)
         # Hand-build a version-1 container (nine base columns, no
         # sidecars) as an older host would have serialised it.
         v1 = struct.pack("<7sBQ", MAGIC, 1, len(at)) + b"".join(
             getattr(at, name).tobytes() for name, _ in COLUMNS)
-        assert len(v1) == serialized_nbytes(len(at), version=1)
-        back = ArrayTrace.from_bytes(v1)
-        assert back == at
-        for name, _fmt in SIDECAR_COLUMNS:
-            assert getattr(back, name).tobytes() == \
-                getattr(at, name).tobytes()
+        with pytest.raises(TraceError, match="no longer read"):
+            ArrayTrace.from_bytes(v1)
 
-    def test_v2_serialises_larger_than_v1(self):
-        assert serialized_nbytes(100) == serialized_nbytes(100, 2)
-        assert serialized_nbytes(100, 2) - serialized_nbytes(100, 1) \
-            == 100 * 12    # u64 end + u32 boundary per instruction
+    def test_serialized_nbytes_counts_sidecars(self):
+        # 16-byte header, 30 bytes of instruction columns plus the u64
+        # end and u32 boundary sidecars per instruction.
+        assert serialized_nbytes(0) == 16
+        assert serialized_nbytes(100) == 16 + 100 * (30 + 12)
 
 
 class TestIOIntegration:
@@ -183,13 +179,6 @@ class TestIOIntegration:
         with open(path, "rb") as fh:
             assert fh.read(2) == b"\x1f\x8b"
         assert read_trace(path) == at
-
-    def test_v1_files_still_read_as_lists(self, tmp_path, trace500):
-        path = tmp_path / "t.trace"
-        write_trace(path, trace500)
-        back = read_trace(path)
-        assert isinstance(back, list)
-        assert back == trace500
 
     def test_corrupt_v2_raises_trace_error(self, tmp_path, trace500):
         path = tmp_path / "t.atrace"

@@ -1,12 +1,13 @@
 """Trace file round-trip tests."""
 
-import gzip
 import random
+import struct
 
 import pytest
 
 from repro.errors import TraceError
-from repro.trace.io import MAGIC, read_trace, write_trace
+from repro.trace.arrays import COLUMNS, MAGIC, VERSION, ArrayTrace
+from repro.trace.io import read_trace, write_trace
 from repro.trace.record import Instruction, InstrKind
 
 
@@ -35,7 +36,9 @@ class TestRoundTrip:
         trace = _random_trace(500)
         path = tmp_path / "t.trace"
         assert write_trace(path, trace) == 500
-        assert read_trace(path) == trace
+        back = read_trace(path)
+        assert isinstance(back, ArrayTrace)
+        assert back == trace
 
     def test_gzip_roundtrip(self, tmp_path):
         trace = _random_trace(200, seed=1)
@@ -50,7 +53,7 @@ class TestRoundTrip:
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.trace"
         write_trace(path, [])
-        assert read_trace(path) == []
+        assert len(read_trace(path)) == 0
 
     def test_field_fidelity(self, tmp_path):
         ins = Instruction(0xDEADBEEF, 15, InstrKind.CALL_IND, taken=True,
@@ -93,8 +96,9 @@ class TestErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(TraceError, match="bad magic"):
+        with pytest.raises(TraceError, match="bad magic") as exc:
             read_trace(path)
+        assert str(path) in str(exc.value)
 
     def test_truncated_payload(self, tmp_path):
         trace = _random_trace(10)
@@ -105,6 +109,45 @@ class TestErrors:
         with pytest.raises(TraceError, match="truncated"):
             read_trace(path)
 
-    def test_magic_constant_is_stable(self):
-        # On-disk format compatibility: changing this breaks old caches.
-        assert MAGIC == b"REPROTR1"
+    def test_magic_constant_is_stable(self, tmp_path):
+        # On-disk format compatibility: every written trace carries the
+        # columnar container's magic and version.
+        path = tmp_path / "t.trace"
+        write_trace(path, _random_trace(3))
+        assert path.read_bytes()[:8] == MAGIC + bytes([VERSION]) \
+            == b"REPROAT\x02"
+
+
+def _v1_record_file(path, trace):
+    """Write ``trace`` in the retired record-oriented v1 container."""
+    rec = struct.Struct("<QQQBBBbbb")
+    with open(path, "wb") as fh:
+        fh.write(b"REPROTR1" + struct.pack("<I", len(trace)))
+        for ins in trace:
+            fh.write(rec.pack(ins.pc, ins.target, ins.mem_addr, ins.size,
+                              int(ins.kind), 1 if ins.taken else 0,
+                              ins.src1, ins.src2, ins.dst))
+
+
+def _v1_array_file(path, trace):
+    """Write ``trace`` in the retired version-1 columnar container (the
+    nine instruction columns, no sidecars)."""
+    at = ArrayTrace.from_instructions(trace)
+    path.write_bytes(struct.pack("<7sBQ", MAGIC, 1, len(at)) + b"".join(
+        getattr(at, name).tobytes() for name, _ in COLUMNS))
+
+
+class TestRetiredContainers:
+    def test_v1_record_file_rejected(self, tmp_path):
+        path = tmp_path / "old.trace"
+        _v1_record_file(path, _random_trace(20))
+        with pytest.raises(TraceError, match="no longer read") as exc:
+            read_trace(path)
+        assert str(path) in str(exc.value)
+
+    def test_v1_array_file_rejected(self, tmp_path):
+        path = tmp_path / "old.atrace"
+        _v1_array_file(path, _random_trace(20))
+        with pytest.raises(TraceError, match="no longer read") as exc:
+            read_trace(path)
+        assert str(path) in str(exc.value)
