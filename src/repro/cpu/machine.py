@@ -202,9 +202,13 @@ class HardwareThread:
 
 class Core:
     """Hardware threads on one core with a shared front end; ``traces``
-    (one per thread) are converted to :class:`ArrayTrace` once, here.
-    Subclasses are the entry points: each defines ``run`` and adds its
-    metric names in ``_register_metrics``."""
+    are one :class:`ArrayTrace` per thread (an object trace is converted
+    once, here). Subclasses are the entry points: each defines ``run``
+    and adds its metric names in ``_register_metrics``.
+
+    A finished core must stay free of reference cycles, so that dropping
+    the last reference frees it at once rather than at the next cyclic
+    GC collection (see :attr:`metrics`)."""
 
     #: Tag every telemetry event with its thread (``thread=<tid>``).
     tag_thread_events = False
@@ -228,8 +232,7 @@ class Core:
             icache.telemetry = recorder
             self.hierarchy.dram.telemetry = recorder
         self.threads = [
-            HardwareThread(tid, tr if isinstance(tr, ArrayTrace)
-                           else ArrayTrace.from_instructions(tr),
+            HardwareThread(tid, ArrayTrace.from_instructions(tr),
                            self.params, self.hierarchy,
                            self.tag_thread_events)
             for tid, tr in enumerate(traces)
@@ -240,13 +243,20 @@ class Core:
         self._fills: List[Tuple[int, int]] = []    # (cycle, block_addr)
         self.cycle = 0
         self.wall_seconds = 0.0
-        self.metrics = MetricsRegistry()
-        self._register_metrics()
 
-    def _register_metrics(self) -> None:
-        """Pull-style gauges over the shared structures (the hot paths
-        carry no metrics bookkeeping); entry points add their own."""
-        reg = self.metrics
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """A registry of pull-style gauges over this machine (the hot paths
+        carry no metrics bookkeeping), built on each access. The gauges
+        close over the machine, so a stored registry would make every
+        machine a reference cycle that only the cyclic GC could free."""
+        reg = MetricsRegistry()
+        self._register_metrics(reg)
+        return reg
+
+    def _register_metrics(self, reg: MetricsRegistry) -> None:
+        """The gauges over the shared structures; entry points add their
+        own."""
         reg.gauge("machine.cycles", lambda: self.cycle)
         reg.gauge("ftq.capacity", lambda: self._ftq_capacity)
         reg.gauge("mshr.allocations", lambda: self.mshr.allocations)
@@ -832,8 +842,7 @@ class Machine(Core):
                  telemetry: Optional[Telemetry] = None) -> None:
         super().__init__([trace], icache, params, telemetry)
 
-    def _register_metrics(self) -> None:
-        reg = self.metrics
+    def _register_metrics(self, reg: MetricsRegistry) -> None:
         t = self.threads[0]
         reg.gauge("machine.instructions_delivered", lambda: t.delivered)
         for f in _dataclass_fields(FrontEndStats):
@@ -842,7 +851,7 @@ class Machine(Core):
         reg.gauge("ftq.occupancy", lambda: len(t.ftq_q))
         reg.gauge("bpu.cond_lookups", lambda: t.bpu.cond_lookups)
         reg.gauge("bpu.mispredicts", lambda: t.bpu.mispredicts)
-        super()._register_metrics()
+        super()._register_metrics(reg)
 
     def run(self, warmup: int, measure: int,
             sample_efficiency: bool = True,

@@ -116,6 +116,31 @@ _worker_traces: "OrderedDict[str, Tuple[ArrayTrace, Optional[object]]]" = \
 _worker_heartbeats: Dict[str, object] = {}
 
 
+def _worker_init() -> None:
+    """Pool-worker initializer: exit as soon as the parent process dies.
+
+    A worker otherwise waits on its task queue for ever when its parent
+    is killed (SIGKILL runs no executor shutdown), and is re-parented to
+    init. A daemon thread blocks on the parent's sentinel, which becomes
+    ready when the parent exits.
+    """
+    import multiprocessing
+    import os
+    import threading
+    from multiprocessing.connection import wait
+
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def exit_with_parent() -> None:
+        wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, name="exit-with-parent",
+                     daemon=True).start()
+
+
 def _worker_heartbeat(obs_dir: str):
     """This worker's heartbeat file under ``<obs_dir>/heartbeats/``."""
     beat = _worker_heartbeats.get(obs_dir)
@@ -450,10 +475,12 @@ class SweepEngine:
         carrier = obs.worker_carrier() if obs is not None else None
         if self.persistent:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+                self._pool = ProcessPoolExecutor(max_workers=self.jobs,
+                                                 initializer=_worker_init)
             pool = self._pool
         else:
-            pool = ProcessPoolExecutor(max_workers=self.jobs)
+            pool = ProcessPoolExecutor(max_workers=self.jobs,
+                                       initializer=_worker_init)
         try:
             inflight = {}
             while ready or inflight:

@@ -255,7 +255,7 @@ class ResultCache:
                 _log.warning("regenerating unreadable cached trace %s "
                              "(%s: %s)", path, type(exc).__name__, exc)
                 path.unlink(missing_ok=True)
-        trace = ArrayTrace.from_instructions(workload.generate())
+        trace = workload.generate()
         # Atomic publish: concurrent generators of the same workload
         # (e.g. two overlapping fills) each write a unique temp file and
         # the last rename wins with identical bytes.

@@ -32,6 +32,7 @@ from ..memory.icache import InstructionCacheBase
 from ..params import MachineParams
 from ..stats.counters import FrontEndStats, SimResult
 from ..telemetry import Telemetry
+from ..telemetry.metrics import MetricsRegistry
 from ..trace.record import Instruction
 
 __all__ = ["ARBITRATION_POLICIES", "SMTMachine", "THREAD_ADDR_STRIDE",
@@ -62,8 +63,7 @@ class SMTMachine(Core):
                 f"(choose from {ARBITRATION_POLICIES})")
         super().__init__(traces, icache, params, telemetry, policy)
 
-    def _register_metrics(self) -> None:
-        reg = self.metrics
+    def _register_metrics(self, reg: MetricsRegistry) -> None:
         reg.gauge("machine.threads", lambda: self.n_threads)
         reg.gauge("ftq.occupancy", lambda: self._ftq_occ)
         for t in self.threads:
@@ -73,7 +73,7 @@ class SMTMachine(Core):
             reg.gauge(f"{prefix}.ftq_occupancy", lambda t=t: len(t.ftq_q))
             reg.gauge(f"{prefix}.arb_lost_cycles",
                       lambda t=t: t.arb_lost_cycles)
-        super()._register_metrics()
+        super()._register_metrics(reg)
 
     def run(self, windows: Sequence[Tuple[int, int]],
             sample_efficiency: bool = True,

@@ -1,7 +1,7 @@
 """Trace substrate: instruction records, trace I/O and synthetic workloads."""
 
 from .record import Instruction, InstrKind, is_branch_kind, is_memory_kind
-from .arrays import ArrayTrace, as_array_trace
+from .arrays import ArrayTrace
 from .io import read_trace, write_trace
 from .program import BasicBlock, Function, Program, TermKind
 from .synthesis import ProgramBuilder, SynthesisSpec, TraceWalker, generate_trace
@@ -16,7 +16,6 @@ from .workloads import (
 
 __all__ = [
     "ArrayTrace",
-    "as_array_trace",
     "BasicBlock",
     "Function",
     "Instruction",

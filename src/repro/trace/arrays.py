@@ -17,9 +17,20 @@ simulation cheap to move around:
   (:meth:`~repro.cpu.backend.Backend.accept_range_arrays`) read the
   columns directly and never materialise :class:`Instruction` objects.
 
+Every trace producer builds the columns directly — the synthetic
+walker (:meth:`repro.trace.synthesis.TraceWalker.run`), the ChampSim
+importer and :func:`repro.trace.io.read_trace` — and
+:meth:`ArrayTrace.from_instructions` returns an ``ArrayTrace`` argument
+unchanged, so it converts only hand-built instruction lists.
+
 ``ArrayTrace`` is also a read-only ``Sequence[Instruction]``: indexing
 builds the object view lazily, for tools and tests that want to look at
 individual instructions.
+
+``derived`` is a per-trace scratch dict for state that is a pure
+function of the trace and a few parameters: the BPU range stream, its
+delivery segments and the back-end's fused op table. Every machine
+built on the trace shares those entries; they are never serialised.
 
 Serialised layout (little endian)::
 
@@ -184,8 +195,14 @@ class ArrayTrace(Sequence):
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_instructions(cls, instructions: Iterable[Instruction]) -> "ArrayTrace":
-        """Decode an object trace into owned columns (one-time cost)."""
+    def from_instructions(
+            cls, instructions: Union["ArrayTrace", Iterable[Instruction]],
+    ) -> "ArrayTrace":
+        """``instructions`` itself when it is already an ``ArrayTrace``
+        (every producer in the package builds one), else its object view
+        decoded into owned columns."""
+        if isinstance(instructions, ArrayTrace):
+            return instructions
         from array import array
 
         cols = {name: array(fmt) for name, fmt in COLUMNS}
@@ -361,9 +378,3 @@ class ArrayTrace(Sequence):
                    else "owned")
         return f"ArrayTrace({self._n} instructions, {backing} columns)"
 
-
-def as_array_trace(trace: Sequence[Instruction]) -> ArrayTrace:
-    """Return ``trace`` itself if already columnar, else decode it."""
-    if isinstance(trace, ArrayTrace):
-        return trace
-    return ArrayTrace.from_instructions(trace)

@@ -15,10 +15,12 @@ stream of fixed 64-byte records:
         unsigned long long source_memory[4];
     } trace_instr_format_t;
 
-This module converts between that format and our
-:class:`~repro.trace.record.Instruction` records, so users can feed real
-ChampSim traces (e.g. the public IPC-1 set) to this simulator, and
-export our synthetic workloads for cross-validation in ChampSim itself.
+This module converts between that format and the columns of an
+:class:`~repro.trace.arrays.ArrayTrace`, record by record and without
+building :class:`~repro.trace.record.Instruction` objects, so users can
+feed real ChampSim traces (e.g. the public IPC-1 set) to this simulator,
+and export our synthetic workloads for cross-validation in ChampSim
+itself.
 
 Conversion notes (information the ChampSim format does not carry):
 
@@ -34,11 +36,13 @@ from __future__ import annotations
 
 import gzip
 import struct
+from array import array
 from pathlib import Path
-from typing import BinaryIO, Iterable, List, Sequence, Union
+from typing import BinaryIO, Iterable, Sequence, Union
 
 from ..errors import TraceError
-from .record import Instruction, InstrKind
+from .arrays import COLUMNS, ArrayTrace
+from .record import IS_BRANCH, Instruction, InstrKind
 
 RECORD = struct.Struct("<QBB2B4B2Q4Q")
 assert RECORD.size == 64
@@ -84,26 +88,33 @@ def _classify(dst_regs: Sequence[int], src_regs: Sequence[int],
     return InstrKind.JUMP
 
 
-def read_champsim(path: PathLike, limit: int = 0) -> List[Instruction]:
-    """Load a ChampSim trace file (optionally ``.gz``/``.xz``)."""
-    records = []
+def read_champsim(path: PathLike, limit: int = 0) -> ArrayTrace:
+    """Load a ChampSim trace file (optionally ``.gz``/``.xz``) into the
+    columns of an :class:`ArrayTrace`, at most ``limit`` instructions
+    when ``limit`` is set."""
     with _open(path, "rb") as fh:
-        while True:
-            if limit and len(records) >= limit + 1:
-                break
-            blob = fh.read(RECORD.size)
-            if not blob:
-                break
-            if len(blob) != RECORD.size:
-                raise TraceError(f"{path}: truncated ChampSim record")
-            records.append(RECORD.unpack(blob))
+        # One record past the limit gives the last instruction its size.
+        data = fh.read(RECORD.size * (limit + 1)) if limit else fh.read()
+    if len(data) % RECORD.size:
+        raise TraceError(f"{path}: truncated ChampSim record")
+    records = list(RECORD.iter_unpack(data))
+    n_records = len(records)
+    n = min(limit, n_records) if limit else n_records
 
-    out: List[Instruction] = []
-    for i, rec in enumerate(records):
+    columns = {name: array(fmt) for name, fmt in COLUMNS}
+    pc_a = columns["pc"].append
+    target_a = columns["target"].append
+    mem_a = columns["mem_addr"].append
+    size_a = columns["size"].append
+    kind_a = columns["kind"].append
+    taken_a = columns["taken"].append
+    src1_a = columns["src1"].append
+    dst_a = columns["dst"].append
+    for i in range(n):
         (ip, is_branch, taken,
          d0, d1, s0, s1, s2, s3,
-         dmem0, dmem1, smem0, smem1, smem2, smem3) = rec
-        next_ip = records[i + 1][0] if i + 1 < len(records) else ip + 4
+         dmem0, dmem1, smem0, smem1, smem2, smem3) = records[i]
+        next_ip = records[i + 1][0] if i + 1 < n_records else ip + 4
         if is_branch and taken:
             size = 4
             target = next_ip
@@ -127,55 +138,56 @@ def read_champsim(path: PathLike, limit: int = 0) -> List[Instruction]:
                        (REG_IP, REG_SP, REG_FLAGS)), 0)
         gp_src = next((r for r in src_regs if r and r not in
                        (REG_IP, REG_SP, REG_FLAGS)), 0)
-        out.append(Instruction(
-            ip, size, kind, taken=bool(is_branch and taken), target=target,
-            src1=(gp_src & 63) if gp_src else -1,
-            dst=(gp_dst & 63) if gp_dst else -1,
-            mem_addr=mem if kind in (InstrKind.LOAD, InstrKind.STORE) else 0,
-        ))
-    if limit and len(out) > limit:
-        out = out[:limit]
-    return out
+        pc_a(ip)
+        size_a(size)
+        kind_a(kind)
+        taken_a(1 if is_branch and taken else 0)
+        target_a(target)
+        src1_a((gp_src & 63) if gp_src else -1)
+        dst_a((gp_dst & 63) if gp_dst else -1)
+        mem_a(mem if kind in (InstrKind.LOAD, InstrKind.STORE) else 0)
+    columns["src2"] = array("b", [-1]) * n
+    return ArrayTrace(tuple(columns[name] for name, _ in COLUMNS), n)
 
 
 def write_champsim(path: PathLike,
-                   instructions: Iterable[Instruction]) -> int:
-    """Export instructions as a ChampSim trace (lossy: sizes/targets are
+                   instructions: Union[ArrayTrace, Iterable[Instruction]]) -> int:
+    """Export a trace as a ChampSim trace (lossy: sizes/targets are
     carried implicitly by the IP sequence, exactly as in real traces)."""
-    count = 0
+    trace = ArrayTrace.from_instructions(instructions)
     with _open(path, "wb") as fh:
-        for ins in instructions:
-            is_branch = 1 if ins.is_branch else 0
-            taken = 1 if ins.taken else 0
+        for pc, kind, taken, src1, dst_reg, mem_addr in zip(
+                trace.pc, trace.kind, trace.taken, trace.src1, trace.dst,
+                trace.mem_addr):
+            is_branch = 1 if IS_BRANCH[kind] else 0
             dst = [0, 0]
             src = [0, 0, 0, 0]
             dmem = [0, 0]
             smem = [0, 0, 0, 0]
-            if ins.is_branch:
+            if is_branch:
                 dst[0] = REG_IP
-                if ins.kind == InstrKind.BR_COND:
+                if kind == InstrKind.BR_COND:
                     src[0] = REG_FLAGS
                     src[1] = REG_IP
-                elif ins.kind in (InstrKind.CALL, InstrKind.CALL_IND):
+                elif kind in (InstrKind.CALL, InstrKind.CALL_IND):
                     dst[1] = REG_SP
                     src[0] = REG_IP
                     src[1] = REG_SP
-                elif ins.kind == InstrKind.RET:
+                elif kind == InstrKind.RET:
                     src[0] = REG_SP
                     smem[0] = 0x7FFF_F000
-                elif ins.kind == InstrKind.JUMP:
+                elif kind == InstrKind.JUMP:
                     src[0] = REG_IP
                 # BR_IND: writes IP without reading it.
             else:
-                if ins.dst >= 0:
-                    dst[0] = max(1, ins.dst & 63)
-                if ins.src1 >= 0:
-                    src[0] = max(1, ins.src1 & 63)
-                if ins.kind == InstrKind.STORE:
-                    dmem[0] = ins.mem_addr
-                elif ins.kind == InstrKind.LOAD:
-                    smem[0] = ins.mem_addr
-            fh.write(RECORD.pack(ins.pc, is_branch, taken, *dst, *src,
+                if dst_reg >= 0:
+                    dst[0] = max(1, dst_reg & 63)
+                if src1 >= 0:
+                    src[0] = max(1, src1 & 63)
+                if kind == InstrKind.STORE:
+                    dmem[0] = mem_addr
+                elif kind == InstrKind.LOAD:
+                    smem[0] = mem_addr
+            fh.write(RECORD.pack(pc, is_branch, taken, *dst, *src,
                                  *dmem, *smem))
-            count += 1
-    return count
+    return len(trace)

@@ -24,15 +24,13 @@ from __future__ import annotations
 
 import gzip
 from pathlib import Path
-from typing import BinaryIO, Iterable, List, Union
+from typing import BinaryIO, Iterable, Union
 
 from ..errors import TraceError
-from .arrays import MAGIC, VERSION, ArrayTrace, as_array_trace
+from .arrays import MAGIC, VERSION, ArrayTrace
 from .record import Instruction
 
 PathLike = Union[str, Path]
-
-Trace = Union[List[Instruction], ArrayTrace]
 
 
 def _open(path: PathLike, mode: str) -> BinaryIO:
@@ -47,7 +45,7 @@ def write_trace(path: PathLike,
     """Write a trace to ``path`` in the columnar container; returns the
     number of instructions. Instruction iterables are converted with
     :meth:`ArrayTrace.from_instructions` first."""
-    trace = as_array_trace(instructions)
+    trace = ArrayTrace.from_instructions(instructions)
     with _open(path, "wb") as fh:
         for chunk in trace._chunks():
             fh.write(chunk)
@@ -63,12 +61,11 @@ def is_champsim_file(path: PathLike) -> bool:
     return name.endswith((".champsim", ".champsimtrace"))
 
 
-def read_trace(path: PathLike) -> Trace:
+def read_trace(path: PathLike) -> ArrayTrace:
     """Read a trace previously written by :func:`write_trace`, or a raw
     ChampSim trace (detected by extension).
 
-    Returns an :class:`ArrayTrace` for trace containers and a
-    ``List[Instruction]`` for ChampSim files. Raises
+    Returns an :class:`ArrayTrace` either way. Raises
     :class:`~repro.errors.TraceError`, naming ``path``, for anything
     else — including containers older than the current version.
     """

@@ -1,14 +1,19 @@
-"""Instruction records — the unit every simulator component consumes.
+"""Instruction records — the per-instruction view of a trace.
 
-A trace is a sequence of :class:`Instruction` objects on the *correct*
-execution path (like a ChampSim trace). The branch predictor is responsible
-for deciding which of these the front-end would have predicted correctly.
+A trace is the instruction stream on the *correct* execution path (like a
+ChampSim trace), stored as the columns of a
+:class:`~repro.trace.arrays.ArrayTrace`; indexing one yields
+:class:`Instruction` objects. The branch predictor is responsible for
+deciding which instructions the front-end would have predicted correctly.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable, List
+from typing import TYPE_CHECKING, Iterable, Union
+
+if TYPE_CHECKING:
+    from .arrays import ArrayTrace
 
 
 class InstrKind(IntEnum):
@@ -140,20 +145,26 @@ class Instruction:
         return hash((self.pc, self.size, self.kind, self.taken, self.target))
 
 
-def validate_trace(instructions: Iterable[Instruction]) -> List[Instruction]:
-    """Check control-flow continuity of a trace and return it as a list.
+def validate_trace(
+    instructions: Union["ArrayTrace", Iterable[Instruction]],
+) -> "ArrayTrace":
+    """Check control-flow continuity of a trace and return it as an
+    :class:`~repro.trace.arrays.ArrayTrace` (itself when it is one).
 
     Every instruction's ``pc`` must equal the previous instruction's
     ``next_pc``; violations raise :class:`~repro.errors.TraceError`.
     """
     from ..errors import TraceError
+    from .arrays import ArrayTrace
 
-    trace = list(instructions)
+    trace = ArrayTrace.from_instructions(instructions)
+    pcs = trace.pc
     for i in range(1, len(trace)):
-        expected = trace[i - 1].next_pc
-        if trace[i].pc != expected:
+        expected = trace.target[i - 1] if trace.taken[i - 1] \
+            else trace.end[i - 1]
+        if pcs[i] != expected:
             raise TraceError(
                 f"discontinuity at index {i}: expected pc {expected:#x}, "
-                f"got {trace[i].pc:#x}"
+                f"got {pcs[i]:#x}"
             )
     return trace

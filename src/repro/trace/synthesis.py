@@ -9,22 +9,31 @@ Two stages mirror how real binaries come to exist and then execute:
   DAG-shaped call graph with Zipfian callee popularity.
 * :class:`TraceWalker` executes the program — a dispatcher loop picks entry
   functions per "request" through an indirect call — and emits the
-  instruction trace the simulator consumes.
+  instruction trace the simulator consumes, as the columns of an
+  :class:`~repro.trace.arrays.ArrayTrace`. It builds no
+  :class:`~repro.trace.record.Instruction` objects: each basic block's
+  static column slices are built once per program, on the block's first
+  visit, and every visit extends the columns by them, appending only the
+  per-visit draws (registers, data addresses, the terminator's outcome).
 
-Both stages are fully deterministic for a given spec and seed.
+Both stages are fully deterministic for a given spec and seed. The walk
+draws the RNG in program order, which fixes the trace bytes;
+``tests/trace/test_synthesis_digests.py`` pins them for every workload.
 """
 
 from __future__ import annotations
 
-import math
 import random
+from array import array
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from .arrays import COLUMNS, ArrayTrace
 from .program import BasicBlock, Function, Program, TermKind
-from .record import Instruction, InstrKind
+from .record import InstrKind
 
 STACK_BASE = 0x7FFF_0000
 GLOBAL_BASE = 0x1000_0000
@@ -379,77 +388,127 @@ class TraceWalker:
         self._data_zipf = _ZipfSampler(min(n_data_blocks, 1 << 14),
                                        spec.zipf_alpha)
         self._data_stride = max(1, n_data_blocks // min(n_data_blocks, 1 << 14))
-
-    # -- operand helpers -----------------------------------------------------
-
-    def _mem_addr(self, rng: random.Random, depth: int) -> int:
-        if rng.random() < self.spec.p_stack_access:
-            return STACK_BASE - depth * 192 - 8 * rng.randrange(16)
-        block = self._data_zipf.sample(rng) * self._data_stride
-        return GLOBAL_BASE + block * 64 + 8 * rng.randrange(8)
+        # Per-block static column slices, built on first visit.
+        self._block_cols: Dict[BasicBlock, tuple] = {}
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, n_instructions: int) -> List[Instruction]:
+    def _block_columns(self, block: BasicBlock) -> tuple:
+        """The static column slices of ``block``: pc, size and kind of
+        every instruction, zero target/taken for the body (every
+        instruction but a terminator), the all-``-1`` src2 column (no
+        second source is drawn), then the body's memory-op flags and the
+        instruction count."""
+        n = len(block.instr_sizes)
+        n_body = n if block.term == TermKind.FALL else n - 1
+        base = block.addr
+        body_kinds = block.instr_kinds[:n_body]
+        return (array("Q", [base + off for off in block.instr_offsets]),
+                array("B", block.instr_sizes),
+                array("B", block.instr_kinds),
+                array("Q", bytes(8 * n_body)),
+                array("B", bytes(n_body)),
+                array("b", [-1]) * n,
+                tuple(k is InstrKind.LOAD or k is InstrKind.STORE
+                      for k in body_kinds),
+                n)
+
+    def run(self, n_instructions: int) -> ArrayTrace:
         """Emit at least ``n_instructions`` instructions (stops at the next
-        block boundary, so the result may slightly exceed the request)."""
+        block boundary, so the result may slightly exceed the request) as
+        an :class:`ArrayTrace`. Each visited block extends the columns by
+        its static slices (:meth:`_block_columns`); the RNG is drawn per
+        body instruction, in order, and then for the terminator."""
         program = self.program
+        functions = program.functions
+        dispatcher = program.dispatcher
         spec = self.spec
         rng = self._rng
-        out: List[Instruction] = []
-        append = out.append
+        random = rng.random
+        randrange = rng.randrange
+        p_src_recent = spec.p_src_recent
+        p_stack = spec.p_stack_access
+        data_cumulative = self._data_zipf._cumulative
+        data_bytes = self._data_stride * 64
+        block_columns = self._block_cols
+        FALL, COND, LOOP = TermKind.FALL, TermKind.COND, TermKind.LOOP
+        JUMP, CALL, ICALL = TermKind.JUMP, TermKind.CALL, TermKind.ICALL
+        RET = TermKind.RET
 
-        recent_dsts: List[int] = [1, 2, 3, 4]
+        columns = {name: array(fmt) for name, fmt in COLUMNS}
+        pc_ext = columns["pc"].extend
+        size_ext = columns["size"].extend
+        kind_ext = columns["kind"].extend
+        src2_ext = columns["src2"].extend
+        target_col = columns["target"]
+        taken_col = columns["taken"]
+        target_ext, target_a = target_col.extend, target_col.append
+        taken_ext, taken_a = taken_col.extend, taken_col.append
+        mem_a = columns["mem_addr"].append
+        src1_a = columns["src1"].append
+        dst_a = columns["dst"].append
+
+        # The last eight destination registers, oldest first.
+        recent_dsts = deque([1, 2, 3, 4], maxlen=8)
+        recent_a = recent_dsts.append
         # A call-stack frame: (function index, block index to resume at,
         # per-activation loop trip counters).
         stack: List[Tuple[int, int, Dict[int, int]]] = []
-        fn_idx = program.dispatcher
+        fn_idx = dispatcher
         blk_idx = 0
         loop_counters: Dict[int, int] = {}
+        n = 0
 
-        while len(out) < n_instructions:
-            fn = program.functions[fn_idx]
+        while n < n_instructions:
+            fn = functions[fn_idx]
             block = fn.blocks[blk_idx]
-            sizes = block.instr_sizes
-            kinds = block.instr_kinds
-            offsets = block.instr_offsets
-            base = block.addr
-            depth = len(stack)
-            term = block.term
-            n_body = len(sizes) - (0 if term == TermKind.FALL else 1)
+            cols = block_columns.get(block)
+            if cols is None:
+                cols = block_columns[block] = self._block_columns(block)
+            pcs, sizes, kinds, zeros_q, zeros_b, src2s, mem_ops, n_block = cols
+            pc_ext(pcs)
+            size_ext(sizes)
+            kind_ext(kinds)
+            src2_ext(src2s)
+            target_ext(zeros_q)
+            taken_ext(zeros_b)
+            n += n_block
+            stack_top = STACK_BASE - len(stack) * 192
 
-            for i in range(n_body):
-                kind = kinds[i]
-                dst = rng.randrange(32)
-                if recent_dsts and rng.random() < spec.p_src_recent:
-                    src1 = recent_dsts[rng.randrange(len(recent_dsts))]
+            for is_mem in mem_ops:
+                dst = randrange(32)
+                if random() < p_src_recent:
+                    src1 = recent_dsts[randrange(len(recent_dsts))]
                 else:
-                    src1 = rng.randrange(32)
-                mem = 0
-                if kind is InstrKind.LOAD or kind is InstrKind.STORE:
-                    mem = self._mem_addr(rng, depth)
-                append(Instruction(base + offsets[i], sizes[i], kind,
-                                   src1=src1, dst=dst, mem_addr=mem))
-                recent_dsts.append(dst)
-                if len(recent_dsts) > 8:
-                    recent_dsts.pop(0)
+                    src1 = randrange(32)
+                if not is_mem:
+                    mem_a(0)
+                elif random() < p_stack:
+                    mem_a(stack_top - 8 * randrange(16))
+                else:
+                    mem_a(GLOBAL_BASE
+                          + bisect_right(data_cumulative, random())
+                          * data_bytes + 8 * randrange(8))
+                src1_a(src1)
+                dst_a(dst)
+                recent_a(dst)
 
-            if term == TermKind.FALL:
+            term = block.term
+            if term == FALL:
                 blk_idx = block.fall_succ  # type: ignore[assignment]
                 continue
 
-            t_pc = base + offsets[-1]
-            t_size = sizes[-1]
-            src1 = recent_dsts[0] if recent_dsts else 1
-
-            if term == TermKind.COND:
-                taken = rng.random() < block.bias
-                succ = block.taken_succ if taken else block.fall_succ
-                target = fn.blocks[block.taken_succ].addr  # type: ignore[index]
-                append(Instruction(t_pc, t_size, InstrKind.BR_COND,
-                                   taken=taken, target=target, src1=src1))
-                blk_idx = succ  # type: ignore[assignment]
-            elif term == TermKind.LOOP:
+            # The terminator: no destination, no data access.
+            dst_a(-1)
+            mem_a(0)
+            if term == COND:
+                taken = random() < block.bias
+                target_a(fn.blocks[block.taken_succ].addr)  # type: ignore[index]
+                taken_a(taken)
+                src1_a(recent_dsts[0])
+                blk_idx = (block.taken_succ if taken  # type: ignore[assignment]
+                           else block.fall_succ)
+            elif term == LOOP:
                 remaining = loop_counters.get(blk_idx)
                 if remaining is None:
                     remaining = max(1, int(block.loop_mean))
@@ -459,24 +518,25 @@ class TraceWalker:
                 else:
                     loop_counters.pop(blk_idx, None)
                     taken, succ = False, block.fall_succ
-                target = fn.blocks[block.taken_succ].addr  # type: ignore[index]
-                append(Instruction(t_pc, t_size, InstrKind.BR_COND,
-                                   taken=taken, target=target, src1=src1))
+                target_a(fn.blocks[block.taken_succ].addr)  # type: ignore[index]
+                taken_a(taken)
+                src1_a(recent_dsts[0])
                 blk_idx = succ  # type: ignore[assignment]
-            elif term == TermKind.JUMP:
-                target = fn.blocks[block.taken_succ].addr  # type: ignore[index]
-                append(Instruction(t_pc, t_size, InstrKind.JUMP,
-                                   taken=True, target=target))
+            elif term == JUMP:
+                target_a(fn.blocks[block.taken_succ].addr)  # type: ignore[index]
+                taken_a(1)
+                src1_a(-1)
                 blk_idx = block.taken_succ  # type: ignore[assignment]
-            elif term == TermKind.CALL:
-                callee = program.functions[block.callee]  # type: ignore[index]
-                append(Instruction(t_pc, t_size, InstrKind.CALL,
-                                   taken=True, target=callee.addr))
+            elif term == CALL:
+                callee = functions[block.callee]  # type: ignore[index]
+                target_a(callee.addr)
+                taken_a(1)
+                src1_a(-1)
                 stack.append((fn_idx, block.fall_succ, loop_counters))  # type: ignore[arg-type]
                 fn_idx, blk_idx, loop_counters = callee.index, 0, {}
-            elif term == TermKind.ICALL:
+            elif term == ICALL:
                 k = len(block.callees)
-                if block.fall_succ is not None and fn_idx == program.dispatcher:
+                if block.fall_succ is not None and fn_idx == dispatcher:
                     pick = block.callees[self._entry_zipf.sample(rng) % k]
                 else:
                     sampler = self._vcall_zipf.get(k)
@@ -484,32 +544,31 @@ class TraceWalker:
                         sampler = _ZipfSampler(k, 2.2)
                         self._vcall_zipf[k] = sampler
                     pick = block.callees[sampler.sample(rng)]
-                callee = program.functions[pick]
-                append(Instruction(t_pc, t_size, InstrKind.CALL_IND,
-                                   taken=True, target=callee.addr, src1=src1))
+                callee = functions[pick]
+                target_a(callee.addr)
+                taken_a(1)
+                src1_a(recent_dsts[0])
                 stack.append((fn_idx, block.fall_succ, loop_counters))  # type: ignore[arg-type]
                 fn_idx, blk_idx, loop_counters = callee.index, 0, {}
-            elif term == TermKind.RET:
+            elif term == RET:
+                taken_a(1)
+                src1_a(-1)
                 if not stack:
                     # Defensive: a RET with no caller restarts the dispatcher.
-                    target = program.functions[program.dispatcher].addr
-                    append(Instruction(t_pc, t_size, InstrKind.RET,
-                                       taken=True, target=target))
-                    fn_idx, blk_idx, loop_counters = program.dispatcher, 0, {}
+                    target_a(functions[dispatcher].addr)
+                    fn_idx, blk_idx, loop_counters = dispatcher, 0, {}
                 else:
                     caller_fn, resume_blk, counters = stack.pop()
-                    target = program.functions[caller_fn].blocks[resume_blk].addr
-                    append(Instruction(t_pc, t_size, InstrKind.RET,
-                                       taken=True, target=target))
+                    target_a(functions[caller_fn].blocks[resume_blk].addr)
                     fn_idx, blk_idx, loop_counters = caller_fn, resume_blk, counters
             else:  # pragma: no cover - exhaustive above
                 raise ConfigurationError(f"unhandled terminator {term}")
 
-        return out
+        return ArrayTrace(tuple(columns[name] for name, _ in COLUMNS), n)
 
 
 def generate_trace(spec: SynthesisSpec, n_instructions: int,
-                   seed: Optional[int] = None) -> List[Instruction]:
+                   seed: Optional[int] = None) -> ArrayTrace:
     """Build the program for ``spec`` and walk it for ``n_instructions``."""
     program = ProgramBuilder(spec).build()
     return TraceWalker(program, spec, seed=seed).run(n_instructions)

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-from .record import Instruction
+from .arrays import ArrayTrace
 from .synthesis import SynthesisSpec, generate_trace
 
 #: Default instruction windows (warm-up, measured) before scaling.
@@ -81,7 +81,7 @@ class Workload:
         s = scale_factor()
         return max(1000, int(self.warmup * s)), max(2000, int(self.measure * s))
 
-    def generate(self) -> List[Instruction]:
+    def generate(self) -> ArrayTrace:
         """Generate the full (warmup + measure) instruction trace."""
         warmup, measure = self.windows()
         return generate_trace(self.spec, warmup + measure)
@@ -146,7 +146,7 @@ class ImportedWorkload(Workload):
             return n
         return len(self.generate())
 
-    def generate(self) -> List[Instruction]:
+    def generate(self) -> ArrayTrace:
         from .champsim import read_champsim
 
         out = read_champsim(self.path)
@@ -206,7 +206,7 @@ class SMTWorkload(Workload):
     def component_workloads(self) -> List[Workload]:
         return [get_workload(c) for c in self.components]
 
-    def generate(self) -> List[Instruction]:
+    def generate(self) -> ArrayTrace:
         raise ConfigurationError(
             f"SMT workload {self.name!r} has no single trace; simulate "
             "its components through repro.smt.SMTMachine")

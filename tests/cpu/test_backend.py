@@ -120,3 +120,25 @@ class TestRangeDelivery:
         assert whole.accept_range_arrays(trace, 0, len(trace), 5) == last
         assert whole.instructions == one_by_one.instructions == 5
         assert (whole.loads, whole.stores) == (1, 1)
+
+
+class TestOpTable:
+    def test_python_fallback_matches_numpy(self, monkeypatch):
+        """Without numpy the op table is built by a plain loop; it must
+        equal the vectorised table, at thread offset 0 and beyond."""
+        import repro.cpu.backend as backend_mod
+        from repro.cpu.machine import THREAD_ADDR_STRIDE
+        from repro.trace.synthesis import generate_trace
+
+        from ..conftest import small_spec
+
+        def table(offset):
+            be = make_backend()
+            be.bind_trace(generate_trace(small_spec(seed=9), 2000), offset)
+            return be._ops
+
+        for offset in (0, THREAD_ADDR_STRIDE):
+            vectorised = table(offset)
+            monkeypatch.setattr(backend_mod, "_np", None)
+            assert table(offset) == vectorised
+            monkeypatch.undo()

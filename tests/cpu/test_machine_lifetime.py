@@ -1,0 +1,103 @@
+"""Per-trace state is shared, and finished machines free themselves.
+
+Everything a machine derives from its trace alone (the BPU range stream,
+its fetch segments, the back-end op table) lives on ``trace.derived`` and
+is shared by every machine built on that trace. A machine itself must be
+free of reference cycles: dropping the last reference frees it at once,
+without waiting for the cyclic garbage collector.
+"""
+
+import gc
+import weakref
+from pathlib import Path
+
+import pytest
+
+from repro.__main__ import main
+from repro.cpu.machine import THREAD_ADDR_STRIDE, build_machine
+from repro.smt import build_smt_machine
+from repro.telemetry import Telemetry
+from repro.telemetry.profiler import StageProfiler
+from repro.trace.synthesis import generate_trace
+
+from ..conftest import small_spec
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden"
+WARMUP, MEASURE = 1000, 3000
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return generate_trace(small_spec(seed=5), WARMUP + MEASURE)
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _solo(trace):
+    machine = build_machine(trace, "ubs")
+    machine.run(WARMUP, MEASURE)
+    return machine
+
+
+def _profiled(trace):
+    machine = build_machine(trace, "ubs",
+                            telemetry=Telemetry(profiler=StageProfiler()))
+    machine.run(WARMUP, MEASURE)
+    assert machine.profile_report() is not None
+    return machine
+
+
+def _corun(trace):
+    machine = build_smt_machine([trace, trace], "ubs", policy="icount")
+    machine.run([(WARMUP, MEASURE)] * 2)
+    return machine
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("build", [_solo, _profiled, _corun],
+                             ids=["machine", "profiled", "smt"])
+    def test_finished_machine_dies_on_del(self, trace, build, no_cyclic_gc):
+        machine = build(trace)
+        assert machine.metrics.snapshot()["machine.cycles"] > 0
+        ref = weakref.ref(machine)
+        del machine
+        assert ref() is None
+
+
+class TestSharing:
+    def test_machines_on_one_trace_share_the_op_table(self, trace):
+        a = build_machine(trace, "conv32")
+        b = build_machine(trace, "ubs")
+        assert a.threads[0].backend._ops is b.threads[0].backend._ops
+        assert a.threads[0].stream is b.threads[0].stream
+
+    def test_smt_thread_offsets_share_per_offset_tables(self, trace):
+        solo = build_machine(trace, "conv32")
+        first = build_smt_machine([trace, trace], "conv32")
+        second = build_smt_machine([trace, trace], "ubs")
+        t0, t1 = first.threads
+        assert t0.backend._ops is solo.threads[0].backend._ops
+        assert t1.backend._ops is second.threads[1].backend._ops
+        assert t1.backend._ops is not t0.backend._ops
+        assert [op[4] for op in t1.backend._ops] == \
+            [m + THREAD_ADDR_STRIDE for m in trace.mem_addr]
+
+
+def test_metrics_out_bytes_pinned(tmp_path, monkeypatch, capsys):
+    """``repro run server_001 ubs --metrics-out`` writes the bytes it
+    wrote when the machine still stored its registry."""
+    monkeypatch.setenv("REPRO_SCALE", "0.05")
+    out = tmp_path / "m.json"
+    assert main(["run", "server_001", "ubs", "--metrics-out", str(out)]) == 0
+    assert out.read_bytes() == \
+        (GOLDEN / "metrics__server_001__ubs__s0.05.json").read_bytes()

@@ -33,6 +33,27 @@ def dse_env(cache_dir):
     return env
 
 
+def _live_children(pid):
+    """PIDs of the live (non-zombie) processes whose parent is ``pid``."""
+    out = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            stat = _proc_stat(int(entry.name))
+            if stat is not None and stat[1] == pid and stat[0] != "Z":
+                out.append(int(entry.name))
+    return out
+
+
+def _proc_stat(pid):
+    """(state, ppid) of ``pid`` from ``/proc``, or None once it is gone."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    fields = text.rsplit(")", 1)[1].split()
+    return fields[0], int(fields[1])
+
+
 def run_cli(out_dir, cache_dir, *extra, check=True):
     proc = subprocess.run(
         BASE_ARGS + ["--out", str(out_dir), *extra],
@@ -161,17 +182,30 @@ class TestObsDir:
                          "--obs-dir", str(obs_dir)],
             env=dse_env(tmp_path / "cache"), cwd=REPO,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        children = []
         try:
             deadline = time.time() + 300
-            while time.time() < deadline:
-                if spans_path.exists() and spans_path.stat().st_size > 0:
+            while time.time() < deadline and proc.poll() is None:
+                children = _live_children(proc.pid)
+                if spans_path.exists() and spans_path.stat().st_size > 0 \
+                        and children:
                     break
                 time.sleep(0.05)
             else:
-                pytest.fail("no span was ever written")
+                pytest.fail("no span was written while pool workers ran")
         finally:
             proc.send_signal(signal.SIGKILL)
             proc.wait()
+
+        # The pool workers (and anything else the CLI started) exit with
+        # it instead of living on, re-parented to init.
+        deadline = time.time() + 30
+        survivors = children
+        while survivors and time.time() < deadline:
+            time.sleep(0.05)
+            survivors = [pid for pid in survivors
+                         if (_proc_stat(pid) or ("Z",))[0] != "Z"]
+        assert not survivors, f"children outlived the killed CLI: {survivors}"
 
         spans = read_spans(spans_path)    # must not raise
         assert spans

@@ -85,12 +85,9 @@ class TestMachineIntegration:
         wrappers only time — they never change a result."""
         from repro.smt import SMTMachine
         from repro.telemetry.profiler import STAGES
-        from repro.trace.arrays import ArrayTrace
-
         monkeypatch.setenv("REPRO_SCALE", "0.03")
         workloads = [get_workload("spec_000"), get_workload("client_000")]
-        traces = [ArrayTrace.from_instructions(w.generate())
-                  for w in workloads]
+        traces = [w.generate() for w in workloads]
         windows = [w.windows() for w in workloads]
         prof = StageProfiler()
         profiled = SMTMachine(traces, build_icache("ubs"),

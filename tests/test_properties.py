@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cpu.machine import Machine, build_icache
 from repro.frontend.bpu import BranchPredictionUnit
 from repro.frontend.ftq import precompute_range_stream
-from repro.trace.arrays import ArrayTrace
 from repro.trace.record import validate_trace
 from repro.trace.synthesis import ProgramBuilder, SynthesisSpec, TraceWalker
 
@@ -55,8 +54,7 @@ class TestGeneratorProperties:
     @settings(max_examples=10, deadline=None)
     def test_fetch_ranges_partition_any_trace(self, spec):
         trace = TraceWalker(ProgramBuilder(spec).build(), spec).run(3000)
-        stream = precompute_range_stream(ArrayTrace.from_instructions(trace),
-                                         BranchPredictionUnit())
+        stream = precompute_range_stream(trace, BranchPredictionUnit())
         delivered = 0
         for fr, _lookups, _mispredicts in stream:
             assert fr.first_index == delivered

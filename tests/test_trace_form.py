@@ -4,7 +4,9 @@ Machines read an :class:`~repro.trace.arrays.ArrayTrace`'s columns — the
 range-stream walk, the back-end's fused op tables and the cycle loop —
 and never its per-instruction object view. With that view made to raise,
 every L1-I family must still build and run, solo and in a co-run, with
-and without telemetry.
+and without telemetry. The trace producers — synthesis, the suite's
+workloads and the ChampSim importer and exporter — write and read the
+columns directly and construct no :class:`Instruction` at all.
 """
 
 import pytest
@@ -13,7 +15,10 @@ from repro.cpu.machine import build_machine
 from repro.smt import build_smt_machine
 from repro.telemetry import EventTrace, StageProfiler, Telemetry
 from repro.trace.arrays import ArrayTrace
+from repro.trace.champsim import read_champsim, write_champsim
+from repro.trace.record import Instruction
 from repro.trace.synthesis import generate_trace
+from repro.trace.workloads import get_workload
 
 from .conftest import small_spec
 
@@ -23,9 +28,7 @@ WINDOW = (500, 2000)
 
 @pytest.fixture(scope="module")
 def traces():
-    return [ArrayTrace.from_instructions(
-                generate_trace(small_spec(seed=seed), 3000))
-            for seed in (1, 2)]
+    return [generate_trace(small_spec(seed=seed), 3000) for seed in (1, 2)]
 
 
 @pytest.fixture(autouse=True)
@@ -60,3 +63,20 @@ def test_corun_reads_columns_only(traces, observed):
     result = machine.run([WINDOW, WINDOW])
     assert [t["instructions"] for t in result.extra["threads"]] \
         == [WINDOW[1], WINDOW[1]]
+
+
+def test_producers_build_no_instruction_objects(monkeypatch, tmp_path):
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("a trace producer built an Instruction")
+
+    monkeypatch.setattr(Instruction, "__init__", forbidden)
+    monkeypatch.setenv("REPRO_SCALE", "0.02")
+    trace = generate_trace(small_spec(seed=3), 3000)
+    for generated in (get_workload("google_000").generate(),
+                     get_workload("spec_000").generate()):
+        assert len(generated) >= 3000
+    path = tmp_path / "t.champsim.gz"
+    assert write_champsim(path, trace) == len(trace)
+    back = read_champsim(path)
+    assert back.pc == trace.pc
+    assert read_champsim(path, limit=100).pc == trace.pc[:100]

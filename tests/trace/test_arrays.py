@@ -13,7 +13,6 @@ from repro.trace.arrays import (
     SUPPORTED_VERSIONS,
     V2_COLUMNS,
     VERSION,
-    as_array_trace,
     serialized_nbytes,
 )
 from repro.trace.io import read_trace, write_trace
@@ -43,10 +42,10 @@ class TestConstruction:
         with pytest.raises(IndexError):
             at[500]
 
-    def test_as_array_trace_identity(self, trace500):
+    def test_from_instructions_returns_array_trace_unchanged(self, trace500):
         at = ArrayTrace.from_instructions(trace500)
-        assert as_array_trace(at) is at
-        assert as_array_trace(trace500) == at
+        assert ArrayTrace.from_instructions(at) is at
+        assert ArrayTrace.from_instructions(trace500) == at
 
     def test_read_only(self, trace500):
         at = ArrayTrace.from_instructions(trace500)

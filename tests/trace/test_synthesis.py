@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.trace.arrays import ArrayTrace
 from repro.trace.program import TermKind
-from repro.trace.record import InstrKind, validate_trace
+from repro.trace.record import IS_BRANCH, InstrKind, validate_trace
 from repro.trace.synthesis import (
     ProgramBuilder,
     SynthesisSpec,
@@ -107,23 +108,25 @@ class TestWalker:
 
     def test_returns_match_calls(self, tiny_trace):
         depth = 0
-        for ins in tiny_trace:
-            if ins.kind in (InstrKind.CALL, InstrKind.CALL_IND):
+        for kind in tiny_trace.kind:
+            if kind in (InstrKind.CALL, InstrKind.CALL_IND):
                 depth += 1
-            elif ins.kind == InstrKind.RET:
+            elif kind == InstrKind.RET:
                 depth -= 1
             assert depth >= -1  # dispatcher never returns
         assert depth >= 0
 
     def test_loads_have_addresses(self, tiny_trace):
-        loads = [i for i in tiny_trace if i.kind == InstrKind.LOAD]
+        loads = [mem for kind, mem in zip(tiny_trace.kind, tiny_trace.mem_addr)
+                 if kind == InstrKind.LOAD]
         assert loads
-        assert all(i.mem_addr > 0 for i in loads)
+        assert all(mem > 0 for mem in loads)
 
     def test_branches_have_targets_when_taken(self, tiny_trace):
-        for ins in tiny_trace:
-            if ins.is_branch and ins.taken:
-                assert ins.target > 0
+        for kind, taken, target in zip(tiny_trace.kind, tiny_trace.taken,
+                                       tiny_trace.target):
+            if IS_BRANCH[kind] and taken:
+                assert target > 0
 
     def test_cold_code_rarely_executes(self, tiny_program):
         spec = small_spec()
@@ -131,15 +134,32 @@ class TestWalker:
         cold_ranges = [(b.addr, b.end_addr) for fn in tiny_program.functions
                        for b in fn.blocks if b.is_cold]
         executed_cold = sum(
-            1 for i in trace
-            if any(lo <= i.pc < hi for lo, hi in cold_ranges[:50])
+            1 for pc in trace.pc
+            if any(lo <= pc < hi for lo, hi in cold_ranges[:50])
         )
         assert executed_cold < len(trace) * 0.05
 
     def test_generate_trace_helper(self):
         trace = generate_trace(small_spec(), 2000)
-        validate_trace(trace)
+        assert isinstance(trace, ArrayTrace)
+        assert validate_trace(trace) is trace
         assert len(trace) >= 2000
+
+    def test_walk_is_columnar_and_continues_the_seed(self, tiny_program):
+        """The walker builds owned columns (no object view is touched),
+        and a second ``run`` on one walker continues its RNG stream while
+        reusing the block slices the first one built."""
+        spec = small_spec()
+        walker = TraceWalker(tiny_program, spec)
+        first = walker.run(3000)
+        assert isinstance(first, ArrayTrace)
+        assert not isinstance(first.pc, memoryview)
+        assert all(s == -1 for s in first.src2)
+        slices = dict(walker._block_cols)
+        second = walker.run(3000)
+        assert second != first
+        assert all(walker._block_cols[b] is cols
+                   for b, cols in slices.items())
 
 
 class TestZipfSampler:

@@ -35,7 +35,7 @@ class TestHandBuiltPrograms:
                           entry_points=(1,))
         spec = small_spec()
         trace = TraceWalker(program, spec).run(100)
-        kinds = Counter(i.kind for i in trace)
+        kinds = Counter(trace.kind)
         assert kinds[InstrKind.CALL_IND] > 0
         assert kinds[InstrKind.RET] == kinds[InstrKind.CALL_IND] \
             or abs(kinds[InstrKind.RET] - kinds[InstrKind.CALL_IND]) <= 1
@@ -60,11 +60,11 @@ class TestHandBuiltPrograms:
         program = Program([_dispatcher([1]), Function(1, [body, tail])],
                           entry_points=(1,))
         trace = TraceWalker(program, small_spec()).run(200)
-        latch_pcs = [i for i in trace
-                     if i.kind == InstrKind.BR_COND]
+        latch_taken = [taken for kind, taken in zip(trace.kind, trace.taken)
+                       if kind == InstrKind.BR_COND]
         # Back edge taken exactly trips-1 times per activation, then exits.
-        takens = sum(1 for i in latch_pcs if i.taken)
-        exits = sum(1 for i in latch_pcs if not i.taken)
+        takens = sum(latch_taken)
+        exits = latch_taken.count(0)
         assert exits > 0
         # 5 trips => 4 taken per not-taken exit (the trace may cut off
         # mid-activation, so allow a partial final loop).
@@ -73,8 +73,8 @@ class TestHandBuiltPrograms:
 
 class TestMemoryAddressStreams:
     def test_stack_and_global_regions(self, tiny_trace):
-        loads = [i.mem_addr for i in tiny_trace
-                 if i.kind in (InstrKind.LOAD, InstrKind.STORE)]
+        loads = [mem for kind, mem in zip(tiny_trace.kind, tiny_trace.mem_addr)
+                 if kind in (InstrKind.LOAD, InstrKind.STORE)]
         stack = [a for a in loads if a > STACK_BASE - (1 << 20)]
         heap = [a for a in loads if GLOBAL_BASE <= a < GLOBAL_BASE + (1 << 26)]
         assert stack and heap
@@ -84,9 +84,10 @@ class TestMemoryAddressStreams:
         spec = small_spec(data_footprint=1 << 16)
         program = ProgramBuilder(spec).build()
         trace = TraceWalker(program, spec).run(5000)
-        heap = [i.mem_addr - GLOBAL_BASE for i in trace
-                if i.kind in (InstrKind.LOAD, InstrKind.STORE)
-                and GLOBAL_BASE <= i.mem_addr < GLOBAL_BASE + (1 << 30)]
+        heap = [mem - GLOBAL_BASE
+                for kind, mem in zip(trace.kind, trace.mem_addr)
+                if kind in (InstrKind.LOAD, InstrKind.STORE)
+                and GLOBAL_BASE <= mem < GLOBAL_BASE + (1 << 30)]
         assert heap
         assert max(heap) < (1 << 16) + 64
 
@@ -99,9 +100,9 @@ class TestIndirectTargetSkew:
         trace = TraceWalker(program, spec).run(40_000)
         # Group indirect-call executions by site; check distribution skew.
         per_site = {}
-        for ins in trace:
-            if ins.kind == InstrKind.CALL_IND:
-                per_site.setdefault(ins.pc, Counter())[ins.target] += 1
+        for kind, pc, target in zip(trace.kind, trace.pc, trace.target):
+            if kind == InstrKind.CALL_IND:
+                per_site.setdefault(pc, Counter())[target] += 1
         hot_sites = [c for c in per_site.values() if sum(c.values()) > 30
                      and len(c) > 1]
         assert hot_sites, "expected exercised polymorphic call sites"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.trace.arrays import ArrayTrace
 from repro.trace.workloads import (
     PERF_FAMILIES,
     Workload,
@@ -102,4 +103,5 @@ class TestGeneration:
         wl = get_workload("spec_000")
         trace = wl.generate()
         warmup, measure = wl.windows()
+        assert isinstance(trace, ArrayTrace)
         assert len(trace) >= warmup + measure

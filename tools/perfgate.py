@@ -192,8 +192,7 @@ def run_suite(pairs: List[Tuple[str, str]], repeats: int,
 
     def _trace(name: str) -> ArrayTrace:
         if name not in solo_traces:
-            solo_traces[name] = ArrayTrace.from_instructions(
-                get_workload(name).generate())
+            solo_traces[name] = get_workload(name).generate()
         return solo_traces[name]
 
     traces: Dict[str, object] = {}
