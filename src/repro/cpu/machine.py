@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import heapq
 import re
-from collections import deque
 from dataclasses import fields as _dataclass_fields, replace
 from time import perf_counter
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..frontend.bpu import BranchPredictionUnit, Resteer
-from ..frontend.ftq import precompute_range_stream, segment_range
+from ..frontend.ftq import precompute_range_stream, segment_stream
 from ..memory.distillation import DistillationICache
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.icache import (InstructionCacheBase, ConventionalICache,
@@ -101,15 +100,22 @@ class HardwareThread:
     BPU (predictor state is not shared — threads run disjoint code), FTQ
     entries, FDIP queue, back-end/ROB, :class:`FrontEndStats` and stall
     attribution. Thread ``tid`` lives ``tid * THREAD_ADDR_STRIDE`` into
-    the shared address space."""
+    the shared address space.
+
+    A thread builds, prefetches and fetches its ranges in emission order,
+    so its queues are cursors into the precomputed
+    :class:`~repro.frontend.ftq.RangeStream`: the FTQ holds ranges
+    ``range_seq`` to ``bpu_pos`` and the FDIP queue ranges ``fdip_pos``
+    to ``bpu_pos`` (``fdip_pos`` stays at ``bpu_pos`` when the prefetcher
+    is not FDIP)."""
 
     # Slots keep attribute reads on the interpreter's fast path (an
     # instance dict this wide would not be).
     __slots__ = (
         "tid", "trace", "addr_offset", "ev", "bpu", "stream", "stream_len",
-        "bpu_pos", "bpu_blocked", "range_segs", "ftq_q", "fdip_queue",
-        "backend", "accept", "cur", "cur_byte", "cur_end", "n_ends",
-        "delivered_in_range", "cur_segs", "seg_idx", "range_seq",
+        "bpu_pos", "fdip_pos", "bpu_blocked", "chunks", "backend", "accept",
+        "cur", "cur_byte", "cur_end", "n_ends", "delivered_in_range",
+        "seg_idx", "range_seq",
         "delivered", "last_commit", "blocked_until", "blocked_kind",
         "stall_pc", "resume_at", "stats", "total", "measure",
         "warmup_commit", "warmup_boundary", "measuring", "finished",
@@ -140,22 +146,21 @@ class HardwareThread:
         self.stream = stream
         self.stream_len = len(stream)
         self.bpu_pos = 0              # next stream entry the BPU builds
+        self.fdip_pos = 0             # next range FDIP prefetches
         self.bpu_blocked = False      # run-ahead stopped behind a resteer
         ckey = ("range_segs", params.branch, core.fetch_bytes,
                 core.fetch_width)
-        segs = derived.get(ckey)
-        if segs is None:
-            segs = [segment_range(fr, core.fetch_bytes, core.fetch_width)
-                    for fr, _lookups, _mispredicts in stream]
-            derived[ckey] = segs
-        self.range_segs = segs
-        self.ftq_q = deque()
-        self.fdip_queue = deque()
+        chunks = derived.get(ckey)
+        if chunks is None:
+            chunks = segment_stream(trace, stream, core.fetch_bytes,
+                                    core.fetch_width)
+            derived[ckey] = chunks
+        self.chunks = chunks
         self.backend = Backend(core, hierarchy)
         self.backend.bind_trace(trace, self.addr_offset)  # off the clock
         self.accept = self.backend.accept_range_arrays
         # Fetch progress (see park) and stall state.
-        self.park(None, 0, 0, 0, 0, [], 0, 0, 0, 0)
+        self.park(None, 0, 0, 0, 0, 0, 0, 0, 0)
         self.blocked_until = self.blocked_kind = self.stall_pc = 0
         self.resume_at = _NEVER       # BPU resumes here after a resteer
         # Window bookkeeping.
@@ -171,33 +176,45 @@ class HardwareThread:
 
     def park(self, *progress) -> None:
         """Store the fetch progress the cycle loop keeps in locals while
-        this thread holds the fetch port."""
+        this thread holds the fetch port: the range in flight (its stream
+        index, or None), its byte and instruction progress, the chunk
+        index, the FTQ head ``range_seq``, and the delivery counts."""
         (self.cur, self.cur_byte, self.cur_end, self.n_ends,
-         self.delivered_in_range, self.cur_segs, self.seg_idx,
-         self.range_seq, self.delivered, self.last_commit) = progress
+         self.delivered_in_range, self.seg_idx, self.range_seq,
+         self.delivered, self.last_commit) = progress
 
     def take_port(self) -> tuple:
         """Everything the cycle loop binds to locals for the port owner:
         the parked progress, the stall state, then per-run constants."""
         b = self.backend
+        s = self.stream
+        c = self.chunks
         return (self.cur, self.cur_byte, self.cur_end, self.n_ends,
-                self.delivered_in_range, self.cur_segs, self.seg_idx,
-                self.range_seq, self.delivered, self.last_commit,
+                self.delivered_in_range, self.seg_idx, self.range_seq,
+                self.delivered, self.last_commit,
                 self.measuring, self.blocked_until, self.blocked_kind,
                 self.total, self.warmup_boundary, self.trace,
-                self.range_segs, self.ftq_q, self.stats, self.accept, b,
+                self.stats, self.accept, b,
                 b._ring, b._rob, b._decode_latency, b.rob_free_cycle,
-                self.addr_offset, self.trace.pc, self.ev)
+                self.addr_offset, self.trace.pc, self.ev,
+                s.start, s.nbytes, s.first_index, s.n_instrs, s.resteer,
+                c.offset, c.end, c.delivered)
+
+    @property
+    def ftq_occupancy(self) -> int:
+        """FTQ entries built but not yet taken by fetch, as last parked."""
+        return self.bpu_pos - self.range_seq
 
     @property
     def pending_instrs(self) -> int:
         """ICOUNT metric: instructions fetched-ahead but undelivered (the
         end of the last range built minus the instructions delivered —
         ranges are built and delivered in trace order)."""
-        if not self.bpu_pos:
+        last = self.bpu_pos - 1
+        if last < 0:
             return 0
-        last = self.stream[self.bpu_pos - 1][0]
-        return last.first_index + len(last.instr_ends) - self.delivered
+        s = self.stream
+        return s.first_index[last] + s.n_instrs[last] - self.delivered
 
 
 class Core:
@@ -332,8 +349,7 @@ class Core:
         probe = icache.probe_range
         fetch_block = self.hierarchy.fetch_block
         push = heapq.heappush
-        resteer_none = Resteer.NONE
-        resteer_decode = Resteer.DECODE
+        resteer_decode = int(Resteer.DECODE)     # range-stream code
         skip_stalls = self._skip_stalls
         arbitrate = self._arbitrate
 
@@ -361,18 +377,16 @@ class Core:
                     k = k + 1 if k + 1 < n_live else 0
                     t = live[k]
             stream = t.stream
+            resteers = stream.resteer
             pos = t.bpu_pos
             end = t.stream_len
             for _ in ranges_per_cycle:
-                entry = stream[pos]
+                # Building a range pushes it on the FTQ (and on FDIP's
+                # queue): both end at bpu_pos.
+                resteer = resteers[pos]
                 pos += 1
-                fetch_range = entry[0]
-                t.ftq_q.append(fetch_range)
                 ftq_occ += 1
-                if fdip_on:
-                    t.fdip_queue.append(fetch_range)
-                    fdip_busy = True
-                if fetch_range.resteer:
+                if resteer:
                     # Run-ahead stops behind a resteer-causing branch.
                     t.bpu_blocked = True
                     bpu_ready -= 1
@@ -383,10 +397,14 @@ class Core:
                 if ftq_occ >= ftq_cap:
                     break
             t.bpu_pos = pos
+            if fdip_on:
+                fdip_busy = True
+            else:
+                t.fdip_pos = pos
             # Replay the BPU's counters as of the last range built.
             bpu = t.bpu
-            bpu.cond_lookups = entry[1]
-            bpu.mispredicts = entry[2]
+            bpu.cond_lookups = stream.cond_lookups[pos - 1]
+            bpu.mispredicts = stream.mispredicts[pos - 1]
 
         def run_fdip(cycle: int) -> None:
             """Issue FDIP prefetches from the threads' pending ranges: one
@@ -397,13 +415,20 @@ class Core:
             issued = idle = 0
             while True:
                 t = live[k]
-                queue = t.fdip_queue
-                while queue:
+                pos = t.fdip_pos
+                end = t.bpu_pos
+                if pos < end:
+                    starts = t.stream.start
+                    sizes = t.stream.nbytes
+                    offset = t.addr_offset
+                while pos < end:
                     if mshr_full(cycle):
+                        t.fdip_pos = pos
                         return
-                    fr = queue.popleft()
-                    start = fr.start + t.addr_offset
-                    if probe(start, fr.nbytes):
+                    start = starts[pos] + offset
+                    nbytes = sizes[pos]
+                    pos += 1
+                    if probe(start, nbytes):
                         continue
                     block_addr = start & ~63
                     if mshr_lookup(block_addr, cycle) is not None:
@@ -418,9 +443,11 @@ class Core:
                                  fill=fill_at, source="fdip", **t.ev)
                     issued += 1
                     if issued == budget:
+                        t.fdip_pos = pos
                         return
                     idle = -1             # an issue rotates to the next
                     break
+                t.fdip_pos = pos
                 idle += 1
                 if idle == n_live:        # every queue drained
                     fdip_busy = False
@@ -468,7 +495,9 @@ class Core:
 
             if rec is not None and (cycle & _FTQ_SAMPLE_MASK) == 0:
                 for t in live:
-                    rec.emit(EV_FTQ, cycle, occupancy=len(t.ftq_q),
+                    # The owner's FTQ head lives in the range_seq local.
+                    head = range_seq if t is owner else t.range_seq
+                    rec.emit(EV_FTQ, cycle, occupancy=t.bpu_pos - head,
                              mshr=len(mshr), **t.ev)
 
             # -- fetch port. A co-run syncs the owner and lets _arbitrate
@@ -477,6 +506,7 @@ class Core:
             if corun:
                 if owner is not None:
                     owner.cur = cur
+                    owner.range_seq = range_seq
                     owner.delivered = delivered
                 winner, all_blocked = arbitrate(cycle, live)
                 if winner is None:
@@ -488,17 +518,19 @@ class Core:
                     # Park the owner's progress and take over the winner's.
                     if owner is not None:
                         owner.park(cur, cur_byte, cur_end, n_ends,
-                                   delivered_in_range, cur_segs, seg_idx,
-                                   range_seq, delivered, last_commit)
+                                   delivered_in_range, seg_idx, range_seq,
+                                   delivered, last_commit)
                     owner = winner
                     corun = n_live > 1
                     (cur, cur_byte, cur_end, n_ends, delivered_in_range,
-                     cur_segs, seg_idx, range_seq, delivered, last_commit,
+                     seg_idx, range_seq, delivered, last_commit,
                      measuring, blocked_until, blocked_kind, total,
-                     warmup_boundary, trace, range_segs, ftq_q, stats,
+                     warmup_boundary, trace, stats,
                      accept, backend, rob_ring, rob_cap, decode_lat,
-                     rob_free_cycle, addr_offset, pc_col,
-                     ev) = owner.take_port()
+                     rob_free_cycle, addr_offset, pc_col, ev,
+                     r_start, r_nbytes, r_first, r_count, r_resteer,
+                     chunk_off, chunk_end_col,
+                     chunk_delivered) = owner.take_port()
             elif cycle < blocked_until:
                 if measuring:
                     if blocked_kind == _STALL_MISS:
@@ -519,7 +551,7 @@ class Core:
                     next_sample = sampler._next_sample
                 cycle += 1
                 continue
-            elif cur is None and not ftq_q:
+            elif cur is None and range_seq == owner.bpu_pos:
                 # FTQ empty: either the BPU is blocked behind a resteer
                 # (fetch waits for it) or run-ahead starved this cycle.
                 if measuring and owner.resume_at != _NEVER:
@@ -528,17 +560,16 @@ class Core:
                 continue
 
             if cur is None:
-                cur = ftq_q.popleft()
-                ftq_occ -= 1
-                cur_byte = cur.start
-                cur_end = cur_byte + cur.nbytes
-                n_ends = len(cur.instr_ends)
-                delivered_in_range = 0
-                # Per-cycle delivery chunks: ranges pop in emission
-                # order, so the precomputed stream aligns by sequence.
-                cur_segs = range_segs[range_seq]
+                # Pop the FTQ head: ranges pop in emission order, so the
+                # head is the stream entry at range_seq.
+                cur = range_seq
                 range_seq += 1
-                seg_idx = 0
+                ftq_occ -= 1
+                cur_byte = r_start[cur]
+                cur_end = cur_byte + r_nbytes[cur]
+                n_ends = r_count[cur]
+                delivered_in_range = 0
+                seg_idx = chunk_off[cur]
 
             # Inlined Backend.rob_has_space(cycle).
             count = backend._count
@@ -554,7 +585,8 @@ class Core:
             # This cycle's chunk (bytes up to the fetch bandwidth,
             # instructions up to the fetch width) comes precomputed; a
             # stalled chunk is simply retried at the same seg_idx.
-            chunk_end, i = cur_segs[seg_idx]
+            chunk_end = chunk_end_col[seg_idx]
+            i = chunk_delivered[seg_idx]
             result = lookup(cur_byte + addr_offset, chunk_end - cur_byte)
             if result.kind is not _HIT:
                 owner.stall_pc = cur_byte
@@ -586,7 +618,7 @@ class Core:
             # Deliver the completed instructions to the back-end in one
             # chunked call (identical timing to one instruction per call).
             last_complete = 0
-            base = cur.first_index + delivered_in_range
+            base = r_first[cur] + delivered_in_range
             n_accept = i - delivered_in_range
             if delivered + n_accept > total:
                 n_accept = total - delivered
@@ -616,10 +648,9 @@ class Core:
             cur_byte = chunk_end
 
             if cur_byte >= cur_end and delivered < total:
-                resteer = cur.resteer
-                if resteer is not resteer_none \
-                        and delivered_in_range >= n_ends:
-                    if resteer is resteer_decode:
+                resteer = r_resteer[cur]
+                if resteer and delivered_in_range >= n_ends:
+                    if resteer == resteer_decode:
                         resume = cycle + btb_penalty
                         if measuring:
                             stats.btb_resteers += 1
@@ -633,7 +664,7 @@ class Core:
                     blocked_until = owner.blocked_until = resume
                     blocked_kind = owner.blocked_kind = _STALL_RESTEER
                     # Attribute the resteer stall to the causing branch.
-                    owner.stall_pc = pc_col[cur.first_index + n_ends - 1]
+                    owner.stall_pc = pc_col[r_first[cur] + n_ends - 1]
                 cur = None
 
             if cycle >= next_sample:
@@ -644,13 +675,13 @@ class Core:
                 # Retire the owner and release its claims on the shared
                 # structures and the fetch port.
                 owner.park(cur, cur_byte, cur_end, n_ends,
-                           delivered_in_range, cur_segs, seg_idx, range_seq,
+                           delivered_in_range, seg_idx, range_seq,
                            delivered, last_commit)
                 owner.finished = True
                 live.remove(owner)
                 n_live -= 1
-                ftq_occ -= len(ftq_q)
-                owner.fdip_queue.clear()
+                ftq_occ -= owner.bpu_pos - range_seq
+                owner.fdip_pos = owner.bpu_pos
                 bpu_ready -= (not owner.bpu_blocked
                               and owner.bpu_pos < owner.stream_len)
                 owner = None
@@ -678,7 +709,7 @@ class Core:
                     self._stall_cycles(t, t.blocked_kind, 1, cycle)
                 continue
             all_blocked = False
-            if t.cur is None and not t.ftq_q:
+            if t.cur is None and t.range_seq == t.bpu_pos:
                 if t.resume_at != _NEVER and t.measuring:
                     self._stall_cycles(t, _STALL_RESTEER, 1, cycle)
                 continue
@@ -769,7 +800,7 @@ class Core:
         for t in live:
             if t.blocked_until < target:
                 target = t.blocked_until
-            if t.fdip_queue:
+            if t.fdip_pos < t.bpu_pos:
                 fdip_waiting = True
         if fdip_waiting:
             # FDIP can resume as soon as a fill frees an MSHR entry.
@@ -848,7 +879,7 @@ class Machine(Core):
         for f in _dataclass_fields(FrontEndStats):
             reg.gauge(f"frontend.{f.name}",
                       lambda name=f.name: getattr(t.stats, name))
-        reg.gauge("ftq.occupancy", lambda: len(t.ftq_q))
+        reg.gauge("ftq.occupancy", lambda: t.ftq_occupancy)
         reg.gauge("bpu.cond_lookups", lambda: t.bpu.cond_lookups)
         reg.gauge("bpu.mispredicts", lambda: t.bpu.mispredicts)
         super()._register_metrics(reg)

@@ -110,12 +110,26 @@ class Evaluator:
         # An injected engine (e.g. repro.service.RemoteEngine routing
         # pairs through a warm daemon) replaces the local sweep engine;
         # anything with SweepEngine's run()/pairs_simulated surface fits.
-        self.engine = engine if engine is not None else SweepEngine(
-            jobs=jobs, cache=cache, profiler=profiler, obs=obs)
+        # The local engine is persistent: its trace memo, and with
+        # jobs > 1 its pool, outlive each generation's run, so every
+        # trace is read and its BPU walked once per search rather than
+        # once per generation. close() releases it.
+        self._owned = None
+        if engine is None:
+            engine = self._owned = SweepEngine(
+                jobs=jobs, cache=cache, profiler=profiler, obs=obs,
+                persistent=True)
+        self.engine = engine
         self.pairs_simulated = 0
         self.evals_resumed = 0
         self._journaled: Dict[str, dict] = dict(journaled or {})
         self._baselines: Dict[str, SimResult] = {}
+
+    def close(self) -> None:
+        """Release the local engine's warm state; an injected engine is
+        left to its owner."""
+        if self._owned is not None:
+            self._owned.close()
 
     def evaluate(self, points: Sequence[DesignPoint]) -> List[EvalRecord]:
         """Evaluate a generation; journaled points cost nothing."""
@@ -378,7 +392,8 @@ def run_search(space: DesignSpace, strategy: SearchStrategy,
     engine, so a search's span tree nests generation → sweep → pair.
     ``engine`` injects a ready-made engine (e.g. a
     :class:`repro.service.RemoteEngine` so every generation runs on a
-    warm daemon) in place of the local ``SweepEngine(jobs=...)``;
+    warm daemon) in place of the local persistent
+    ``SweepEngine(jobs=...)`` the search otherwise opens and closes;
     results are identical either way — simulation is deterministic and
     the journal never records who simulated.
     """
@@ -399,68 +414,70 @@ def run_search(space: DesignSpace, strategy: SearchStrategy,
     evaluator = Evaluator(space, workloads, baseline=baseline, jobs=jobs,
                           cache=cache, journal=journal, journaled=journaled,
                           profiler=profiler, obs=obs, engine=engine)
-    rng = random.Random(seed)
-    outcome = SearchOutcome(strategy=strategy.name, objective=objective)
-    records = outcome.records
-    generation = 0
+    try:
+        rng = random.Random(seed)
+        outcome = SearchOutcome(strategy=strategy.name, objective=objective)
+        records = outcome.records
+        generation = 0
 
-    def emit(new: List[EvalRecord], best: Optional[EvalRecord]) -> None:
-        if recorder is None or not recorder.enabled:
-            return
-        recorder.emit(
-            "search", generation, strategy=strategy.name,
-            evaluated=len(new),
-            resumed=sum(1 for r in new if r.resumed),
-            total=len(records),
-            best_key=best.key if best is not None else None,
-            best_score=(objective_score(best, objective)
-                        if best is not None else None),
-        )
+        def emit(new: List[EvalRecord], best: Optional[EvalRecord]) -> None:
+            if recorder is None or not recorder.enabled:
+                return
+            recorder.emit(
+                "search", generation, strategy=strategy.name,
+                evaluated=len(new),
+                resumed=sum(1 for r in new if r.resumed),
+                total=len(records),
+                best_key=best.key if best is not None else None,
+                best_score=(objective_score(best, objective)
+                            if best is not None else None),
+            )
 
-    # The default point is always evaluated first so every report can
-    # place Table II against the discovered frontier (free when journaled
-    # or already in the result cache).
-    pending: List[List[DesignPoint]] = [[default_point()]]
-    while len(records) < budget_evals:
-        batch_points = pending.pop(0) if pending \
-            else strategy.propose(records, rng)
-        keys = {record.key for record in records}
-        batch: List[DesignPoint] = []
-        for point in batch_points:
-            point = space.canonicalise(point)
-            key = point.config_name
-            if key in keys:
-                continue
-            keys.add(key)
-            batch.append(point)
-        batch = batch[:budget_evals - len(records)]
-        if not batch:
-            if pending:
-                continue
-            break
-        t0 = perf_counter()
-        if obs is not None:
-            with obs.span(f"gen{generation:03d}", strategy=strategy.name,
-                          points=len(batch)):
+        # The default point is always evaluated first so every report can
+        # place Table II against the discovered frontier (free when journaled
+        # or already in the result cache).
+        pending: List[List[DesignPoint]] = [[default_point()]]
+        while len(records) < budget_evals:
+            batch_points = pending.pop(0) if pending \
+                else strategy.propose(records, rng)
+            keys = {record.key for record in records}
+            batch: List[DesignPoint] = []
+            for point in batch_points:
+                point = space.canonicalise(point)
+                key = point.config_name
+                if key in keys:
+                    continue
+                keys.add(key)
+                batch.append(point)
+            batch = batch[:budget_evals - len(records)]
+            if not batch:
+                if pending:
+                    continue
+                break
+            t0 = perf_counter()
+            if obs is not None:
+                with obs.span(f"gen{generation:03d}", strategy=strategy.name,
+                              points=len(batch)):
+                    new = evaluator.evaluate(batch)
+            else:
                 new = evaluator.evaluate(batch)
-        else:
-            new = evaluator.evaluate(batch)
-        if profiler is not None:
-            stage = f"dse.gen{generation:03d}"
-            elapsed = perf_counter() - t0
-            profiler.stage_seconds[stage] = \
-                profiler.stage_seconds.get(stage, 0.0) + elapsed
-            profiler.stage_calls[stage] = \
-                profiler.stage_calls.get(stage, 0) + 1
-        records.extend(new)
-        best = max(records,
-                   key=lambda r: (objective_score(r, objective), r.key)) \
-            if records else None
-        emit(new, best)
-        if progress is not None:
-            progress(generation, new, len(records), budget_evals)
-        generation += 1
-
+            if profiler is not None:
+                stage = f"dse.gen{generation:03d}"
+                elapsed = perf_counter() - t0
+                profiler.stage_seconds[stage] = \
+                    profiler.stage_seconds.get(stage, 0.0) + elapsed
+                profiler.stage_calls[stage] = \
+                    profiler.stage_calls.get(stage, 0) + 1
+            records.extend(new)
+            best = max(records,
+                       key=lambda r: (objective_score(r, objective), r.key)) \
+                if records else None
+            emit(new, best)
+            if progress is not None:
+                progress(generation, new, len(records), budget_evals)
+            generation += 1
+    finally:
+        evaluator.close()
     outcome.generations = generation
     outcome.pairs_simulated = evaluator.pairs_simulated
     outcome.evals_resumed = evaluator.evals_resumed

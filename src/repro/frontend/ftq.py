@@ -1,6 +1,6 @@
-"""Fetch ranges and the BPU run-ahead that builds them.
+"""The fetch-range stream and the BPU run-ahead that builds it.
 
-A :class:`FetchRange` is the unit the decoupled front-end works with: a
+A *fetch range* is the unit the decoupled front-end works with: a
 contiguous byte span *within one 64-byte block*, the trace instructions
 whose last byte falls inside it, and the resteer (if any) its terminating
 branch causes. The fetch engine requests exactly these byte spans from the
@@ -10,92 +10,121 @@ Section IV-A — and FDIP prefetches the blocks they touch.
 :func:`precompute_range_stream` advances the BPU along a columnar
 :class:`~repro.trace.arrays.ArrayTrace` once per trace: a range ends at a
 predicted-taken branch, a 64-byte boundary, or a resteer-causing branch.
-The cycle loop replays the resulting stream, stopping run-ahead behind
-each resteer until the machine resolves it.
+It returns a :class:`RangeStream`, one typed ``array`` column per range
+field, and :func:`segment_stream` splits every range into its per-cycle
+delivery chunks, again as flat columns. Neither holds a Python object per
+range, so a trace's front-end state costs a few bytes per range and
+nothing to the cyclic GC.
+
+Every hardware thread builds and consumes its ranges in emission order,
+so the cycle loop's FTQ and FDIP queue are cursors into the stream (see
+:class:`repro.cpu.machine.HardwareThread`): the BPU stage advances
+``bpu_pos``, FDIP trails it with ``fdip_pos``, and fetch pops at
+``range_seq``. Run-ahead stops behind each resteer until the machine
+resolves it.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from typing import List, Tuple
 
 from ..errors import SimulationError
 from ..trace.arrays import ArrayTrace
 from ..trace.record import IS_BRANCH
-from .bpu import BranchPredictionUnit, Resteer
-
-_RESTEER_NONE = Resteer.NONE
+from .bpu import BranchPredictionUnit
 
 
-class FetchRange:
-    """A byte span within one block plus its completing instructions."""
+class RangeStream:
+    """A trace's fetch ranges in emission order, one column per field.
 
-    __slots__ = ("start", "nbytes", "first_index", "instr_ends", "resteer")
-
-    def __init__(self, start: int, nbytes: int, first_index: int,
-                 instr_ends: Tuple[int, ...], resteer: Resteer) -> None:
-        self.start = start
-        self.nbytes = nbytes
-        self.first_index = first_index
-        self.instr_ends = instr_ends  # absolute end addr per instruction
-        self.resteer = resteer
-
-    @property
-    def end(self) -> int:
-        return self.start + self.nbytes
-
-    @property
-    def n_instrs(self) -> int:
-        return len(self.instr_ends)
-
-    @property
-    def block_addr(self) -> int:
-        return (self.start >> 6) << 6
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FetchRange({self.start:#x}+{self.nbytes}, "
-                f"{self.n_instrs} instrs, {self.resteer.name})")
-
-
-def segment_range(fetch_range: FetchRange, fetch_bytes: int,
-                  fetch_width: int) -> List[Tuple[int, int]]:
-    """Split a fetch range into its per-cycle delivery chunks.
-
-    Returns ``[(chunk_end, instrs_delivered_after), ...]`` — exactly the
-    chunks the machine's delivery loop would compute cycle by cycle
-    (bytes capped at ``fetch_bytes``, instructions at ``fetch_width``,
-    and the chunk clipped back to the last completing instruction when
-    the width limit binds mid-range). The split is a pure function of
-    the range and the fetch parameters — stalls only repeat a chunk,
-    they never change it — so it can be computed once per range.
+    ``start[r]`` and ``nbytes[r]`` give range ``r``'s byte span,
+    ``first_index[r]`` and ``n_instrs[r]`` the trace instructions that
+    complete in it (their ends are ``trace.end[first:first + n]``), and
+    ``resteer[r]`` the :class:`~repro.frontend.bpu.Resteer` code of its
+    last instruction. ``cond_lookups[r]`` and ``mispredicts[r]`` are the
+    BPU's cumulative counters right after range ``r`` was built, so a
+    replay keeps them exact at every cycle boundary.
     """
-    ends = fetch_range.instr_ends
-    n_ends = len(ends)
-    cur_byte = fetch_range.start
-    cur_end = cur_byte + fetch_range.nbytes
-    segs: List[Tuple[int, int]] = []
-    append = segs.append
-    i = 0
-    while cur_byte < cur_end:
-        chunk_end = cur_byte + fetch_bytes
-        if chunk_end > cur_end:
-            chunk_end = cur_end
-        i0 = i
-        n_stop = i0 + fetch_width
-        if n_stop > n_ends:
-            n_stop = n_ends
-        while i < n_stop and ends[i] <= chunk_end:
-            i += 1
-        if i - i0 == fetch_width and i < n_ends:
-            chunk_end = ends[i - 1]
-        append((chunk_end, i))
-        cur_byte = chunk_end
-    return segs
+
+    __slots__ = ("start", "nbytes", "first_index", "n_instrs", "resteer",
+                 "cond_lookups", "mispredicts")
+
+    def __init__(self) -> None:
+        self.start = array("Q")
+        self.nbytes = array("B")
+        self.first_index = array("I")
+        self.n_instrs = array("B")
+        self.resteer = array("B")
+        self.cond_lookups = array("I")
+        self.mispredicts = array("I")
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+
+class DeliveryChunks:
+    """Every range's per-cycle delivery chunks as three flat columns.
+
+    Range ``r``'s chunks are indices ``offset[r]`` to ``offset[r + 1]``;
+    chunk ``c`` ends at byte ``end[c]`` and leaves ``delivered[c]`` of the
+    range's instructions delivered.
+    """
+
+    __slots__ = ("offset", "end", "delivered")
+
+    def __init__(self) -> None:
+        self.offset = array("I", [0])
+        self.end = array("Q")
+        self.delivered = array("B")
+
+
+def segment_stream(trace: ArrayTrace, stream: RangeStream, fetch_bytes: int,
+                   fetch_width: int) -> DeliveryChunks:
+    """Split every range of ``stream`` into its per-cycle delivery chunks.
+
+    The chunks are exactly the ones the machine's delivery loop would
+    compute cycle by cycle: bytes capped at ``fetch_bytes``, instructions
+    at ``fetch_width``, and the chunk clipped back to the last completing
+    instruction when the width limit binds mid-range. The split is a pure
+    function of the range, the trace's ``end`` column and the fetch
+    parameters (stalls only repeat a chunk, they never change it), so it
+    is computed once per trace.
+    """
+    ends = trace.end
+    chunks = DeliveryChunks()
+    add_offset = chunks.offset.append
+    add_end = chunks.end.append
+    add_delivered = chunks.delivered.append
+    n_chunks = 0
+    for cur_byte, nbytes, first, n in zip(stream.start, stream.nbytes,
+                                          stream.first_index,
+                                          stream.n_instrs):
+        cur_end = cur_byte + nbytes
+        last = first + n
+        i = first
+        while cur_byte < cur_end:
+            chunk_end = cur_byte + fetch_bytes
+            if chunk_end > cur_end:
+                chunk_end = cur_end
+            i0 = i
+            n_stop = i0 + fetch_width
+            if n_stop > last:
+                n_stop = last
+            while i < n_stop and ends[i] <= chunk_end:
+                i += 1
+            if i - i0 == fetch_width and i < last:
+                chunk_end = ends[i - 1]
+            add_end(chunk_end)
+            add_delivered(i - first)
+            n_chunks += 1
+            cur_byte = chunk_end
+        add_offset(n_chunks)
+    return chunks
 
 
 def precompute_range_stream(trace: ArrayTrace,
-                            bpu: BranchPredictionUnit,
-                            ) -> List[Tuple[FetchRange, int, int]]:
+                            bpu: BranchPredictionUnit) -> RangeStream:
     """Walk the BPU over the whole trace once, emitting its fetch ranges.
 
     The sequence of fetch ranges is a pure function of the trace and the
@@ -112,14 +141,9 @@ def precompute_range_stream(trace: ArrayTrace,
     within ``[idx, boundary[idx]]`` the ``end`` column is strictly
     increasing, so one ``bisect_left`` finds where the 64-byte block
     closes. Only branch instructions are touched individually (the BPU
-    is stateful); straight-line runs are delivered as a slice of the
-    ``end`` column.
+    is stateful); straight-line runs are skipped over whole.
 
-    Returns ``[(range, cond_lookups, mispredicts), ...]`` where the
-    counters are the BPU's cumulative values right after each range was
-    built, so a replay can keep the externally visible counters exact at
-    every cycle boundary. The caller's ``bpu`` is fully advanced on
-    return.
+    The caller's ``bpu`` is fully advanced on return.
     """
     pcs, sizes, kinds = trace.pc, trace.size, trace.kind
     takens, targets = trace.taken, trace.target
@@ -127,8 +151,14 @@ def precompute_range_stream(trace: ArrayTrace,
     n_trace = len(trace)
     is_branch = IS_BRANCH
     process_raw = bpu.process_raw
-    stream: List[Tuple[FetchRange, int, int]] = []
-    append = stream.append
+    stream = RangeStream()
+    add_start = stream.start.append
+    add_nbytes = stream.nbytes.append
+    add_first = stream.first_index.append
+    add_count = stream.n_instrs.append
+    add_resteer = stream.resteer.append
+    add_lookups = stream.cond_lookups.append
+    add_mispredicts = stream.mispredicts.append
     idx = 0
     continuation = None   # block boundary a straddling instruction crosses
     while idx < n_trace:
@@ -136,7 +166,7 @@ def precompute_range_stream(trace: ArrayTrace,
         block_end = (start | 63) + 1
         idx0 = idx
         end = start
-        resteer = _RESTEER_NONE
+        resteer = 0
         continuation = None
         while idx < n_trace:
             b = boundaries[idx]
@@ -171,7 +201,11 @@ def precompute_range_stream(trace: ArrayTrace,
             # left in the block: continue into the next segment.
         if end == start:
             raise SimulationError("built an empty fetch range")
-        append((FetchRange(start, end - start, idx0,
-                           tuple(ends[idx0:idx].tolist()), resteer),
-                bpu.cond_lookups, bpu.mispredicts))
+        add_start(start)
+        add_nbytes(end - start)
+        add_first(idx0)
+        add_count(idx - idx0)
+        add_resteer(resteer)
+        add_lookups(bpu.cond_lookups)
+        add_mispredicts(bpu.mispredicts)
     return stream

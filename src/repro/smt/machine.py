@@ -70,7 +70,8 @@ class SMTMachine(Core):
             prefix = f"thread.{t.tid}"
             reg.gauge(f"{prefix}.instructions_delivered",
                       lambda t=t: t.delivered)
-            reg.gauge(f"{prefix}.ftq_occupancy", lambda t=t: len(t.ftq_q))
+            reg.gauge(f"{prefix}.ftq_occupancy",
+                      lambda t=t: t.ftq_occupancy)
             reg.gauge(f"{prefix}.arb_lost_cycles",
                       lambda t=t: t.arb_lost_cycles)
         super()._register_metrics(reg)

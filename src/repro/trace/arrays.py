@@ -28,9 +28,10 @@ builds the object view lazily, for tools and tests that want to look at
 individual instructions.
 
 ``derived`` is a per-trace scratch dict for state that is a pure
-function of the trace and a few parameters: the BPU range stream, its
-delivery segments and the back-end's fused op table. Every machine
-built on the trace shares those entries; they are never serialised.
+function of the trace and a few parameters: the BPU range stream and its
+delivery chunks (typed columns, see :mod:`repro.frontend.ftq`) and the
+back-end's fused op table. Every machine built on the trace shares those
+entries; they are never serialised.
 
 Serialised layout (little endian)::
 

@@ -1,10 +1,13 @@
-"""Per-trace state is shared, and finished machines free themselves.
+"""Per-trace state is shared and compact, and finished machines free
+themselves.
 
 Everything a machine derives from its trace alone (the BPU range stream,
-its fetch segments, the back-end op table) lives on ``trace.derived`` and
-is shared by every machine built on that trace. A machine itself must be
-free of reference cycles: dropping the last reference frees it at once,
-without waiting for the cyclic garbage collector.
+its delivery chunks, the back-end op table) lives on ``trace.derived``
+and is shared by every machine built on that trace. That state is held
+in a constant number of GC-tracked objects, however long the trace. A
+machine itself must be free of reference cycles: dropping the last
+reference frees it at once, without waiting for the cyclic garbage
+collector.
 """
 
 import gc
@@ -91,6 +94,38 @@ class TestSharing:
         assert t1.backend._ops is not t0.backend._ops
         assert [op[4] for op in t1.backend._ops] == \
             [m + THREAD_ADDR_STRIDE for m in trace.mem_addr]
+
+
+def _tracked_objects(root) -> int:
+    """GC-tracked objects reachable from ``root``, classes excluded (an
+    untracked container holds nothing tracked, so the walk stops there)."""
+    seen = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type) \
+                or not gc.is_tracked(obj):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+class TestDerivedState:
+    def test_first_build_adds_constant_tracked_objects(self):
+        """The cyclic GC sees a trace's derived state as a handful of
+        objects, not a few per fetch range: the count is the same for a
+        trace four times longer."""
+        counts = []
+        for length in (4000, 16000):
+            trace = generate_trace(small_spec(seed=5), length)
+            gc.collect()
+            before = _tracked_objects(trace.derived)
+            build_machine(trace, "conv32")
+            gc.collect()   # untracks tuples of plain ints, as a pass would
+            counts.append(_tracked_objects(trace.derived) - before)
+        assert counts[0] == counts[1]
+        assert counts[1] <= 32
 
 
 def test_metrics_out_bytes_pinned(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,9 @@ absolute numbers do not matter, but evaluation, journaling, resume and
 determinism must behave exactly.
 """
 
+import concurrent.futures
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.dse import (
     objective_score,
     run_search,
 )
+from repro.cpu import machine as machine_mod
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ResultCache
 from repro.telemetry import EventTrace
@@ -118,6 +121,54 @@ class TestRunSearch:
         scores = [objective_score(r, outcome.objective)
                   for r in outcome.ranked()]
         assert scores == sorted(scores, reverse=True)
+
+
+class TestEngineReuse:
+    """Without an injected engine a search opens one persistent engine,
+    so later generations reuse its trace memo and its pool."""
+
+    def test_inline_search_reads_and_walks_each_trace_once(
+            self, tmp_path, monkeypatch):
+        reads = Counter()
+        walks = []
+        read = ResultCache.array_trace_for
+        walk = machine_mod.precompute_range_stream
+
+        def counting_read(cache, workload):
+            reads[workload.name] += 1
+            return read(cache, workload)
+
+        def counting_walk(trace, bpu):
+            walks.append(len(trace))
+            return walk(trace, bpu)
+
+        monkeypatch.setattr(ResultCache, "array_trace_for", counting_read)
+        monkeypatch.setattr(machine_mod, "precompute_range_stream",
+                            counting_walk)
+        space = DesignSpace()
+        outcome = run_search(space, RandomSearch(space, batch_size=2), 5,
+                             ["server_000", "spec_000"], seed=0,
+                             cache=ResultCache(tmp_path))
+        assert outcome.generations == 3
+        assert reads == {"server_000": 1, "spec_000": 1}
+        assert len(walks) == 2
+
+    def test_parallel_search_starts_one_pool(self, tmp_path, monkeypatch):
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingPool)
+        space = DesignSpace()
+        outcome = run_search(space, RandomSearch(space, batch_size=1), 3,
+                             WORKLOADS, jobs=2, seed=0,
+                             cache=ResultCache(tmp_path))
+        assert outcome.generations == 3
+        assert len(pools) == 1
 
 
 class TestResume:

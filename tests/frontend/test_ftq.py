@@ -1,12 +1,14 @@
-"""Fetch range stream tests (``precompute_range_stream``)."""
+"""Fetch range stream tests (``precompute_range_stream`` and
+``segment_stream``)."""
 
 from repro.frontend.bpu import BranchPredictionUnit, Resteer
-from repro.frontend.ftq import precompute_range_stream
+from repro.frontend.ftq import precompute_range_stream, segment_stream
 from repro.trace.arrays import ArrayTrace
 from repro.trace.record import Instruction, InstrKind
 from repro.trace.synthesis import generate_trace
 
 from ..conftest import small_spec
+from ..range_view import range_rows
 
 
 def straight(pc, n, size=4):
@@ -22,7 +24,7 @@ def ranges(trace, bpu=None):
     machine builds them: over the columnar form of the trace."""
     stream = precompute_range_stream(ArrayTrace.from_instructions(trace),
                                      bpu or BranchPredictionUnit())
-    return [fr for fr, _lookups, _mispredicts in stream]
+    return range_rows(stream)
 
 
 class TestRangeConstruction:
@@ -45,16 +47,16 @@ class TestRangeConstruction:
 
     def test_straddling_instruction(self):
         # 15-byte instruction crossing the 64B boundary.
-        trace = [
+        trace = ArrayTrace.from_instructions([
             Instruction(0x1038, 15, InstrKind.ALU),
             Instruction(0x1047, 4, InstrKind.ALU),
-        ]
+        ])
         fr1, fr2 = ranges(trace)
         assert fr1.start == 0x1038 and fr1.end == 0x1040
         assert fr1.n_instrs == 0      # instruction completes later
         assert fr2.start == 0x1040
         assert fr2.first_index == 0
-        assert fr2.instr_ends[0] == 0x1047
+        assert trace.end[fr2.first_index] == 0x1047
         assert fr2.n_instrs == 2
 
     def test_taken_branch_ends_range(self):
@@ -130,3 +132,28 @@ class TestRangesCoverTrace:
         for fr in ranges(trace):
             assert fr.start >> 6 == (fr.end - 1) >> 6
             assert 0 < fr.nbytes <= 64
+
+
+class TestDeliveryChunks:
+    def _chunks(self, instrs, fetch_bytes=16, fetch_width=4):
+        trace = ArrayTrace.from_instructions(instrs)
+        stream = precompute_range_stream(trace, BranchPredictionUnit())
+        chunks = segment_stream(trace, stream, fetch_bytes, fetch_width)
+        return [[(chunks.end[c], chunks.delivered[c])
+                 for c in range(chunks.offset[r], chunks.offset[r + 1])]
+                for r in range(len(stream))]
+
+    def test_byte_limit_splits_a_block(self):
+        (chunks,) = self._chunks(straight(0x1000, 16))
+        assert chunks == [(0x1010, 4), (0x1020, 8), (0x1030, 12),
+                          (0x1040, 16)]
+
+    def test_width_limit_clips_to_last_completing_instruction(self):
+        # Eight 2-byte instructions: 16 bytes, but four per cycle.
+        (chunks,) = self._chunks(straight(0x1000, 8, size=2))
+        assert chunks == [(0x1008, 4), (0x1010, 8)]
+
+    def test_straddler_gets_an_empty_chunk_then_completes(self):
+        trace = [Instruction(0x1038, 15, InstrKind.ALU),
+                 Instruction(0x1047, 4, InstrKind.ALU)]
+        assert self._chunks(trace) == [[(0x1040, 0)], [(0x104B, 2)]]

@@ -1,7 +1,11 @@
 """The machine emits every documented event kind with sane fields."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import Machine, build_icache, get_workload
 from repro.telemetry import (
     DRAM_ROW,
@@ -77,3 +81,30 @@ class TestEventStream:
         machine.run(*workload.windows())
         outcomes = {e.fields["result"] for e in recorder.of_kind(L1I)}
         assert "HIT" in outcomes
+
+
+#: Runs whose ``ftq`` samples are pinned: a solo run, whose fetch-port
+#: owner never parks, and an ICOUNT co-run with a shallow FTQ, whose
+#: owner changes often.
+FTQ_SAMPLE_RUNS = (("server_000", "conv32"),
+                   ("smt:server_000+client_000@icount", "conv32_f8"))
+FTQ_SAMPLES_GOLDEN = (Path(__file__).resolve().parents[1] / "golden"
+                      / "ftq_samples__s0.05.json")
+
+
+def ftq_samples(workload: str, config: str) -> list:
+    """``[cycle, occupancy, mshr, thread]`` of every ``ftq`` event."""
+    recorder = EventTrace()
+    repro.simulate(workload, config, telemetry=Telemetry(recorder))
+    return [[e.cycle, e.fields["occupancy"], e.fields["mshr"],
+             e.fields.get("thread")] for e in recorder.of_kind(FTQ)]
+
+
+@pytest.mark.parametrize("workload,config", FTQ_SAMPLE_RUNS)
+def test_ftq_samples_pinned(monkeypatch, workload, config):
+    """The sampled FTQ occupancy of every live thread, the fetch-port
+    owner's included, equals the samples recorded when the FTQ was a
+    queue of range objects."""
+    monkeypatch.setenv("REPRO_SCALE", "0.05")
+    golden = json.loads(FTQ_SAMPLES_GOLDEN.read_text())
+    assert ftq_samples(workload, config) == golden[f"{workload}::{config}"]

@@ -30,6 +30,7 @@ import pytest
 import repro
 from repro.cpu.machine import Machine, build_icache
 from repro.errors import ConfigurationError
+from repro.params import CoreParams, MachineParams
 from repro.smt import build_smt_machine
 from repro.trace.arrays import ArrayTrace
 from repro.trace.record import Instruction, InstrKind
@@ -59,6 +60,20 @@ CORUN_PAIRS = [
     ("smt:server_000+client_000", "ubs"),
     ("smt:server_000+client_000@icount", "ubs"),
 ]
+
+
+#: Front-end variants the headline pairs do not reach, keyed by test id:
+#: the two non-FDIP prefetchers (their FDIP cursor stays at the BPU's),
+#: FTQ depths shallow and deep enough to change when run-ahead stalls,
+#: and a shallow FTQ shared by two threads under ICOUNT arbitration.
+#: Each entry is (workload, config, prefetcher override or None).
+VARIANT_RUNS = {
+    "nextline": ("server_000", "conv32", "nextline"),
+    "no_prefetch": ("server_000", "ubs", "none"),
+    "ftq8": ("server_000", "conv32_f8", None),
+    "ftq32": ("client_000", "ubs_f32", None),
+    "icount_ftq8": ("smt:server_000+client_000@icount", "conv32_f8", None),
+}
 
 
 def _golden_path(workload: str, config: str) -> Path:
@@ -136,6 +151,20 @@ def test_smt_corun_bit_identical_to_golden(workload, config):
     result = repro.simulate(workload, config)
     _check_golden(_golden_path(workload, config), result.to_dict(),
                   f"{workload}/{config}")
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_RUNS))
+def test_frontend_variant_bit_identical_to_golden(variant):
+    workload, config, prefetcher = VARIANT_RUNS[variant]
+    params = None
+    if prefetcher is not None:
+        params = MachineParams(core=CoreParams(prefetcher=prefetcher))
+    result = repro.simulate(workload, config, params=params)
+    result.workload = workload
+    result.config = config
+    suffix = f"__{prefetcher}" if prefetcher is not None else ""
+    _check_golden(_golden_path(workload, config + suffix), result.to_dict(),
+                  f"{workload}/{config} ({variant})")
 
 
 class TestEdgeTraces:

@@ -12,6 +12,8 @@ from repro.frontend.ftq import precompute_range_stream
 from repro.trace.record import validate_trace
 from repro.trace.synthesis import ProgramBuilder, SynthesisSpec, TraceWalker
 
+from .range_view import range_rows
+
 
 @st.composite
 def specs(draw):
@@ -56,7 +58,7 @@ class TestGeneratorProperties:
         trace = TraceWalker(ProgramBuilder(spec).build(), spec).run(3000)
         stream = precompute_range_stream(trace, BranchPredictionUnit())
         delivered = 0
-        for fr, _lookups, _mispredicts in stream:
+        for fr in range_rows(stream):
             assert fr.first_index == delivered
             delivered += fr.n_instrs
             assert fr.start >> 6 == (fr.end - 1) >> 6
