@@ -13,18 +13,65 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ..memory.cache import Cache
 from ..memory.hierarchy import MemoryHierarchy
-from ..params import CoreParams
+from ..params import CacheParams, CoreParams
 from ..trace.record import EXEC_LATENCY, InstrKind
-
-try:  # pragma: no cover - exercised indirectly on hosts with numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Plain-int kind codes (column reads yield ints, not InstrKind members).
 _LOAD_I = int(InstrKind.LOAD)
 _STORE_I = int(InstrKind.STORE)
+
+#: Negative op latencies: memory ops whose timing goes to the hierarchy.
+#: ``_LOAD``/``_STORE`` look the L1-D up live (co-runs share one L1-D);
+#: ``_LOAD_MISS``/``_STORE_MISS`` are a private L1-D's misses, already
+#: known from :func:`build_op_table`'s replay (hits became fixed latencies).
+_LOAD, _STORE, _LOAD_MISS, _STORE_MISS = -1, -2, -3, -4
+
+#: Scoreboard index of each int8 register operand (-1: no operand).
+_REG_INDEX = {r: (r & 63) if r >= 0 else -1 for r in range(-128, 128)}
+
+
+def build_op_table(trace, exec_latency: Tuple[int, ...],
+                   l1d: Optional[CacheParams]) -> list:
+    """The back-end's per-instruction ``(lat, src1, src2, dst)`` tuples for
+    a columnar ``trace``, interned so each distinct tuple is stored once.
+
+    ``lat`` is the execution latency, or a negative code for a memory op
+    that goes to the hierarchy; the register fields are scoreboard indices
+    (``-1`` when the operand is absent). No data address is stored: the
+    delivery loop reads ``trace.mem_addr`` on the hierarchy path only, so
+    one table serves every thread offset.
+
+    With ``l1d`` given, the table is for a core whose L1-D sees only this
+    trace's loads and stores, in program order, filled on each miss
+    without timing; so its hit/miss outcomes depend on the trace alone.
+    They are replayed here once through a fresh ``Cache(l1d)``: hit loads
+    become ``l1d.latency`` ops, hit stores latency-1 ops, and only misses
+    keep a code (``_LOAD_MISS``/``_STORE_MISS``). A thread offset only
+    flips tag bits, so the outcomes hold at any offset.
+    """
+    code = [_LOAD if k == _LOAD_I else _STORE if k == _STORE_I else lat
+            for k, lat in enumerate(exec_latency)]
+    lats = list(map(code.__getitem__, trace.kind))
+    if l1d is not None:
+        cache = Cache(l1d)
+        touch, fill = cache.touch, cache.fill
+        mem = trace.mem_addr
+        for i, lat in enumerate(lats):
+            if lat < 0:
+                addr = mem[i]
+                if touch(addr):
+                    lats[i] = l1d.latency if lat == _LOAD else 1
+                else:
+                    fill(addr)
+                    lats[i] = _LOAD_MISS if lat == _LOAD else _STORE_MISS
+    reg = _REG_INDEX.__getitem__
+    interned: dict = {}
+    intern = interned.setdefault
+    return [intern(op, op) for op in zip(lats, map(reg, trace.src1),
+                                         map(reg, trace.src2),
+                                         map(reg, trace.dst))]
 
 
 class Backend:
@@ -32,9 +79,9 @@ class Backend:
 
     __slots__ = ("params", "hierarchy", "_rob", "_ring", "_count",
                  "_reg_ready", "_last_commit", "_commits_this_cycle",
-                 "loads", "stores", "_decode_latency", "_commit_width",
-                 "_exec_latency", "_ops", "_ops_trace",
-                 "_ops_offset", "_l1d_touch", "_l1d_latency",
+                 "_decode_latency", "_commit_width", "_exec_latency",
+                 "_ops", "_kind", "_mem_addr", "_addr_offset", "l1d_misses",
+                 "_l1d_touch", "_l1d_latency", "_below_l1",
                  "_data_load_miss", "_data_store_miss")
 
     def __init__(self, params: CoreParams,
@@ -49,93 +96,81 @@ class Backend:
         self._reg_ready: List[int] = [0] * 64
         self._last_commit = 0
         self._commits_this_cycle = 0
-        self.loads = 0
-        self.stores = 0
-        # Hoisted constants for the delivery loop (accept_range_arrays).
+        # Hoisted constants for the delivery loop (accept).
         self._decode_latency = params.decode_latency
         self._commit_width = params.commit_width
         # EXEC_LATENCY as a tuple indexed by the InstrKind value.
         self._exec_latency = tuple(
             EXEC_LATENCY[kind] for kind in sorted(EXEC_LATENCY, key=int)
         )
-        # Inlined L1-D hit fast path: the common case (load/store hitting
-        # the L1-D) resolves with one bound call instead of going through
-        # the hierarchy's data_access.
+        # The bound trace's op table and the columns read beside it.
+        self._ops: List[Tuple[int, int, int, int]] = []
+        self._kind = b""
+        self._mem_addr = ()
+        self._addr_offset = 0
+        #: Private-L1-D misses delivered (see :meth:`bind_trace`).
+        self.l1d_misses = 0
+        # Inlined L1-D hit fast path for the shared (live) L1-D: the
+        # common case resolves with one bound call instead of going
+        # through the hierarchy's data_access.
         self._l1d_touch = hierarchy.l1d.touch
         self._l1d_latency = hierarchy.params.l1d.latency
+        self._below_l1 = hierarchy._below_l1
         self._data_load_miss = hierarchy.data_load_miss
         self._data_store_miss = hierarchy.data_store_miss
-        # Fused per-instruction op tuples for the columnar delivery path,
-        # lazily bound to one ArrayTrace (see bind_trace).
-        self._ops: Optional[List[Tuple[int, int, int, int, int]]] = None
-        self._ops_trace = None
-        self._ops_offset = 0
 
     @property
     def instructions(self) -> int:
         return self._count
 
-    def bind_trace(self, trace, addr_offset: int = 0) -> None:
-        """Bind the fused op tuples of a columnar ``trace``.
+    @property
+    def loads(self) -> int:
+        """Loads delivered so far."""
+        return bytes(self._kind[:self._count]).count(_LOAD_I)
 
-        Each entry is ``(lat, src1, src2, dst, mem_addr)``: ``lat`` is the
-        execution latency for plain ops, ``-1`` for loads and ``-2`` for
-        stores (which go through the data hierarchy instead), and the
-        register fields are pre-masked into scoreboard indices (``-1``
-        when the operand is absent). :meth:`accept_range_arrays` then
-        does one tuple unpack per instruction instead of five column
-        reads plus kind dispatch. One linear pass, built whole-column
-        with numpy when available; machines bind eagerly at construction so
-        timed runs never pay for it.
+    @property
+    def stores(self) -> int:
+        """Stores delivered so far."""
+        return bytes(self._kind[:self._count]).count(_STORE_I)
+
+    @property
+    def l1d_hits(self) -> int:
+        """Private-L1-D hits delivered so far (see :meth:`bind_trace`)."""
+        return self.loads + self.stores - self.l1d_misses
+
+    def bind_trace(self, trace, addr_offset: int = 0,
+                   private_l1d: bool = False) -> None:
+        """Bind the op table of a columnar ``trace`` (see
+        :func:`build_op_table`). Machines bind at construction, so timed
+        runs never pay for the build.
 
         ``addr_offset`` shifts every data address by a constant — SMT
         co-runs give each hardware thread a disjoint address space while
         sharing one memory hierarchy (see :mod:`repro.smt.machine`).
 
-        The table is a pure function of the trace, the offset and the
-        latency table, so it is kept on ``trace.derived``: every machine
-        built on a trace, at each thread offset, shares one table.
+        ``private_l1d`` says this back-end is the L1-D's only user (a
+        one-thread core). Its L1-D outcomes are then folded into the
+        table, and the live ``hierarchy.l1d`` is never touched: misses go
+        straight to the levels below, with the arguments and in the order
+        the live path would use, and :attr:`l1d_hits`/:attr:`l1d_misses`
+        count the outcomes delivered. Co-runs interleave their threads'
+        accesses by timing, so they keep the live, shared L1-D.
+
+        The table is a pure function of the trace, the latency table and
+        the private L1-D's parameters, so it is kept on ``trace.derived``:
+        every machine built on a trace shares one table per L1-D mode, at
+        every thread offset.
         """
-        exec_latency = self._exec_latency
-        key = ("backend_ops", addr_offset, exec_latency)
+        l1d = self.hierarchy.params.l1d if private_l1d else None
+        key = ("backend_ops", self._exec_latency, l1d)
         ops = trace.derived.get(key)
         if ops is None:
-            mem_col = trace.mem_addr
-            if addr_offset:
-                mem_col = [m + addr_offset for m in mem_col]
-            if _np is not None:
-                lat_table = _np.array(
-                    [-1 if k == _LOAD_I else -2 if k == _STORE_I
-                     else exec_latency[k] for k in range(len(exec_latency))],
-                    dtype=_np.int64)
-                lat = lat_table[_np.frombuffer(trace.kind, dtype=_np.uint8)]
-                regs = [
-                    _np.where(col >= 0, col & 63, -1).tolist()
-                    for col in (
-                        _np.frombuffer(trace.src1, dtype=_np.int8),
-                        _np.frombuffer(trace.src2, dtype=_np.int8),
-                        _np.frombuffer(trace.dst, dtype=_np.int8),
-                    )
-                ]
-                ops = list(zip(lat.tolist(), regs[0], regs[1], regs[2],
-                               mem_col))
-            else:
-                load, store = _LOAD_I, _STORE_I
-                ops = [
-                    (-1 if k == load else -2 if k == store
-                     else exec_latency[k],
-                     (s1 & 63) if s1 >= 0 else -1,
-                     (s2 & 63) if s2 >= 0 else -1,
-                     (d & 63) if d >= 0 else -1,
-                     m)
-                    for k, s1, s2, d, m in zip(trace.kind, trace.src1,
-                                               trace.src2, trace.dst,
-                                               mem_col)
-                ]
+            ops = build_op_table(trace, self._exec_latency, l1d)
             trace.derived[key] = ops
         self._ops = ops
-        self._ops_trace = trace
-        self._ops_offset = addr_offset
+        self._kind = trace.kind
+        self._mem_addr = trace.mem_addr
+        self._addr_offset = addr_offset
 
     def rob_has_space(self, cycle: int) -> bool:
         """Can an instruction fetched at ``cycle`` claim a ROB slot?"""
@@ -152,12 +187,11 @@ class Backend:
             return 0
         return self._ring[self._count % self._rob] - self._decode_latency
 
-    def accept_range_arrays(self, trace, base: int, n: int,
-                            fetch_cycle: int) -> Tuple[int, int]:
-        """Time ``n`` consecutive instructions ``trace[base:base + n]`` of
-        a columnar :class:`~repro.trace.arrays.ArrayTrace` fetched at
+    def accept(self, n: int, fetch_cycle: int) -> Tuple[int, int]:
+        """Time the next ``n`` instructions of the bound trace, fetched at
         ``fetch_cycle``; returns the last one's (complete_cycle,
-        commit_cycle).
+        commit_cycle). Instructions are delivered exactly once and in
+        order, so the next one is always trace index ``_count``.
 
         Per instruction: dispatch waits for decode and a free ROB slot,
         issue for both source registers, completion adds the execution
@@ -165,30 +199,25 @@ class Backend:
         stores one cycle after issue, their miss handled off the critical
         path), and commit is in order with at most ``commit_width``
         instructions per cycle. The scoreboard state lives in locals and
-        each instruction is one unpack of the fused op tuples
-        :meth:`bind_trace` precomputed — the machine's delivery loop is
-        the hottest call site in the simulator."""
-        if trace is not self._ops_trace:
-            self.bind_trace(trace, self._ops_offset)
-        ops = self._ops
-
+        each instruction is one unpack of the op tuples
+        :meth:`bind_trace` bound — the machine's delivery loop is the
+        hottest call site in the simulator."""
         count = self._count
         rob = self._rob
         ring = self._ring
         reg_ready = self._reg_ready
-        l1d_touch = self._l1d_touch
+        mem_addr = self._mem_addr
+        addr_offset = self._addr_offset
         l1d_latency = self._l1d_latency
-        data_load_miss = self._data_load_miss
-        data_store_miss = self._data_store_miss
+        below_l1 = self._below_l1
+        l1d_touch = self._l1d_touch
         commit_width = self._commit_width
         last_commit = self._last_commit
         commits_this_cycle = self._commits_this_cycle
-        loads = self.loads
-        stores = self.stores
         base_dispatch = fetch_cycle + self._decode_latency
         complete = 0
         commit = last_commit
-        for lat, src1, src2, dst, mem in ops[base:base + n]:
+        for lat, src1, src2, dst in self._ops[count:count + n]:
             slot = count % rob
             dispatch = base_dispatch
             if count >= rob:
@@ -202,18 +231,27 @@ class Backend:
             if src2 >= 0 and reg_ready[src2] > ready:
                 ready = reg_ready[src2]
 
+            # Negative codes, see _LOAD.._STORE_MISS.
             if lat >= 0:
                 complete = ready + lat
+            elif lat == -3:
+                self.l1d_misses += 1
+                complete = ready + l1d_latency
+                complete += below_l1(mem_addr[count] + addr_offset, complete)
+            elif lat == -4:
+                self.l1d_misses += 1
+                below_l1(mem_addr[count] + addr_offset, ready)
+                complete = ready + 1
             elif lat == -1:
-                loads += 1
+                mem = mem_addr[count] + addr_offset
                 if l1d_touch(mem):
                     complete = ready + l1d_latency
                 else:
-                    complete = ready + data_load_miss(mem, ready)
+                    complete = ready + self._data_load_miss(mem, ready)
             else:
-                stores += 1
+                mem = mem_addr[count] + addr_offset
                 if not l1d_touch(mem):
-                    data_store_miss(mem, ready)
+                    self._data_store_miss(mem, ready)
                 complete = ready + 1
 
             if dst >= 0:
@@ -236,6 +274,4 @@ class Backend:
         self._count = count
         self._last_commit = last_commit
         self._commits_this_cycle = commits_this_cycle
-        self.loads = loads
-        self.stores = stores
         return complete, commit

@@ -122,7 +122,8 @@ class HardwareThread:
         "snapshot", "arb_lost_cycles", "result")
 
     def __init__(self, tid: int, trace: ArrayTrace, params: MachineParams,
-                 hierarchy: MemoryHierarchy, tag_events: bool) -> None:
+                 hierarchy: MemoryHierarchy, tag_events: bool,
+                 private_l1d: bool) -> None:
         if not trace:
             raise ConfigurationError(f"thread {tid}: empty trace")
         self.tid = tid
@@ -157,8 +158,9 @@ class HardwareThread:
             derived[ckey] = chunks
         self.chunks = chunks
         self.backend = Backend(core, hierarchy)
-        self.backend.bind_trace(trace, self.addr_offset)  # off the clock
-        self.accept = self.backend.accept_range_arrays
+        # Off the clock; a lone thread's L1-D outcomes are precomputed.
+        self.backend.bind_trace(trace, self.addr_offset, private_l1d)
+        self.accept = self.backend.accept
         # Fetch progress (see park) and stall state.
         self.park(None, 0, 0, 0, 0, 0, 0, 0, 0)
         self.blocked_until = self.blocked_kind = self.stall_pc = 0
@@ -193,8 +195,7 @@ class HardwareThread:
                 self.delivered_in_range, self.seg_idx, self.range_seq,
                 self.delivered, self.last_commit,
                 self.measuring, self.blocked_until, self.blocked_kind,
-                self.total, self.warmup_boundary, self.trace,
-                self.stats, self.accept, b,
+                self.total, self.warmup_boundary, self.stats, self.accept, b,
                 b._ring, b._rob, b._decode_latency, b.rob_free_cycle,
                 self.addr_offset, self.trace.pc, self.ev,
                 s.start, s.nbytes, s.first_index, s.n_instrs, s.resteer,
@@ -251,7 +252,7 @@ class Core:
         self.threads = [
             HardwareThread(tid, ArrayTrace.from_instructions(tr),
                            self.params, self.hierarchy,
-                           self.tag_thread_events)
+                           self.tag_thread_events, len(traces) == 1)
             for tid, tr in enumerate(traces)
         ]
         self.n_threads = len(self.threads)
@@ -281,6 +282,12 @@ class Core:
         reg.gauge("mshr.occupancy", lambda: len(self.mshr))
         self.icache.register_metrics(reg)
         self.hierarchy.register_metrics(reg)
+        if self.n_threads == 1:
+            # A lone thread's back-end counts its own (precomputed) L1-D
+            # outcomes; the hierarchy's L1-D serves co-runs only.
+            b = self.threads[0].backend
+            reg.gauge("l1d.hits", lambda: b.l1d_hits)
+            reg.gauge("l1d.misses", lambda: b.l1d_misses)
 
     def profile_report(self) -> Optional[ProfileReport]:
         """The attached profiler's report (None when not profiling)."""
@@ -525,7 +532,7 @@ class Core:
                     (cur, cur_byte, cur_end, n_ends, delivered_in_range,
                      seg_idx, range_seq, delivered, last_commit,
                      measuring, blocked_until, blocked_kind, total,
-                     warmup_boundary, trace, stats,
+                     warmup_boundary, stats,
                      accept, backend, rob_ring, rob_cap, decode_lat,
                      rob_free_cycle, addr_offset, pc_col, ev,
                      r_start, r_nbytes, r_first, r_count, r_resteer,
@@ -618,7 +625,6 @@ class Core:
             # Deliver the completed instructions to the back-end in one
             # chunked call (identical timing to one instruction per call).
             last_complete = 0
-            base = r_first[cur] + delivered_in_range
             n_accept = i - delivered_in_range
             if delivered + n_accept > total:
                 n_accept = total - delivered
@@ -627,7 +633,7 @@ class Core:
                 # The warm-up boundary falls inside this chunk: split it
                 # so the snapshot is taken at the exact instruction.
                 n1 = warmup_boundary - delivered
-                last_complete, last_commit = accept(trace, base, n1, cycle)
+                last_complete, last_commit = accept(n1, cycle)
                 delivered += n1
                 measuring = True
                 self._open_window(owner, last_commit, solo)
@@ -636,12 +642,10 @@ class Core:
                     next_sample = sampler._next_sample
                 n2 = n_accept - n1
                 if n2:
-                    last_complete, last_commit = accept(trace, base + n1, n2,
-                                                        cycle)
+                    last_complete, last_commit = accept(n2, cycle)
                     delivered += n2
             elif n_accept:
-                last_complete, last_commit = accept(trace, base, n_accept,
-                                                    cycle)
+                last_complete, last_commit = accept(n_accept, cycle)
                 delivered += n_accept
             delivered_in_range = i
             seg_idx += 1

@@ -13,9 +13,9 @@ simulation cheap to move around:
   one Python object per instruction;
 * it is the only trace form the simulator's hot paths know: the BPU
   run-ahead (:func:`~repro.frontend.ftq.precompute_range_stream`) and
-  the back-end's delivery loop
-  (:meth:`~repro.cpu.backend.Backend.accept_range_arrays`) read the
-  columns directly and never materialise :class:`Instruction` objects.
+  the back-end's delivery loop (:meth:`~repro.cpu.backend.Backend.accept`)
+  read the columns directly and never materialise :class:`Instruction`
+  objects.
 
 Every trace producer builds the columns directly — the synthetic
 walker (:meth:`repro.trace.synthesis.TraceWalker.run`), the ChampSim
@@ -30,8 +30,8 @@ individual instructions.
 ``derived`` is a per-trace scratch dict for state that is a pure
 function of the trace and a few parameters: the BPU range stream and its
 delivery chunks (typed columns, see :mod:`repro.frontend.ftq`) and the
-back-end's fused op table. Every machine built on the trace shares those
-entries; they are never serialised.
+back-end's interned op tables. Every machine built on the trace shares
+those entries; they are never serialised.
 
 Serialised layout (little endian)::
 

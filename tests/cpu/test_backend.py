@@ -1,7 +1,8 @@
 """Back-end scoreboard timing-model tests.
 
-Instructions are delivered the way the machine delivers them: through
-``Backend.accept_range_arrays`` over a small columnar trace.
+Instructions are delivered the way the machine delivers them: a small
+columnar trace is bound with ``Backend.bind_trace`` and delivered in
+order through ``Backend.accept``.
 """
 
 from collections import Counter
@@ -26,8 +27,8 @@ def deliver(be, instrs, fetch_cycle=0):
     """Deliver ``instrs`` one at a time, all fetched at ``fetch_cycle``;
     returns each one's (complete_cycle, commit_cycle)."""
     trace = ArrayTrace.from_instructions(instrs)
-    return [be.accept_range_arrays(trace, i, 1, fetch_cycle)
-            for i in range(len(trace))]
+    be.bind_trace(trace)
+    return [be.accept(1, fetch_cycle) for _ in range(len(trace))]
 
 
 class TestDependencies:
@@ -116,29 +117,54 @@ class TestRangeDelivery:
         one_by_one = make_backend(commit_width=2)
         last = deliver(one_by_one, instrs, fetch_cycle=5)[-1]
         whole = make_backend(commit_width=2)
-        trace = ArrayTrace.from_instructions(instrs)
-        assert whole.accept_range_arrays(trace, 0, len(trace), 5) == last
+        whole.bind_trace(ArrayTrace.from_instructions(instrs))
+        assert whole.accept(len(instrs), 5) == last
         assert whole.instructions == one_by_one.instructions == 5
         assert (whole.loads, whole.stores) == (1, 1)
 
 
-class TestOpTable:
-    def test_python_fallback_matches_numpy(self, monkeypatch):
-        """Without numpy the op table is built by a plain loop; it must
-        equal the vectorised table, at thread offset 0 and beyond."""
-        import repro.cpu.backend as backend_mod
-        from repro.cpu.machine import THREAD_ADDR_STRIDE
-        from repro.trace.synthesis import generate_trace
+class TestPrivateL1D:
+    """A one-thread core folds its L1-D outcomes into the op table."""
 
-        from ..conftest import small_spec
+    @staticmethod
+    def _memory_trace():
+        # Loads and stores to blocks 4 KB apart, which share one L1-D
+        # set: every other access goes to one of 5 hot blocks, the rest
+        # sweep 40 blocks, so there are hits, misses and evictions.
+        # Dependent ALU ops sit between them.
+        instrs = []
+        for i in range(600):
+            block = i % 5 if i % 2 else 5 + (i * 7) % 40
+            addr = block * 4096 + (i % 3) * 8
+            kind = InstrKind.STORE if i % 4 == 3 else InstrKind.LOAD
+            instrs.append(Instruction(8 * i, 4, kind, mem_addr=addr,
+                                      src1=(i - 1) % 8, dst=i % 8))
+            instrs.append(alu(pc=8 * i + 4, src1=i % 8, dst=(i + 1) % 8))
+        return ArrayTrace.from_instructions(instrs)
 
-        def table(offset):
-            be = make_backend()
-            be.bind_trace(generate_trace(small_spec(seed=9), 2000), offset)
-            return be._ops
-
-        for offset in (0, THREAD_ADDR_STRIDE):
-            vectorised = table(offset)
-            monkeypatch.setattr(backend_mod, "_np", None)
-            assert table(offset) == vectorised
-            monkeypatch.undo()
+    def test_private_l1d_times_like_the_live_l1d(self):
+        """The folded table times every instruction, and drives the
+        levels below the L1-D, exactly as the live L1-D does, without
+        touching the hierarchy's L1-D."""
+        trace = self._memory_trace()
+        runs = {}
+        for private in (False, True):
+            be = make_backend(commit_width=2)
+            be.bind_trace(trace, private_l1d=private)
+            timings = [be.accept(n, 3 * k)
+                       for k, n in enumerate([1, 5, 2, 64, 300] * 3)]
+            runs[private] = (be, timings)
+        (live, live_timings), (folded, folded_timings) = \
+            runs[False], runs[True]
+        assert folded_timings == live_timings
+        l1d = live.hierarchy.l1d
+        assert (folded.l1d_hits, folded.l1d_misses) == (l1d.hits, l1d.misses)
+        assert l1d.misses > 0 and l1d.hits > 0
+        for level in ("l2", "l3"):
+            a = getattr(live.hierarchy, level)
+            b = getattr(folded.hierarchy, level)
+            assert (a.hits, a.misses) == (b.hits, b.misses)
+        assert folded.hierarchy.dram.accesses == live.hierarchy.dram.accesses
+        untouched = folded.hierarchy.l1d
+        assert untouched.hits == untouched.misses == 0
+        assert not any(untouched._maps)

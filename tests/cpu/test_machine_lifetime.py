@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
+from repro.cpu.backend import Backend
 from repro.cpu.machine import THREAD_ADDR_STRIDE, build_machine
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.smt import build_smt_machine
 from repro.telemetry import Telemetry
 from repro.telemetry.profiler import StageProfiler
@@ -84,16 +86,62 @@ class TestSharing:
         assert a.threads[0].backend._ops is b.threads[0].backend._ops
         assert a.threads[0].stream is b.threads[0].stream
 
-    def test_smt_thread_offsets_share_per_offset_tables(self, trace):
-        solo = build_machine(trace, "conv32")
+    def test_corun_threads_share_one_table_at_any_offset(self, trace):
+        """The op table holds no data address, so co-run threads share one
+        table whatever their offset; a lone thread's table (its L1-D
+        outcomes folded in) is the other one."""
         first = build_smt_machine([trace, trace], "conv32")
-        second = build_smt_machine([trace, trace], "ubs")
-        t0, t1 = first.threads
-        assert t0.backend._ops is solo.threads[0].backend._ops
-        assert t1.backend._ops is second.threads[1].backend._ops
-        assert t1.backend._ops is not t0.backend._ops
-        assert [op[4] for op in t1.backend._ops] == \
-            [m + THREAD_ADDR_STRIDE for m in trace.mem_addr]
+        second = build_smt_machine([trace, trace, trace], "ubs")
+        tables = {id(t.backend._ops)
+                  for m in (first, second) for t in m.threads}
+        assert len(tables) == 1
+        assert second.threads[2].addr_offset == 2 * THREAD_ADDR_STRIDE
+        solo = build_machine(trace, "conv32")
+        smt_solo = build_smt_machine([trace], "ubs")
+        assert solo.threads[0].backend._ops is \
+            smt_solo.threads[0].backend._ops
+        assert solo.threads[0].backend._ops is not \
+            first.threads[0].backend._ops
+
+    def test_op_table_interns_its_tuples(self):
+        """Each distinct (lat, src1, src2, dst) tuple is stored once."""
+        trace = generate_trace(small_spec(seed=5), 16000)
+        ops = build_machine(trace, "conv32").threads[0].backend._ops
+        assert len(ops) == len(trace) >= 16000
+        assert len({id(op) for op in ops}) < len(ops) / 4
+
+
+class TestPrivateL1D:
+    """A lone thread's L1-D outcomes are folded into its op table."""
+
+    def test_solo_run_never_touches_the_live_l1d(self, trace):
+        machine = build_machine(trace, "ubs")
+        hierarchy = machine.hierarchy
+
+        def refuse(*args):
+            raise AssertionError("solo run touched the hierarchy's L1-D")
+        # Every bound entry point into the live L1-D.
+        hierarchy._l1d_touch = hierarchy._l1d_fill = refuse
+        machine.threads[0].backend._l1d_touch = refuse
+        machine.run(WARMUP, MEASURE)
+        l1d = hierarchy.l1d
+        assert l1d.hits == l1d.misses == 0
+        assert not any(l1d._maps)
+        assert hierarchy.l2.hits + hierarchy.l2.misses > 0
+
+    def test_l1d_gauges_match_a_live_l1d(self, trace):
+        """A solo run's ``l1d.*`` gauges report what a live L1-D counts
+        for the same instructions."""
+        machine = build_machine(trace, "conv32")
+        machine.run(WARMUP, MEASURE)
+        solo = machine.metrics.snapshot()
+        backend = machine.threads[0].backend
+        live = Backend(backend.params, MemoryHierarchy(machine.params))
+        live.bind_trace(trace)
+        live.accept(backend.instructions, 0)
+        assert (solo["l1d.hits"], solo["l1d.misses"]) == \
+            (live.hierarchy.l1d.hits, live.hierarchy.l1d.misses)
+        assert solo["l1d.misses"] > 0
 
 
 def _tracked_objects(root) -> int:

@@ -76,6 +76,13 @@ VARIANT_RUNS = {
 }
 
 
+#: The remaining L1-I families on the server workload: a 64 KB and a
+#: 16-way conventional cache, the GHRP/ACIC/SRRIP replacement variants
+#: and the ideal (always-hit) L1-I.
+FAMILY_CONFIGS = ("conv64", "conv32_16w", "conv32_ghrp", "conv32_acic",
+                  "conv32_srrip", "ideal")
+
+
 def _golden_path(workload: str, config: str) -> Path:
     safe = workload.replace("smt:", "smt_")
     return GOLDEN_DIR / f"{safe}__{config}__s{GOLDEN_SCALE}.json"
@@ -165,6 +172,15 @@ def test_frontend_variant_bit_identical_to_golden(variant):
     suffix = f"__{prefetcher}" if prefetcher is not None else ""
     _check_golden(_golden_path(workload, config + suffix), result.to_dict(),
                   f"{workload}/{config} ({variant})")
+
+
+@pytest.mark.parametrize("config", FAMILY_CONFIGS)
+def test_config_family_bit_identical_to_golden(config):
+    result = repro.simulate("server_000", config)
+    result.workload = "server_000"
+    result.config = config
+    _check_golden(_golden_path("server_000", config), result.to_dict(),
+                  f"server_000/{config}")
 
 
 class TestEdgeTraces:
