@@ -85,11 +85,8 @@ class UsefulnessPredictor:
 
     def _find(self, block: int) -> Tuple[int, int]:
         set_idx = block & self._index_mask
-        try:
-            way = self._blocks[set_idx].index(block)
-        except ValueError:
-            way = -1
-        return set_idx, way
+        blocks = self._blocks[set_idx]
+        return set_idx, blocks.index(block) if block in blocks else -1
 
     # -- interface --------------------------------------------------------------
 
@@ -99,16 +96,17 @@ class UsefulnessPredictor:
     def mark(self, block: int, offset: int, nbytes: int) -> bool:
         """Record a fetch of ``nbytes`` at ``offset``; True if present."""
         set_idx = block & self._index_mask
-        try:
-            way = self._blocks[set_idx].index(block)
-        except ValueError:
+        blocks = self._blocks[set_idx]
+        if block not in blocks:          # a miss is the common case
             return False
+        way = blocks.index(block)
         self.hits += 1
         masks = self._masks[set_idx]
         old = masks[way]
         new = old | ((1 << nbytes) - 1) << offset
-        masks[way] = new
-        self._used_bits += new.bit_count() - old.bit_count()
+        if new != old:
+            masks[way] = new
+            self._used_bits += (new ^ old).bit_count()
         if self._lru:
             self._clock += 1
             self._stamp[set_idx][way] = self._clock
@@ -142,11 +140,11 @@ class UsefulnessPredictor:
             self._used_bits += new.bit_count() - old.bit_count()
             return None
         blocks = self._blocks[set_idx]
-        try:
+        if None in blocks:
             way = blocks.index(None)
             evicted = None
             self._resident += 1
-        except ValueError:
+        else:
             stamps = self._stamp[set_idx]
             way = stamps.index(min(stamps))
             evicted = (blocks[way], self._masks[set_idx][way])

@@ -27,24 +27,26 @@ def extract_runs(mask: int, granularity: int = 1,
     if mask < 0:
         raise ValueError("mask must be non-negative")
     runs: List[Tuple[int, int]] = []
-    i = 0
-    while i < block_size:
-        if mask >> i & 1:
-            j = i + 1
-            while j < block_size and mask >> j & 1:
-                j += 1
-            start = (i // granularity) * granularity
-            end = ((j + granularity - 1) // granularity) * granularity
-            end = min(end, block_size)
-            if runs and runs[-1][0] + runs[-1][1] + merge_gap >= start:
-                # Touching (after granularity snapping) or within the
-                # merge gap: coalesce with the previous run.
-                prev_start, _prev_len = runs.pop()
-                start = prev_start
-            runs.append((start, end - start))
-            i = j
+    mask &= (1 << block_size) - 1
+    prev_start = prev_end = -merge_gap - 1
+    while mask:
+        # The lowest run of set bits spans [i, j): adding its lowest bit
+        # carries through it, and the AND clears it.
+        low = mask & -mask
+        rest = mask & (mask + low)
+        i = low.bit_length() - 1
+        j = (mask ^ rest).bit_length()
+        mask = rest
+        start = (i // granularity) * granularity
+        end = min(-(-j // granularity) * granularity, block_size)
+        if prev_end + merge_gap >= start:
+            # Touching (after granularity snapping) or within the merge
+            # gap: coalesce with the previous run.
+            runs[-1] = (prev_start, end - prev_start)
         else:
-            i += 1
+            prev_start = start
+            runs.append((start, end - start))
+        prev_end = end
     return runs
 
 

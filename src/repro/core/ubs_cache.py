@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
-from ..memory.icache import InstructionCacheBase, LookupResult, MissKind
+from ..memory.icache import InstructionCacheBase, MissKind
 from ..memory.replacement import LRUPolicy
 from ..params import TRANSFER_BLOCK, UBSParams
 from ..telemetry.events import PREDICTOR
@@ -118,59 +118,67 @@ class UBSICache(InstructionCacheBase):
 
     # -- lookup -----------------------------------------------------------------
 
-    def lookup(self, addr: int, nbytes: int) -> LookupResult:
+    def lookup(self, addr: int, nbytes: int) -> MissKind:
         block = addr >> 6
-        block_addr = block << 6
-        off = addr - block_addr
+        off = addr & (TRANSFER_BLOCK - 1)
         end_off = off + nbytes
         if end_off > TRANSFER_BLOCK:
             raise SimulationError(
                 f"fetch range {addr:#x}+{nbytes} crosses a block boundary"
             )
 
-        # The predictor is looked up in parallel with the ways; a request
-        # hits in at most one of the two (Section IV-E).
-        if self._predictor_mark(block, off, nbytes):
-            self.hits += 1
-            return LookupResult(_HIT, block_addr)
-
+        # The predictor is looked up in parallel with the ways; a block
+        # is never in both (Section IV-E), so the predictor is asked only
+        # when no way holds the block.
         set_idx = block & self._index_mask
-        tags = self._tags[set_idx]
-        try:
-            way = tags.index(block)      # C-level scan to the first match
-        except ValueError:
+        if block not in self._tags[set_idx]:
+            if self._predictor_mark(block, off, nbytes):
+                self.hits += 1
+                return _HIT
             self.misses += 1
-            return LookupResult(_FULL_MISS, block_addr)
+            return _FULL_MISS
+        way = self._holding_way(set_idx, block, off, end_off)
+        if way < 0:
+            return self._partial_miss(block, set_idx, off, end_off)
+        self.hits += 1
+        self._reused[set_idx][way] = True
+        useful = self._useful[set_idx]
+        old = useful[way]
+        new = old | ((1 << nbytes) - 1) << off
+        if new != old:
+            useful[way] = new
+            self._used_bits += (new ^ old).bit_count()
+        self._policy_on_hit(set_idx, way, addr)
+        return _HIT
+
+    def _holding_way(self, set_idx: int, block: int, off: int,
+                     end_off: int) -> int:
+        """The first way holding bytes ``off``..``end_off`` of ``block``,
+        which has at least one way in the set; -1 if none holds them.
+
+        Overlapping spans are possible, so way order is the tie-break.
+        The walk jumps from match to match in C.
+        """
+        tags = self._tags[set_idx]
         starts = self._start[set_idx]
         spans = self._span_end[set_idx]
-        # Walk matches in way order (jumping match-to-match in C): the
-        # first way containing the whole range wins (overlapping spans
-        # are possible; way order is the tie-break). Tag-only matches
-        # are kept for miss classification.
-        match_ways: List[int] = []
-        n_ways = self.n_ways
-        while True:
-            if starts[way] <= off and end_off <= spans[way]:
-                self.hits += 1
-                self._reused[set_idx][way] = True
-                useful = self._useful[set_idx]
-                old = useful[way]
-                new = old | ((1 << nbytes) - 1) << off
-                useful[way] = new
-                self._used_bits += new.bit_count() - old.bit_count()
-                self._policy_on_hit(set_idx, way, addr)
-                return LookupResult(_HIT, block_addr)
-            match_ways.append(way)
-            way += 1
-            if way >= n_ways:
-                break
-            try:
-                way = tags.index(block, way)
-            except ValueError:
-                break
+        way = tags.index(block)
+        while starts[way] > off or end_off > spans[way]:
+            later = tags[way + 1:]
+            if block not in later:
+                return -1
+            way += 1 + later.index(block)
+        return way
 
+    def _partial_miss(self, block: int, set_idx: int, off: int,
+                      end_off: int) -> MissKind:
+        """Classify a lookup whose block has sub-blocks resident, none of
+        which holds the whole range (Figs. 5 and 6)."""
         self.misses += 1
-
+        match_ways = [way for way, tag in enumerate(self._tags[set_idx])
+                      if tag == block]
+        starts = self._start[set_idx]
+        spans = self._span_end[set_idx]
         last = end_off - 1
         start_present = any(starts[w] <= off < spans[w] for w in match_ways)
         end_present = any(starts[w] <= last < spans[w] for w in match_ways)
@@ -197,7 +205,7 @@ class UBSICache(InstructionCacheBase):
         if carried:
             self._pending_bits[block] = self._pending_bits.get(block, 0) | carried
 
-        return LookupResult(kind, block_addr)
+        return kind
 
     # -- fills ------------------------------------------------------------------
 
@@ -216,10 +224,11 @@ class UBSICache(InstructionCacheBase):
         # partial-miss flow: absorb and invalidate the resident sub-blocks.
         set_idx = block & self._index_mask
         tags = self._tags[set_idx]
-        for way in range(self.n_ways):
-            if tags[way] == block:
-                pending |= self._useful[set_idx][way]
-                self._evict_way(set_idx, way)
+        if block in tags:
+            for way in range(self.n_ways):
+                if tags[way] == block:
+                    pending |= self._useful[set_idx][way]
+                    self._evict_way(set_idx, way)
 
         victim = self.predictor.insert(block, pending)
         if victim is not None:
@@ -311,20 +320,11 @@ class UBSICache(InstructionCacheBase):
 
     def probe_range(self, addr: int, nbytes: int) -> bool:
         block = addr >> 6
-        if self._predictor_contains(block):
-            return True
         set_idx = block & self._index_mask
-        tags = self._tags[set_idx]
-        if block not in tags:            # C-level scan before the way walk
-            return False
+        if block not in self._tags[set_idx]:
+            return self._predictor_contains(block)
         off = addr & (TRANSFER_BLOCK - 1)
-        end_off = off + nbytes
-        starts = self._start[set_idx]
-        spans = self._span_end[set_idx]
-        for w in range(self.n_ways):
-            if tags[w] == block and starts[w] <= off and end_off <= spans[w]:
-                return True
-        return False
+        return self._holding_way(set_idx, block, off, off + nbytes) >= 0
 
     def storage_snapshot(self) -> Tuple[int, int]:
         used, stored = self.predictor.storage_snapshot()

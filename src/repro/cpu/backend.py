@@ -28,8 +28,11 @@ _STORE_I = int(InstrKind.STORE)
 #: known from :func:`build_op_table`'s replay (hits became fixed latencies).
 _LOAD, _STORE, _LOAD_MISS, _STORE_MISS = -1, -2, -3, -4
 
-#: Scoreboard index of each int8 register operand (-1: no operand).
-_REG_INDEX = {r: (r & 63) if r >= 0 else -1 for r in range(-128, 128)}
+#: Scoreboard indices of the int8 register operands. An absent source
+#: reads register 65, which is never written and so always ready at 0; an
+#: absent destination writes register 64, which is never read.
+_SRC_INDEX = {r: (r & 63) if r >= 0 else 65 for r in range(-128, 128)}
+_DST_INDEX = {r: (r & 63) if r >= 0 else 64 for r in range(-128, 128)}
 
 
 def build_op_table(trace, exec_latency: Tuple[int, ...],
@@ -39,7 +42,7 @@ def build_op_table(trace, exec_latency: Tuple[int, ...],
 
     ``lat`` is the execution latency, or a negative code for a memory op
     that goes to the hierarchy; the register fields are scoreboard indices
-    (``-1`` when the operand is absent). No data address is stored: the
+    (see ``_SRC_INDEX``/``_DST_INDEX``). No data address is stored: the
     delivery loop reads ``trace.mem_addr`` on the hierarchy path only, so
     one table serves every thread offset.
 
@@ -66,12 +69,13 @@ def build_op_table(trace, exec_latency: Tuple[int, ...],
                 else:
                     fill(addr)
                     lats[i] = _LOAD_MISS if lat == _LOAD else _STORE_MISS
-    reg = _REG_INDEX.__getitem__
+    src = _SRC_INDEX.__getitem__
     interned: dict = {}
     intern = interned.setdefault
-    return [intern(op, op) for op in zip(lats, map(reg, trace.src1),
-                                         map(reg, trace.src2),
-                                         map(reg, trace.dst))]
+    return [intern(op, op) for op in zip(lats, map(src, trace.src1),
+                                         map(src, trace.src2),
+                                         map(_DST_INDEX.__getitem__,
+                                             trace.dst))]
 
 
 class Backend:
@@ -93,7 +97,8 @@ class Backend:
         # commit cycle of instruction (count - rob + slot) lives in slot.
         self._ring: List[int] = [0] * rob
         self._count = 0
-        self._reg_ready: List[int] = [0] * 64
+        # 64 architectural registers, the sink (64) and the zero (65).
+        self._reg_ready: List[int] = [0] * 66
         self._last_commit = 0
         self._commits_this_cycle = 0
         # Hoisted constants for the delivery loop (accept).
@@ -110,9 +115,8 @@ class Backend:
         self._addr_offset = 0
         #: Private-L1-D misses delivered (see :meth:`bind_trace`).
         self.l1d_misses = 0
-        # Inlined L1-D hit fast path for the shared (live) L1-D: the
-        # common case resolves with one bound call instead of going
-        # through the hierarchy's data_access.
+        # The shared (live) L1-D, inlined: a hit is one bound call; a miss
+        # goes on to the hierarchy's data_load_miss/data_store_miss.
         self._l1d_touch = hierarchy.l1d.touch
         self._l1d_latency = hierarchy.params.l1d.latency
         self._below_l1 = hierarchy._below_l1
@@ -174,10 +178,9 @@ class Backend:
 
     def rob_has_space(self, cycle: int) -> bool:
         """Can an instruction fetched at ``cycle`` claim a ROB slot?"""
-        if self._count < self._rob:
-            return True
         # The slot we'd reuse belongs to instruction (count - rob); it must
-        # have committed by the time this instruction dispatches.
+        # have committed by the time this instruction dispatches (a slot
+        # not yet used holds 0).
         return self._ring[self._count % self._rob] \
             <= cycle + self._decode_latency
 
@@ -201,77 +204,67 @@ class Backend:
         instructions per cycle. The scoreboard state lives in locals and
         each instruction is one unpack of the op tuples
         :meth:`bind_trace` bound — the machine's delivery loop is the
-        hottest call site in the simulator."""
+        hottest call site in the simulator. The memory paths read their
+        state from ``self``: most ops never take them, and a call
+        delivers about three instructions, so hoisting would cost more
+        than it saves."""
         count = self._count
         rob = self._rob
         ring = self._ring
         reg_ready = self._reg_ready
-        mem_addr = self._mem_addr
-        addr_offset = self._addr_offset
-        l1d_latency = self._l1d_latency
-        below_l1 = self._below_l1
-        l1d_touch = self._l1d_touch
         commit_width = self._commit_width
         last_commit = self._last_commit
         commits_this_cycle = self._commits_this_cycle
         base_dispatch = fetch_cycle + self._decode_latency
         complete = 0
-        commit = last_commit
         for lat, src1, src2, dst in self._ops[count:count + n]:
+            # The ring starts zeroed, so a slot not yet used never delays.
             slot = count % rob
-            dispatch = base_dispatch
-            if count >= rob:
-                slot_free = ring[slot]
-                if slot_free > dispatch:
-                    dispatch = slot_free
-
-            ready = dispatch
-            if src1 >= 0 and reg_ready[src1] > ready:
-                ready = reg_ready[src1]
-            if src2 >= 0 and reg_ready[src2] > ready:
+            dispatch = ring[slot]
+            if dispatch < base_dispatch:
+                dispatch = base_dispatch
+            ready = reg_ready[src1]
+            if ready < dispatch:
+                ready = dispatch
+            if reg_ready[src2] > ready:
                 ready = reg_ready[src2]
 
             # Negative codes, see _LOAD.._STORE_MISS.
             if lat >= 0:
                 complete = ready + lat
-            elif lat == -3:
-                self.l1d_misses += 1
-                complete = ready + l1d_latency
-                complete += below_l1(mem_addr[count] + addr_offset, complete)
-            elif lat == -4:
-                self.l1d_misses += 1
-                below_l1(mem_addr[count] + addr_offset, ready)
-                complete = ready + 1
-            elif lat == -1:
-                mem = mem_addr[count] + addr_offset
-                if l1d_touch(mem):
-                    complete = ready + l1d_latency
-                else:
-                    complete = ready + self._data_load_miss(mem, ready)
             else:
-                mem = mem_addr[count] + addr_offset
-                if not l1d_touch(mem):
-                    self._data_store_miss(mem, ready)
-                complete = ready + 1
-
-            if dst >= 0:
-                reg_ready[dst] = complete
+                mem = self._mem_addr[count] + self._addr_offset
+                if lat == -3:
+                    self.l1d_misses += 1
+                    complete = ready + self._l1d_latency
+                    complete += self._below_l1(mem, complete)
+                elif lat == -4:
+                    self.l1d_misses += 1
+                    self._below_l1(mem, ready)
+                    complete = ready + 1
+                elif lat == -1:
+                    if self._l1d_touch(mem):
+                        complete = ready + self._l1d_latency
+                    else:
+                        complete = ready + self._data_load_miss(mem, ready)
+                else:
+                    if not self._l1d_touch(mem):
+                        self._data_store_miss(mem, ready)
+                    complete = ready + 1
+            reg_ready[dst] = complete
 
             if complete > last_commit:
-                commit = complete
+                last_commit = complete
+                commits_this_cycle = 1
+            elif commits_this_cycle >= commit_width:
+                last_commit += 1
                 commits_this_cycle = 1
             else:
-                commit = last_commit
-                if commits_this_cycle >= commit_width:
-                    commit += 1
-                    commits_this_cycle = 1
-                else:
-                    commits_this_cycle += 1
-            last_commit = commit
-            ring[slot] = commit
+                commits_this_cycle += 1
+            ring[slot] = last_commit
             count += 1
 
         self._count = count
         self._last_commit = last_commit
         self._commits_this_cycle = commits_this_cycle
-        return complete, commit
+        return complete, last_commit

@@ -38,7 +38,8 @@ from ..memory.icache import (InstructionCacheBase, ConventionalICache,
                              MissKind)
 from ..memory.mshr import MSHRFile
 from ..memory.small_block import SmallBlockICache
-from ..params import CoreParams, MachineParams, UBSParams, conventional_l1i
+from ..params import (TRANSFER_BLOCK, CoreParams, MachineParams, UBSParams,
+                      conventional_l1i)
 from ..stats.counters import FrontEndStats, SimResult
 from ..stats.efficiency import EfficiencySampler
 from ..telemetry import (
@@ -195,7 +196,7 @@ class HardwareThread:
                 self.delivered_in_range, self.seg_idx, self.range_seq,
                 self.delivered, self.last_commit,
                 self.measuring, self.blocked_until, self.blocked_kind,
-                self.total, self.warmup_boundary, self.stats, self.accept, b,
+                self.total, self.warmup_boundary, self.stats, self.accept,
                 b._ring, b._rob, b._decode_latency, b.rob_free_cycle,
                 self.addr_offset, self.trace.pc, self.ev,
                 s.start, s.nbytes, s.first_index, s.n_instrs, s.resteer,
@@ -416,7 +417,9 @@ class Core:
         def run_fdip(cycle: int) -> None:
             """Issue FDIP prefetches from the threads' pending ranges: one
             shared budget per cycle; each issue rotates to the next thread
-            (probe/merge pops cost no budget and do not rotate)."""
+            (probe/merge pops cost no budget and do not rotate). Within a
+            cycle only an issue can fill the MSHR file, so fullness is
+            checked once per thread visit."""
             nonlocal fdip_busy
             k = cycle % n_live
             issued = idle = 0
@@ -425,13 +428,12 @@ class Core:
                 pos = t.fdip_pos
                 end = t.bpu_pos
                 if pos < end:
+                    if mshr_full(cycle):
+                        return
                     starts = t.stream.start
                     sizes = t.stream.nbytes
                     offset = t.addr_offset
                 while pos < end:
-                    if mshr_full(cycle):
-                        t.fdip_pos = pos
-                        return
                     start = starts[pos] + offset
                     nbytes = sizes[pos]
                     pos += 1
@@ -533,7 +535,7 @@ class Core:
                      seg_idx, range_seq, delivered, last_commit,
                      measuring, blocked_until, blocked_kind, total,
                      warmup_boundary, stats,
-                     accept, backend, rob_ring, rob_cap, decode_lat,
+                     accept, rob_ring, rob_cap, decode_lat,
                      rob_free_cycle, addr_offset, pc_col, ev,
                      r_start, r_nbytes, r_first, r_count, r_resteer,
                      chunk_off, chunk_end_col,
@@ -578,10 +580,9 @@ class Core:
                 delivered_in_range = 0
                 seg_idx = chunk_off[cur]
 
-            # Inlined Backend.rob_has_space(cycle).
-            count = backend._count
-            if count >= rob_cap \
-                    and rob_ring[count % rob_cap] > cycle + decode_lat:
+            # Inlined Backend.rob_has_space(cycle): the owner's back end
+            # has accepted exactly ``delivered`` instructions.
+            if rob_ring[delivered % rob_cap] > cycle + decode_lat:
                 blocked_until = owner.blocked_until = \
                     max(cycle + 1, rob_free_cycle())
                 blocked_kind = owner.blocked_kind = _STALL_BACKEND
@@ -594,20 +595,20 @@ class Core:
             # stalled chunk is simply retried at the same seg_idx.
             chunk_end = chunk_end_col[seg_idx]
             i = chunk_delivered[seg_idx]
-            result = lookup(cur_byte + addr_offset, chunk_end - cur_byte)
-            if result.kind is not _HIT:
+            kind = lookup(cur_byte + addr_offset, chunk_end - cur_byte)
+            if kind is not _HIT:
                 owner.stall_pc = cur_byte
                 if rec is not None:
-                    rec.emit(EV_L1I, cycle, result=result.kind.name,
+                    rec.emit(EV_L1I, cycle, result=kind.name,
                              pc=cur_byte, nbytes=chunk_end - cur_byte, **ev)
-                blocked_until = owner.blocked_until = \
-                    self._handle_miss(result.block_addr, cycle, owner)
+                blocked_until = owner.blocked_until = self._handle_miss(
+                    (cur_byte + addr_offset) & -TRANSFER_BLOCK, cycle, owner)
                 blocked_kind = owner.blocked_kind = _STALL_MISS
                 if measuring:
                     stats.fetch_stall_cycles += 1
                     if per_thread_l1i:
                         stats.l1i_misses += 1
-                        field = _PARTIAL_FIELDS.get(result.kind)
+                        field = _PARTIAL_FIELDS.get(kind)
                         if field is not None:
                             setattr(stats, field, getattr(stats, field) + 1)
                     if rec is not None:

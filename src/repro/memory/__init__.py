@@ -16,7 +16,6 @@ from .hierarchy import MemoryHierarchy
 from .icache import (
     ConventionalICache,
     InstructionCacheBase,
-    LookupResult,
     MissKind,
 )
 from .small_block import SmallBlockICache
@@ -32,7 +31,6 @@ __all__ = [
     "FIFOPolicy",
     "GHRPPolicy",
     "InstructionCacheBase",
-    "LookupResult",
     "LRUPolicy",
     "MemoryHierarchy",
     "MissKind",

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..params import TRANSFER_BLOCK
-from .icache import InstructionCacheBase, LookupResult, MissKind
+from .icache import InstructionCacheBase, MissKind
 from .replacement import LRUPolicy
 
 WORD = 4
@@ -78,9 +78,8 @@ class DistillationICache(InstructionCacheBase):
         for w in range(first, last + 1):
             yield w
 
-    def lookup(self, addr: int, nbytes: int) -> LookupResult:
+    def lookup(self, addr: int, nbytes: int) -> MissKind:
         block = addr >> 6
-        block_addr = block << 6
         if (addr + nbytes - 1) >> 6 != block:
             raise SimulationError("fetch range crosses a 64B boundary")
         set_idx = block & self._index_mask
@@ -92,11 +91,11 @@ class DistillationICache(InstructionCacheBase):
             self._policy_on_hit(set_idx, way, addr)
             masks = self._accessed[set_idx]
             old = masks[way]
-            new = old | ((1 << nbytes) - 1) << (addr - block_addr)
+            new = old | ((1 << nbytes) - 1) << (addr & (TRANSFER_BLOCK - 1))
             if new != old:
                 masks[way] = new
                 self._used_bits += new.bit_count() - old.bit_count()
-            return LookupResult(_HIT, block_addr)
+            return _HIT
 
         woc = self._woc[set_idx]
         first = addr >> 2
@@ -110,11 +109,11 @@ class DistillationICache(InstructionCacheBase):
                 clock += 1
                 woc[k] = clock
             self._woc_clock = clock
-            return LookupResult(_HIT, block_addr)
+            return _HIT
 
         self.misses += 1
         self._policy_note_miss(addr, set_idx)
-        return LookupResult(_FULL_MISS, block_addr)
+        return _FULL_MISS
 
     # -- fill / distillation ---------------------------------------------------------
 
@@ -131,9 +130,9 @@ class DistillationICache(InstructionCacheBase):
         for key in stale:
             del woc[key]
         self._woc_words -= len(stale)
-        try:
+        if None in tags:
             way = tags.index(None)
-        except ValueError:
+        else:
             way = self._policy_victim(set_idx)
             self._distill(set_idx, way)
         self._resident += 1

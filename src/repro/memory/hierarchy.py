@@ -1,12 +1,17 @@
 """Cache hierarchy below the L1-I: L1-D, shared L2, L3 and DRAM.
 
-The hierarchy answers two questions for the machine model:
+The hierarchy answers these questions for the machine model:
 
-* ``fetch_block(addr, cycle)``    — latency to bring an instruction block
+* ``fetch_block(addr, cycle)`` — latency to bring an instruction block
   from L2/L3/DRAM (the L1-I itself, conventional or UBS, lives in the
   front-end and calls this on its misses).
-* ``data_access(addr, cycle, is_store)`` — completion latency of a load or
-  store issued by the back-end, through L1-D and the shared levels.
+* ``data_load_miss(addr, cycle)`` / ``data_store_miss(addr, cycle)`` —
+  a load's completion latency, or a store's background write-allocate,
+  after the back-end's own ``l1d.touch`` missed (co-runs share this live
+  L1-D).
+* ``_below_l1(addr, cycle)`` — the levels below the L1s alone: the path
+  of a one-thread core, whose L1-D hits and misses are replayed into its
+  op table ahead of the run.
 
 Instructions and data share L2 and L3, so data traffic pollutes the levels
 that back up the L1-I exactly as in ChampSim.
@@ -26,7 +31,7 @@ class MemoryHierarchy:
 
     __slots__ = ("params", "l1d", "l2", "l3", "dram", "instr_fetches",
                  "_l1d_latency", "_l2_latency", "_l3_latency",
-                 "_l1d_touch", "_l1d_fill", "_l2_touch", "_l2_fill",
+                 "_l1d_fill", "_l2_touch", "_l2_fill",
                  "_l3_touch", "_l3_fill", "_dram_access")
 
     def __init__(self, params: Optional[MachineParams] = None) -> None:
@@ -42,7 +47,6 @@ class MemoryHierarchy:
         self._l1d_latency = params.l1d.latency
         self._l2_latency = params.l2.latency
         self._l3_latency = params.l3.latency
-        self._l1d_touch = self.l1d.touch
         self._l1d_fill = self.l1d.fill
         self._l2_touch = self.l2.touch
         self._l2_fill = self.l2.fill
@@ -75,31 +79,8 @@ class MemoryHierarchy:
 
     # -- data side -------------------------------------------------------------------
 
-    def data_access(self, addr: int, cycle: int, is_store: bool = False) -> int:
-        """Completion latency of a load/store issued at ``cycle``.
-
-        Stores complete at L1-D fill time from the pipeline's perspective
-        (there is a store queue; we charge the L1-D latency only).
-        """
-        latency = self._l1d_latency
-        if self._l1d_touch(addr):
-            return latency
-        if is_store:
-            # Write-allocate in the background; the store retires without
-            # waiting for the fill.
-            self._fill_l1d(addr, cycle)
-            return latency
-        latency += self._below_l1(addr, cycle + latency)
-        self._l1d_fill(addr)
-        return latency
-
-    def _fill_l1d(self, addr: int, cycle: int) -> None:
-        self._below_l1(addr, cycle)
-        self._l1d_fill(addr)
-
-    # Miss continuations for callers that inline the L1-D hit check (the
-    # back-end delivery loop): semantics are exactly the corresponding
-    # :meth:`data_access` branches after a failed ``l1d.touch``.
+    # Miss continuations for the back-end delivery loop, which does the
+    # L1-D hit check itself.
 
     def data_load_miss(self, addr: int, cycle: int) -> int:
         """Load completion latency when the L1-D touch already missed."""
@@ -109,8 +90,10 @@ class MemoryHierarchy:
         return latency
 
     def data_store_miss(self, addr: int, cycle: int) -> None:
-        """Background write-allocate when the L1-D touch already missed."""
-        self._fill_l1d(addr, cycle)
+        """Background write-allocate when the L1-D touch already missed:
+        the store retires without waiting for the fill."""
+        self._below_l1(addr, cycle)
+        self._l1d_fill(addr)
 
     def register_metrics(self, registry) -> None:
         """Register every shared level's counters into ``registry``."""

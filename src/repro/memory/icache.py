@@ -35,21 +35,8 @@ class MissKind(IntEnum):
     UNDERRUN = 4
 
 
-class LookupResult:
-    """Outcome of a fetch-range lookup."""
-
-    __slots__ = ("kind", "block_addr")
-
-    def __init__(self, kind: MissKind, block_addr: int) -> None:
-        self.kind = kind
-        self.block_addr = block_addr
-
-    @property
-    def hit(self) -> bool:
-        return self.kind == MissKind.HIT
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LookupResult({self.kind.name}, block={self.block_addr:#x})"
+_HIT = MissKind.HIT
+_FULL_MISS = MissKind.FULL_MISS
 
 
 class InstructionCacheBase:
@@ -85,9 +72,10 @@ class InstructionCacheBase:
 
     # -- interface -------------------------------------------------------------
 
-    def lookup(self, addr: int, nbytes: int) -> LookupResult:
+    def lookup(self, addr: int, nbytes: int) -> MissKind:
         """Demand access for ``nbytes`` starting at ``addr`` (within one
-        transfer block). Updates replacement/accessed state."""
+        transfer block). Updates replacement/accessed state; on a miss
+        the caller fills the block at ``addr & -TRANSFER_BLOCK``."""
         raise NotImplementedError
 
     def fill(self, block_addr: int, prefetch: bool = False) -> None:
@@ -190,31 +178,29 @@ class ConventionalICache(InstructionCacheBase):
 
     # -- lookup ---------------------------------------------------------------
 
-    def lookup(self, addr: int, nbytes: int) -> LookupResult:
+    def lookup(self, addr: int, nbytes: int) -> MissKind:
         block = addr >> 6
-        block_addr = block << 6
         if (addr + nbytes - 1) >> 6 != block:
             raise SimulationError(
                 f"fetch range {addr:#x}+{nbytes} crosses a block boundary"
             )
         set_idx = block & self._index_mask
         tags = self._tags[set_idx]
-        try:
-            way = tags.index(block)
-        except ValueError:
+        if block not in tags:
             if block in self._bypass:
                 self.hits += 1
-                return LookupResult(MissKind.HIT, block_addr)
+                return _HIT
             self.misses += 1
             self._set_misses[set_idx] += 1
             self._policy_note_miss(addr, set_idx)
-            return LookupResult(MissKind.FULL_MISS, block_addr)
+            return _FULL_MISS
 
+        way = tags.index(block)
         self.hits += 1
         self._policy_on_hit(set_idx, way, addr)
         # Inlined _mark(set_idx, way, addr - block_addr, nbytes): the hit
         # path is the hottest code in a conventional-cache simulation.
-        mask = ((1 << nbytes) - 1) << (addr - block_addr)
+        mask = ((1 << nbytes) - 1) << (addr & (TRANSFER_BLOCK - 1))
         accessed = self._accessed[set_idx]
         prev = accessed[way]
         if mask & prev:
@@ -228,7 +214,7 @@ class ConventionalICache(InstructionCacheBase):
                          - self._insert_miss[set_idx][way])
                 bucket = delta if delta < 4 else 4
                 self._touch[set_idx][way][bucket] += new_bits.bit_count()
-        return LookupResult(MissKind.HIT, block_addr)
+        return _HIT
 
     def _mark(self, set_idx: int, way: int, offset: int, nbytes: int) -> None:
         mask = ((1 << nbytes) - 1) << offset
@@ -263,9 +249,9 @@ class ConventionalICache(InstructionCacheBase):
         tags = self._tags[set_idx]
         if block in tags:
             return  # lost race with a merged fill
-        try:
+        if None in tags:
             way = tags.index(None)
-        except ValueError:
+        else:
             way = self.policy.victim(set_idx)
             self._evict(set_idx, way)
         tags[way] = block
@@ -296,11 +282,10 @@ class ConventionalICache(InstructionCacheBase):
     def invalidate(self, block_addr: int) -> bool:
         block = block_addr >> 6
         set_idx = block & self._index_mask
-        try:
-            way = self._tags[set_idx].index(block)
-        except ValueError:
+        tags = self._tags[set_idx]
+        if block not in tags:
             return False
-        self._evict(set_idx, way)
+        self._evict(set_idx, tags.index(block))
         return True
 
     # -- probes and snapshots -------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..params import TRANSFER_BLOCK
-from .icache import InstructionCacheBase, LookupResult, MissKind
+from .icache import InstructionCacheBase, MissKind
 
 
 class IdealICache(InstructionCacheBase):
@@ -21,10 +21,10 @@ class IdealICache(InstructionCacheBase):
         super().__init__(latency, mshr_entries)
         self._bytes_seen = 0
 
-    def lookup(self, addr: int, nbytes: int) -> LookupResult:
+    def lookup(self, addr: int, nbytes: int) -> MissKind:
         self.hits += 1
         self._bytes_seen += nbytes
-        return LookupResult(MissKind.HIT, (addr >> 6) << 6)
+        return MissKind.HIT
 
     def fill(self, block_addr: int, prefetch: bool = False) -> None:
         """Never called in practice (no misses); accepted for interface

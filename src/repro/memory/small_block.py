@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..params import TRANSFER_BLOCK
-from .icache import InstructionCacheBase, LookupResult, MissKind
+from .icache import InstructionCacheBase, MissKind
 from .replacement import LRUPolicy
 
 _HIT = MissKind.HIT
@@ -79,16 +79,14 @@ class SmallBlockICache(InstructionCacheBase):
 
     def _find(self, small_block: int) -> Tuple[int, int]:
         set_idx = small_block & self._index_mask
-        try:
-            way = self._tags[set_idx].index(small_block)
-        except ValueError:
+        tags = self._tags[set_idx]
+        if small_block not in tags:
             return set_idx, -1
-        return set_idx, way
+        return set_idx, tags.index(small_block)
 
     # -- interface --------------------------------------------------------------
 
-    def lookup(self, addr: int, nbytes: int) -> LookupResult:
-        block_addr = (addr >> 6) << 6
+    def lookup(self, addr: int, nbytes: int) -> MissKind:
         if (addr + nbytes - 1) >> 6 != addr >> 6:
             raise SimulationError("fetch range crosses a 64B boundary")
         offset_bits = self._offset_bits
@@ -100,12 +98,11 @@ class SmallBlockICache(InstructionCacheBase):
         last = (addr + nbytes - 1) >> offset_bits
         for sb in range(first, last + 1):
             set_idx = sb & index_mask
-            try:
-                way = all_tags[set_idx].index(sb)
-            except ValueError:
-                missing.append(sb)
+            tags = all_tags[set_idx]
+            if sb in tags:
+                present.append((sb, set_idx, tags.index(sb)))
             else:
-                present.append((sb, set_idx, way))
+                missing.append(sb)
         if not missing:
             self.hits += 1
             full_mask = (1 << self.block_size) - 1
@@ -116,9 +113,9 @@ class SmallBlockICache(InstructionCacheBase):
                 reused[set_idx][way] = True
                 on_hit(set_idx, way, sb << offset_bits)
                 accessed[set_idx][way] = full_mask
-            return LookupResult(_HIT, block_addr)
+            return _HIT
 
-        if block_addr >> 6 in self._buffer:
+        if addr >> 6 in self._buffer:
             # Promote only the requested chunks out of the 64B buffer entry.
             self.buffer_hits += 1
             self.hits += 1
@@ -129,36 +126,33 @@ class SmallBlockICache(InstructionCacheBase):
             for sb, set_idx, way in present:
                 reused[set_idx][way] = True
                 on_hit(set_idx, way, sb << offset_bits)
-            return LookupResult(_HIT, block_addr)
+            return _HIT
 
         self.misses += 1
         note_miss = self._policy_note_miss
         for sb in missing:
             note_miss(sb << offset_bits, sb & index_mask)
-        return LookupResult(_FULL_MISS, block_addr)
+        return _FULL_MISS
 
     def _install_chunk(self, small_block: int) -> None:
         set_idx = small_block & self._index_mask
         tags = self._tags[set_idx]
         if small_block in tags:
             return
-        try:
+        if None in tags:
             way = tags.index(None)
-        except ValueError:
+            self._resident += 1
+        else:
             way = self._policy_victim(set_idx)
-            old = tags[way]
-            if old is not None and self.recording:
+            if self.recording:
                 # Byte-usage accounting at the small-block granularity.
                 self.byte_usage.add(
                     min(self._accessed[set_idx][way].bit_count(),
                         self.byte_usage.block_size)
                 )
-            if old is not None:
-                self._policy_on_evict(set_idx, way,
-                                      old << self._offset_bits,
-                                      self._reused[set_idx][way])
-        else:
-            self._resident += 1
+            self._policy_on_evict(set_idx, way,
+                                  tags[way] << self._offset_bits,
+                                  self._reused[set_idx][way])
         tags[way] = small_block
         self._accessed[set_idx][way] = (1 << self.block_size) - 1
         self._reused[set_idx][way] = False

@@ -1,7 +1,7 @@
 """Sub-block (run) extraction tests, incl. hypothesis properties."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.subblock import extract_runs, mask_of_run
 
@@ -105,3 +105,41 @@ class TestProperties:
         for start, length in runs:
             covered |= mask_of_run(start, length)
         assert covered == mask
+
+
+def byte_walk_runs(mask, granularity=1, block_size=64, merge_gap=0):
+    """The reference extraction: a walk over every byte of the block.
+    :func:`extract_runs` finds the runs by bit arithmetic instead and must
+    return exactly this."""
+    runs = []
+    i = 0
+    while i < block_size:
+        if mask >> i & 1:
+            j = i + 1
+            while j < block_size and mask >> j & 1:
+                j += 1
+            start = (i // granularity) * granularity
+            end = ((j + granularity - 1) // granularity) * granularity
+            end = min(end, block_size)
+            if runs and runs[-1][0] + runs[-1][1] + merge_gap >= start:
+                prev_start, _prev_len = runs.pop()
+                start = prev_start
+            runs.append((start, end - start))
+            i = j
+        else:
+            i += 1
+    return runs
+
+
+class TestByteWalkOracle:
+    @given(mask=st.one_of(st.integers(0, (1 << 64) - 1), byte_masks()),
+           granularity=st.sampled_from([1, 2, 4]),
+           block_size=st.sampled_from([32, 64]),
+           merge_gap=st.integers(0, 16))
+    @settings(max_examples=1000, deadline=None)
+    @example(mask=(1 << 64) - 1, granularity=4, block_size=32, merge_gap=0)
+    @example(mask=(1 << 64) - 1, granularity=4, block_size=64, merge_gap=0)
+    def test_equals_byte_walk(self, mask, granularity, block_size,
+                              merge_gap):
+        assert extract_runs(mask, granularity, block_size, merge_gap) == \
+            byte_walk_runs(mask, granularity, block_size, merge_gap)

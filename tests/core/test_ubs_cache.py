@@ -27,7 +27,7 @@ def install(ubs, block, marks, conflict_block=None):
     force it out so its runs land in the UBS ways."""
     ubs.fill(addr_of(block))
     for offset, nbytes in marks:
-        assert ubs.lookup(addr_of(block, offset), nbytes).hit
+        assert ubs.lookup(addr_of(block, offset), nbytes) is MissKind.HIT
     if conflict_block is None:
         conflict_block = block + ubs.predictor.config.sets
     ubs.fill(addr_of(conflict_block))
@@ -37,22 +37,20 @@ def install(ubs, block, marks, conflict_block=None):
 class TestBasicFlow:
     def test_cold_lookup_is_full_miss(self):
         ubs = make()
-        res = ubs.lookup(0x1000, 16)
-        assert res.kind == MissKind.FULL_MISS
-        assert res.block_addr == 0x1000
+        assert ubs.lookup(0x1000, 16) == MissKind.FULL_MISS
 
     def test_fill_serves_from_predictor(self):
         ubs = make()
         ubs.lookup(0x1000, 16)
         ubs.fill(0x1000)
-        assert ubs.lookup(0x1000, 16).hit
+        assert ubs.lookup(0x1000, 16) is MissKind.HIT
         assert ubs.predictor.contains(0x1000 >> 6)
 
     def test_install_after_predictor_eviction(self):
         ubs = make()
         install(ubs, block=16, marks=[(0, 16)])
         res = ubs.lookup(addr_of(16, 0), 16)
-        assert res.hit                      # now served from a way
+        assert res is MissKind.HIT                      # now served from a way
         assert ubs.block_count() >= 2       # installed block + conflictor
 
     def test_unaccessed_block_is_discarded(self):
@@ -60,7 +58,7 @@ class TestBasicFlow:
         ubs.fill(addr_of(16))               # prefetch, never accessed
         ubs.fill(addr_of(16 + ubs.predictor.config.sets))
         assert ubs.blocks_discarded == 1
-        assert ubs.lookup(addr_of(16), 8).kind == MissKind.FULL_MISS
+        assert ubs.lookup(addr_of(16), 8) == MissKind.FULL_MISS
 
 
 class TestWaySelection:
@@ -107,7 +105,7 @@ class TestWaySelection:
                 if ubs._tags[set_idx][w] == 16]
         assert len(ways) == 1
         # The gap bytes ride along: request inside the gap hits.
-        assert ubs.lookup(addr_of(16, 8), 8).hit
+        assert ubs.lookup(addr_of(16, 8), 8) is MissKind.HIT
 
 
 class TestTrailingFill:
@@ -120,7 +118,7 @@ class TestTrailingFill:
         if ubs.way_sizes[way] > 16:
             # The paper fills the way's remaining capacity with the bytes
             # following the sub-block, so they hit.
-            assert ubs.lookup(addr_of(16, 16), 4).hit
+            assert ubs.lookup(addr_of(16, 16), 4) is MissKind.HIT
 
     def test_start_offset_anchoring_near_block_end(self):
         ubs = make(granularity=4)
@@ -133,15 +131,15 @@ class TestTrailingFill:
         assert ubs.way_sizes[way] >= 44
         assert ubs._start[set_idx][way] <= 64 - ubs.way_sizes[way]
         assert ubs._span_end[set_idx][way] <= 64
-        assert ubs.lookup(addr_of(16, 16), 16).hit
-        assert ubs.lookup(addr_of(16, 44), 16).hit
+        assert ubs.lookup(addr_of(16, 16), 16) is MissKind.HIT
+        assert ubs.lookup(addr_of(16, 44), 16) is MissKind.HIT
 
 
 class TestPartialMisses:
     def _resident(self, ubs, block=16, offset=16, nbytes=16):
         install(ubs, block=block, marks=[(offset, nbytes)])
         # sanity: request inside the sub-block hits
-        assert ubs.lookup(addr_of(block, offset), nbytes).hit
+        assert ubs.lookup(addr_of(block, offset), nbytes) is MissKind.HIT
 
     def test_overrun(self):
         ubs = make()
@@ -152,7 +150,7 @@ class TestPartialMisses:
         span_end = ubs._span_end[set_idx][way]
         if span_end < 64:
             res = ubs.lookup(addr_of(16, span_end - 8), 16)
-            assert res.kind == MissKind.OVERRUN
+            assert res == MissKind.OVERRUN
             assert ubs.partial_overrun == 1
 
     def test_underrun(self):
@@ -164,7 +162,7 @@ class TestPartialMisses:
         start = ubs._start[set_idx][way]
         if start >= 8:
             res = ubs.lookup(addr_of(16, start - 8), 16)
-            assert res.kind == MissKind.UNDERRUN
+            assert res == MissKind.UNDERRUN
             assert ubs.partial_underrun == 1
 
     def test_missing_subblock(self):
@@ -175,7 +173,7 @@ class TestPartialMisses:
                    if ubs._tags[set_idx][w] == 16)
         if ubs._start[set_idx][way] >= 16:
             res = ubs.lookup(addr_of(16, 0), 8)
-            assert res.kind == MissKind.MISSING_SUBBLOCK
+            assert res == MissKind.MISSING_SUBBLOCK
             assert ubs.partial_missing == 1
 
     def test_partial_miss_invalidates_ways(self):
@@ -272,9 +270,9 @@ class TestPropertyBased:
         ubs = make(sets=4)
         for block, offset, nbytes in seq:
             res = ubs.lookup(addr_of(block, offset), nbytes)
-            if not res.hit:
-                ubs.fill(res.block_addr)
-                assert ubs.lookup(addr_of(block, offset), nbytes).hit
+            if res is not MissKind.HIT:
+                ubs.fill(addr_of(block))
+                assert ubs.lookup(addr_of(block, offset), nbytes) is MissKind.HIT
             self._check_invariants(ubs)
 
     def _check_invariants(self, ubs):
@@ -303,8 +301,8 @@ class TestPropertyBased:
         ubs = make(sets=4)
         for block, offset, nbytes in seq:
             res = ubs.lookup(addr_of(block, offset), nbytes)
-            if not res.hit:
-                ubs.fill(res.block_addr)
+            if res is not MissKind.HIT:
+                ubs.fill(addr_of(block))
         used, stored = ubs.storage_snapshot()
         assert 0 <= used <= stored
         max_stored = ubs.sets * (sum(ubs.way_sizes) + 64)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.ubs_cache import UBSICache
 from repro.errors import ConfigurationError
 from repro.memory.ghrp import GHRPPolicy
+from repro.memory.icache import MissKind
 from repro.memory.replacement import LRUPolicy
 from repro.params import UBSParams
 
@@ -20,7 +21,7 @@ class TestCandidateWindow:
         block = block_base
         for length in lengths:
             ubs.fill(addr_of(block))
-            assert ubs.lookup(addr_of(block), length).hit
+            assert ubs.lookup(addr_of(block), length) is MissKind.HIT
             ubs.fill(addr_of(block + step))       # evict from predictor
             ubs.fill(addr_of(block + 2 * step))   # flush the conflictor too
             block += 4 * step                     # same cache set (sets=4)
@@ -74,9 +75,9 @@ class TestReplacementChoice:
                                   replacement="ghrp"))
         for block in range(16, 48, 4):
             res = ubs.lookup(addr_of(block), 16)
-            if not res.hit:
-                ubs.fill(res.block_addr)
-                assert ubs.lookup(addr_of(block), 16).hit
+            if res is not MissKind.HIT:
+                ubs.fill(addr_of(block))
+                assert ubs.lookup(addr_of(block), 16) is MissKind.HIT
 
 
 class TestBuildConfigs:

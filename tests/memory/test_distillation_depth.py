@@ -1,12 +1,13 @@
 """Deeper Line-Distillation behaviours: WOC LRU, cross-set isolation."""
 
 from repro.memory.distillation import DistillationICache
+from repro.memory.icache import MissKind
 
 
 def fill_and_use(ic, block, nbytes=8):
     addr = block * ic.sets * 64 * 0 + (block << 6)
     res = ic.lookup(addr, nbytes)
-    if not res.hit:
+    if res is not MissKind.HIT:
         ic.fill(addr)
         ic.lookup(addr, nbytes)
 
@@ -22,11 +23,11 @@ class TestWOCLRU:
         ic.fill(2 << 6)              # evicts B -> words distilled (4 total)
         assert len(ic._woc[0]) == 4
         # Touch A's words so B's become LRU, then distil 2 more.
-        assert ic.lookup(0 << 6, 8).hit
+        assert ic.lookup(0 << 6, 8) is MissKind.HIT
         ic.lookup(2 << 6, 8)
         ic.fill(3 << 6)              # evicts C(2) -> pushes out B's words
-        assert ic.lookup(0 << 6, 8).hit     # A still present
-        assert not ic.lookup(1 << 6, 8).hit  # B distilled words gone
+        assert ic.lookup(0 << 6, 8) is MissKind.HIT     # A still present
+        assert ic.lookup(1 << 6, 8) is not MissKind.HIT  # B distilled words gone
 
     def test_sets_do_not_interfere(self):
         ic = DistillationICache(sets=2, loc_ways=1, woc_words_per_set=2)
@@ -36,8 +37,8 @@ class TestWOCLRU:
         ic.fill(1 << 6)             # set 1
         ic.lookup(1 << 6, 8)
         ic.fill(3 << 6)             # set 1: distil block 1
-        assert ic.lookup(0 << 6, 8).hit
-        assert ic.lookup(1 << 6, 8).hit
+        assert ic.lookup(0 << 6, 8) is MissKind.HIT
+        assert ic.lookup(1 << 6, 8) is MissKind.HIT
 
 
 class TestEvictionAccounting:

@@ -31,33 +31,49 @@ class TestInstructionPath:
 
 
 class TestDataPath:
+    """The data side as the back end drives it: ``l1d.touch`` first, then
+    ``data_load_miss``/``data_store_miss`` on a miss of the live L1-D, or
+    ``_below_l1`` straight away for a miss of a private L1-D whose
+    outcomes were replayed into the op table."""
+
     def test_l1d_hit(self):
         h = MemoryHierarchy()
         h.l1d.fill(0x8000)
-        assert h.data_access(0x8000, 0) == h.l1d.params.latency
+        assert h.l1d.touch(0x8000)
+        assert (h.l1d.hits, h.l2.accesses) == (1, 0)
 
     def test_load_miss_fills_l1d(self):
         h = MemoryHierarchy()
-        latency = h.data_access(0x8000, 0)
-        assert latency > h.l1d.params.latency
-        assert h.l1d.probe(0x8000)
+        assert not h.l1d.touch(0x8000)
+        latency = h.data_load_miss(0x8000, 0)
+        assert latency > h.l1d.params.latency + h.l2.params.latency \
+            + h.l3.params.latency
+        assert h.l1d.probe(0x8000) and h.l2.probe(0x8000)
+        assert h.l1d.touch(0x8000)
 
     def test_store_does_not_wait_for_fill(self):
         h = MemoryHierarchy()
-        latency = h.data_access(0x8000, 0, is_store=True)
-        assert latency == h.l1d.params.latency
-        assert h.l1d.probe(0x8000)   # write-allocate happened in background
+        assert not h.l1d.touch(0x8000)
+        # Write-allocate happens in the background: nothing to wait for.
+        assert h.data_store_miss(0x8000, 0) is None
+        assert h.l1d.probe(0x8000) and h.l2.probe(0x8000)
 
     def test_instruction_and_data_share_l2(self):
         h = MemoryHierarchy()
-        h.data_access(0xA000, 0)
+        h.data_load_miss(0xA000, 0)
         assert h.fetch_block(0xA000, 100) == h.l2.params.latency
+        # A private L1-D's miss goes below the L1 without touching it.
+        h._below_l1(0xC000, 0)
+        assert not h.l1d.probe(0xC000)
+        assert h.fetch_block(0xC000, 100) == h.l2.params.latency
 
     def test_reset_stats(self):
         h = MemoryHierarchy()
         h.fetch_block(0, 0)
-        h.data_access(64, 0)
+        h.l1d.touch(64)
+        h.data_load_miss(64, 0)
         h.reset_stats()
+        assert h.l1d.accesses == 0
         assert h.l2.accesses == 0
         assert h.dram.accesses == 0
         assert h.instr_fetches == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.memory.icache import ConventionalICache, LookupResult, MissKind
+from repro.memory.icache import ConventionalICache, MissKind
 from repro.params import conventional_l1i
 
 
@@ -15,16 +15,16 @@ def make(size=32 * 1024, ways=8, **kw):
 class TestLookup:
     def test_miss_then_fill_then_hit(self):
         ic = make()
-        res = ic.lookup(0x1000, 16)
-        assert res.kind == MissKind.FULL_MISS
-        assert res.block_addr == 0x1000
+        assert ic.lookup(0x1000, 16) == MissKind.FULL_MISS
         ic.fill(0x1000)
-        assert ic.lookup(0x1000, 16).hit
+        assert ic.lookup(0x1000, 16) is MissKind.HIT
 
     def test_block_addr_aligned(self):
+        # A miss at any offset is served by filling the aligned block.
         ic = make()
-        res = ic.lookup(0x1037, 8)
-        assert res.block_addr == 0x1000
+        assert ic.lookup(0x1037, 8) == MissKind.FULL_MISS
+        ic.fill(0x1037 & -64)
+        assert ic.lookup(0x1037, 8) is MissKind.HIT
 
     def test_range_must_stay_in_block(self):
         ic = make()
@@ -34,7 +34,7 @@ class TestLookup:
     def test_range_to_block_end_ok(self):
         ic = make()
         ic.fill(0x1000)
-        assert ic.lookup(0x1030, 16).hit
+        assert ic.lookup(0x1030, 16) is MissKind.HIT
 
     def test_rejects_non_64b_blocks(self):
         with pytest.raises(ConfigurationError):
@@ -155,8 +155,8 @@ class TestProperties:
         for block_idx, nbytes in accesses:
             addr = block_idx * 64 + (64 - nbytes)
             res = ic.lookup(addr, nbytes)
-            if not res.hit:
-                ic.fill(res.block_addr)
+            if res is not MissKind.HIT:
+                ic.fill(block_idx * 64)
                 ic.lookup(addr, nbytes)
         used, stored = ic.storage_snapshot()
         assert 0 <= used <= stored
@@ -168,6 +168,6 @@ class TestProperties:
         ic = make(size=1024, ways=1)
         for b in blocks:
             res = ic.lookup(b * 64, 4)
-            if not res.hit:
-                ic.fill(res.block_addr)
+            if res is not MissKind.HIT:
+                ic.fill(b * 64)
         assert ic.accesses == len(blocks)

@@ -1,6 +1,7 @@
 """Ideal (always-hit) instruction cache tests."""
 
 from repro.cpu.machine import Machine, build_icache
+from repro.memory.icache import MissKind
 from repro.memory.ideal import IdealICache
 from repro.trace.synthesis import ProgramBuilder, TraceWalker
 
@@ -11,7 +12,7 @@ class TestIdealCache:
     def test_always_hits(self):
         ic = IdealICache()
         for addr in (0, 0x1234, 0xFFFF_FFC0):
-            assert ic.lookup(addr, 16).hit
+            assert ic.lookup(addr, 16) is MissKind.HIT
         assert ic.misses == 0
         assert ic.hits == 3
 

@@ -25,12 +25,12 @@ class TestFillBuffer:
     def test_demand_flow(self):
         ic = SmallBlockICache(block_size=16)
         res = ic.lookup(0x1000, 16)
-        assert res.kind == MissKind.FULL_MISS
+        assert res == MissKind.FULL_MISS
         ic.fill(0x1000)                      # 64B block lands in the buffer
-        assert ic.lookup(0x1000, 16).hit     # promoted from the buffer
+        assert ic.lookup(0x1000, 16) is MissKind.HIT     # promoted from the buffer
         assert ic.buffer_hits == 1
         # Now genuinely resident in the cache array:
-        assert ic.lookup(0x1000, 16).hit
+        assert ic.lookup(0x1000, 16) is MissKind.HIT
 
     def test_only_requested_chunks_promoted(self):
         ic = SmallBlockICache(block_size=16)
@@ -40,13 +40,13 @@ class TestFillBuffer:
         for i in range(1, ic._buffer_capacity + 1):
             ic.fill(0x1000 + i * 64)
         # Chunk [32,48) was never promoted -> miss.
-        assert not ic.lookup(0x1020, 16).hit
+        assert ic.lookup(0x1020, 16) is not MissKind.HIT
 
     def test_range_spanning_chunks(self):
         ic = SmallBlockICache(block_size=16)
         ic.fill(0x1000)
-        assert ic.lookup(0x1008, 16).hit     # spans two 16B blocks
-        assert ic.lookup(0x1008, 16).hit
+        assert ic.lookup(0x1008, 16) is MissKind.HIT     # spans two 16B blocks
+        assert ic.lookup(0x1008, 16) is MissKind.HIT
 
     def test_partial_residency_is_miss(self):
         ic = SmallBlockICache(block_size=16)
@@ -55,7 +55,7 @@ class TestFillBuffer:
         # Range extends into a non-promoted chunk after buffer eviction.
         for i in range(1, ic._buffer_capacity + 1):
             ic.fill(0x1000 + i * 64)
-        assert not ic.lookup(0x1008, 16).hit
+        assert ic.lookup(0x1008, 16) is not MissKind.HIT
 
     def test_buffer_capacity_bounded(self):
         ic = SmallBlockICache(block_size=16, buffer_entries=4)

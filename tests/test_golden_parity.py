@@ -82,6 +82,16 @@ VARIANT_RUNS = {
 FAMILY_CONFIGS = ("conv64", "conv32_16w", "conv32_ghrp", "conv32_acic",
                   "conv32_srrip", "ideal")
 
+#: L1-I model paths the headline pairs do not reach, on the server
+#: workload: the small-block and distillation caches, a 16-way DSE point,
+#: a UBS geometry without a 64-byte way (oversized runs are split), the
+#: predictor's associative victim path (set-associative LRU and fully
+#: associative) and the merge-gap path of ``extract_runs``.
+L1I_MODEL_CONFIGS = ("small16", "distill32",
+                     "ubs_v4.4.8.8.8.12.12.16.24.32.36.36.52.60.64.64",
+                     "ubs_v8.16.24.32.48", "ubs_pred_sa8lru",
+                     "ubs_pred_full", "ubs_gap8")
+
 
 def _golden_path(workload: str, config: str) -> Path:
     safe = workload.replace("smt:", "smt_")
@@ -174,7 +184,7 @@ def test_frontend_variant_bit_identical_to_golden(variant):
                   f"{workload}/{config} ({variant})")
 
 
-@pytest.mark.parametrize("config", FAMILY_CONFIGS)
+@pytest.mark.parametrize("config", FAMILY_CONFIGS + L1I_MODEL_CONFIGS)
 def test_config_family_bit_identical_to_golden(config):
     result = repro.simulate("server_000", config)
     result.workload = "server_000"
