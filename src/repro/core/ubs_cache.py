@@ -180,8 +180,12 @@ class UBSICache(InstructionCacheBase):
         starts = self._start[set_idx]
         spans = self._span_end[set_idx]
         last = end_off - 1
-        start_present = any(starts[w] <= off < spans[w] for w in match_ways)
-        end_present = any(starts[w] <= last < spans[w] for w in match_ways)
+        start_present = end_present = False
+        for w in match_ways:
+            if starts[w] <= off < spans[w]:
+                start_present = True
+            if starts[w] <= last < spans[w]:
+                end_present = True
         if start_present:
             kind = MissKind.OVERRUN
             if self.recording:
@@ -260,7 +264,7 @@ class UBSICache(InstructionCacheBase):
         installed: List[Tuple[int, int, int]] = []  # (start, span_end, way)
         runs = extract_runs(mask, granularity,
                             merge_gap=self.params.run_merge_gap)
-        if any(length > self._max_way for _start, length in runs):
+        if self._max_way < TRANSFER_BLOCK:
             # Configurations without a 64-byte way split oversized runs
             # into largest-way-sized pieces.
             split = []

@@ -10,7 +10,7 @@ from .replacement import (
 from .ghrp import GHRPPolicy
 from .acic import ACICFilter
 from .mshr import MSHRFile
-from .cache import Cache, AccessResult
+from .cache import Cache
 from .dram import DRAM
 from .hierarchy import MemoryHierarchy
 from .icache import (
@@ -23,7 +23,6 @@ from .distillation import DistillationICache
 
 __all__ = [
     "ACICFilter",
-    "AccessResult",
     "Cache",
     "ConventionalICache",
     "DRAM",

@@ -1,146 +1,83 @@
-"""Generic set-associative cache used for L1-D, L2 and L3.
+"""LRU set-associative cache used for L1-D, L2 and L3.
 
 These levels only need functional contents plus hit/miss accounting — the
 timing is composed by :class:`~repro.memory.hierarchy.MemoryHierarchy`.
+
+Each set is one insertion-ordered ``dict`` of resident block numbers,
+least recently used first: a hit moves its block to the end, a fill
+appends, and a fill into a full set evicts the first key. That is exact
+LRU: the oldest hit-or-fill is the block the dict holds first, and free
+ways are used before any eviction. The L1-I models, whose policies are
+pluggable, keep :mod:`~repro.memory.replacement`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from ..errors import ConfigurationError
 from ..params import CacheParams
-from .replacement import ReplacementPolicy, make_policy
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of a cache access."""
-
-    hit: bool
-    evicted: Optional[int] = None   # block address pushed out by the fill
 
 
 class Cache:
-    """Set-associative cache with pluggable replacement.
+    """LRU set-associative cache.
 
-    ``access`` performs lookup and — on a miss — the fill in one step,
-    which matches how the lower levels are used by the hierarchy. The
-    separate :meth:`probe`/:meth:`fill` methods support callers that need
-    to split the two (e.g. when modelling fill latency).
+    ``blocks[set]`` maps each resident block number (``addr >>
+    offset_bits``) to ``None``, in LRU-to-MRU order. The hierarchy walks
+    L2 and L3 on these dicts directly; :meth:`touch` and :meth:`fill` are
+    the same steps for callers that need them separately.
     """
 
-    __slots__ = ("params", "sets", "ways", "_offset_bits", "_index_mask",
-                 "_tags", "_maps", "_free", "_reused", "policy", "hits",
-                 "misses",
-                 "_policy_on_hit", "_policy_note_miss", "_policy_should_admit",
-                 "_policy_victim", "_policy_on_evict", "_policy_on_fill")
+    __slots__ = ("params", "sets", "ways", "offset_bits", "index_mask",
+                 "blocks", "hits", "misses")
 
-    def __init__(self, params: CacheParams,
-                 policy: Optional[ReplacementPolicy] = None) -> None:
+    def __init__(self, params: CacheParams) -> None:
+        if params.replacement != "lru":
+            raise ConfigurationError(
+                f"{params.name}: the L1-D/L2/L3 cache is LRU; replacement "
+                f"{params.replacement!r} is only modelled for the L1-I"
+            )
         self.params = params
         self.sets = params.sets
         self.ways = params.ways
-        self._offset_bits = params.offset_bits
-        self._index_mask = self.sets - 1
-        self._tags: List[List[Optional[int]]] = [
-            [None] * self.ways for _ in range(self.sets)
-        ]
-        # Per-set block -> way index, mirroring ``_tags``: lookups are one
-        # dict probe instead of a list scan (and misses never raise).
-        self._maps: List[dict] = [{} for _ in range(self.sets)]
-        self._free: List[int] = [self.ways] * self.sets
-        self._reused: List[List[bool]] = [
-            [False] * self.ways for _ in range(self.sets)
-        ]
-        self.policy = policy or make_policy(params.replacement,
-                                            self.sets, self.ways)
-        # Prebound policy hooks: ``touch`` and ``fill`` are the hierarchy's
-        # hottest calls.
-        self._policy_on_hit = self.policy.on_hit
-        self._policy_note_miss = self.policy.note_miss
-        self._policy_should_admit = self.policy.should_admit
-        self._policy_victim = self.policy.victim
-        self._policy_on_evict = self.policy.on_evict
-        self._policy_on_fill = self.policy.on_fill
+        self.offset_bits = params.offset_bits
+        self.index_mask = self.sets - 1
+        self.blocks: List[Dict[int, None]] = [{} for _ in range(self.sets)]
         self.hits = 0
         self.misses = 0
 
-    # -- address helpers -------------------------------------------------------
-
-    def block_of(self, addr: int) -> int:
-        return addr >> self._offset_bits
-
-    def set_of(self, addr: int) -> int:
-        return (addr >> self._offset_bits) & self._index_mask
-
-    # -- operations ------------------------------------------------------------
-
     def probe(self, addr: int) -> bool:
         """Presence check without any state change."""
-        block = self.block_of(addr)
-        return block in self._maps[block & self._index_mask]
+        block = addr >> self.offset_bits
+        return block in self.blocks[block & self.index_mask]
 
     def touch(self, addr: int) -> bool:
         """Lookup without fill: updates recency and counters."""
-        block = addr >> self._offset_bits
-        set_idx = block & self._index_mask
-        way = self._maps[set_idx].get(block)
-        if way is None:
-            self.misses += 1
-            self._policy_note_miss(addr, set_idx)
-            return False
-        self.hits += 1
-        self._reused[set_idx][way] = True
-        self._policy_on_hit(set_idx, way, addr)
-        return True
+        block = addr >> self.offset_bits
+        blocks = self.blocks[block & self.index_mask]
+        if block in blocks:
+            del blocks[block]
+            blocks[block] = None
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
 
     def fill(self, addr: int) -> Optional[int]:
         """Install the block containing ``addr``; returns the evicted block
-        address (full address of its first byte) or None."""
-        block = addr >> self._offset_bits
-        set_idx = block & self._index_mask
-        if not self._policy_should_admit(addr, set_idx):
+        address (full address of its first byte) or None. Filling a
+        resident block (a merged fill) changes nothing."""
+        block = addr >> self.offset_bits
+        blocks = self.blocks[block & self.index_mask]
+        if block in blocks:
             return None
-        tag_map = self._maps[set_idx]
-        if block in tag_map:            # merged fill; nothing to do
-            return None
-        tags = self._tags[set_idx]
         evicted = None
-        if self._free[set_idx]:
-            way = tags.index(None)
-            self._free[set_idx] -= 1
-        else:
-            way = self._policy_victim(set_idx)
-            old = tags[way]
-            assert old is not None
-            evicted = old << self._offset_bits
-            del tag_map[old]
-            self._policy_on_evict(set_idx, way, evicted,
-                                  self._reused[set_idx][way])
-        tags[way] = block
-        tag_map[block] = way
-        self._reused[set_idx][way] = False
-        self._policy_on_fill(set_idx, way, addr)
+        if len(blocks) == self.ways:
+            victim = next(iter(blocks))
+            del blocks[victim]
+            evicted = victim << self.offset_bits
+        blocks[block] = None
         return evicted
-
-    def access(self, addr: int) -> AccessResult:
-        """Lookup, filling on a miss. Returns hit/miss plus any eviction."""
-        if self.touch(addr):
-            return AccessResult(hit=True)
-        evicted = self.fill(addr)
-        return AccessResult(hit=False, evicted=evicted)
-
-    def invalidate(self, addr: int) -> bool:
-        block = self.block_of(addr)
-        set_idx = block & self._index_mask
-        way = self._maps[set_idx].pop(block, None)
-        if way is None:
-            return False
-        self._tags[set_idx][way] = None
-        self._free[set_idx] += 1
-        self._reused[set_idx][way] = False
-        return True
 
     @property
     def accesses(self) -> int:

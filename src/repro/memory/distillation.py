@@ -72,12 +72,6 @@ class DistillationICache(InstructionCacheBase):
 
     # -- lookup -----------------------------------------------------------------
 
-    def _words(self, addr: int, nbytes: int):
-        first = addr >> 2
-        last = (addr + nbytes - 1) >> 2
-        for w in range(first, last + 1):
-            yield w
-
     def lookup(self, addr: int, nbytes: int) -> MissKind:
         block = addr >> 6
         if (addr + nbytes - 1) >> 6 != block:
@@ -101,7 +95,10 @@ class DistillationICache(InstructionCacheBase):
         first = addr >> 2
         last = (addr + nbytes - 1) >> 2
         keys = [(block, w & 0xF) for w in range(first, last + 1)]
-        if all(k in woc for k in keys):
+        for k in keys:
+            if k not in woc:
+                break
+        else:
             self.hits += 1
             self.woc_hits += 1
             clock = self._woc_clock
@@ -176,7 +173,10 @@ class DistillationICache(InstructionCacheBase):
         if block in self._tags[set_idx]:
             return True
         woc = self._woc[set_idx]
-        return all((block, w & 0xF) in woc for w in self._words(addr, nbytes))
+        for w in range(addr >> 2, ((addr + nbytes - 1) >> 2) + 1):
+            if (block, w & 0xF) not in woc:
+                return False
+        return True
 
     def storage_snapshot(self) -> Tuple[int, int]:
         woc_bytes = self._woc_words * WORD

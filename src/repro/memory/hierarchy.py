@@ -30,9 +30,10 @@ class MemoryHierarchy:
     """L1-D + L2 + L3 + DRAM with additive latency composition."""
 
     __slots__ = ("params", "l1d", "l2", "l3", "dram", "instr_fetches",
-                 "_l1d_latency", "_l2_latency", "_l3_latency",
-                 "_l1d_fill", "_l2_touch", "_l2_fill",
-                 "_l3_touch", "_l3_fill", "_dram_access")
+                 "_l1d_latency", "_l2_latency", "_l3_latency", "_l1d_fill",
+                 "_l2_sets", "_l2_shift", "_l2_mask", "_l2_ways",
+                 "_l3_sets", "_l3_shift", "_l3_mask", "_l3_ways",
+                 "_dram_access")
 
     def __init__(self, params: Optional[MachineParams] = None) -> None:
         params = params or MachineParams()
@@ -42,32 +43,56 @@ class MemoryHierarchy:
         self.l3 = Cache(params.l3)
         self.dram = DRAM(params.dram)
         self.instr_fetches = 0
-        # Per-level latencies and entry points, hoisted out of the
+        # Per-level latencies, geometry and set dicts, hoisted out of the
         # per-access hot path.
         self._l1d_latency = params.l1d.latency
         self._l2_latency = params.l2.latency
         self._l3_latency = params.l3.latency
         self._l1d_fill = self.l1d.fill
-        self._l2_touch = self.l2.touch
-        self._l2_fill = self.l2.fill
-        self._l3_touch = self.l3.touch
-        self._l3_fill = self.l3.fill
+        self._l2_sets = self.l2.blocks
+        self._l2_shift = self.l2.offset_bits
+        self._l2_mask = self.l2.index_mask
+        self._l2_ways = self.l2.ways
+        self._l3_sets = self.l3.blocks
+        self._l3_shift = self.l3.offset_bits
+        self._l3_mask = self.l3.index_mask
+        self._l3_ways = self.l3.ways
         self._dram_access = self.dram.access
 
     # -- shared levels -----------------------------------------------------------
 
     def _below_l1(self, addr: int, cycle: int) -> int:
-        """Latency of servicing a block request that missed in an L1."""
-        latency = self._l2_latency
-        if self._l2_touch(addr):
-            return latency
-        latency += self._l3_latency
-        if self._l3_touch(addr):
-            self._l2_fill(addr)
-            return latency
-        latency += self._dram_access(addr, cycle + latency)
-        self._l3_fill(addr)
-        self._l2_fill(addr)
+        """Latency of servicing a block request that missed in an L1.
+
+        L2 and L3 are walked inline on their LRU set dicts (see
+        :class:`~repro.memory.cache.Cache`): a hit moves the block to the
+        end, a miss fills it at the end, evicting the first block of a
+        full set. A block that missed a level is not in it, so its fill
+        is never a merged one.
+        """
+        block2 = addr >> self._l2_shift
+        set2 = self._l2_sets[block2 & self._l2_mask]
+        if block2 in set2:
+            del set2[block2]
+            set2[block2] = None
+            self.l2.hits += 1
+            return self._l2_latency
+        self.l2.misses += 1
+        latency = self._l2_latency + self._l3_latency
+        block3 = addr >> self._l3_shift
+        set3 = self._l3_sets[block3 & self._l3_mask]
+        if block3 in set3:
+            del set3[block3]
+            self.l3.hits += 1
+        else:
+            self.l3.misses += 1
+            latency += self._dram_access(addr, cycle + latency)
+            if len(set3) == self._l3_ways:
+                del set3[next(iter(set3))]
+        set3[block3] = None
+        if len(set2) == self._l2_ways:
+            del set2[next(iter(set2))]
+        set2[block2] = None
         return latency
 
     # -- instruction side ----------------------------------------------------------

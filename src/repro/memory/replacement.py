@@ -1,9 +1,10 @@
-"""Replacement policies for set-associative caches.
+"""Replacement policies for the L1-I models.
 
 Policies are per-cache-instance objects holding per-set state. The cache
 calls the hooks below; a policy never touches cache arrays directly, so the
-same implementations serve the conventional caches, the lower-level caches
-and (through the restricted-candidate variant) the UBS cache.
+same implementations serve the conventional and small-block L1-Is, the
+distillation cache and (through the restricted-candidate variant) the UBS
+cache. The L1-D, L2 and L3 are LRU (:class:`~repro.memory.cache.Cache`).
 """
 
 from __future__ import annotations

@@ -68,22 +68,6 @@ class SmallBlockICache(InstructionCacheBase):
         self._buffer_capacity = buffer_entries
         self.buffer_hits = 0
 
-    # -- helpers ---------------------------------------------------------------
-
-    def _chunks(self, addr: int, nbytes: int):
-        """Small blocks covered by the byte range."""
-        first = addr >> self._offset_bits
-        last = (addr + nbytes - 1) >> self._offset_bits
-        for sb in range(first, last + 1):
-            yield sb
-
-    def _find(self, small_block: int) -> Tuple[int, int]:
-        set_idx = small_block & self._index_mask
-        tags = self._tags[set_idx]
-        if small_block not in tags:
-            return set_idx, -1
-        return set_idx, tags.index(small_block)
-
     # -- interface --------------------------------------------------------------
 
     def lookup(self, addr: int, nbytes: int) -> MissKind:
@@ -168,7 +152,14 @@ class SmallBlockICache(InstructionCacheBase):
     def probe_range(self, addr: int, nbytes: int) -> bool:
         if addr >> 6 in self._buffer:
             return True
-        return all(self._find(sb)[1] >= 0 for sb in self._chunks(addr, nbytes))
+        offset_bits = self._offset_bits
+        index_mask = self._index_mask
+        all_tags = self._tags
+        for sb in range(addr >> offset_bits,
+                        ((addr + nbytes - 1) >> offset_bits) + 1):
+            if sb not in all_tags[sb & index_mask]:
+                return False
+        return True
 
     def storage_snapshot(self) -> Tuple[int, int]:
         stored = self._resident * self.block_size

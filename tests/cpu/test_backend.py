@@ -167,4 +167,4 @@ class TestPrivateL1D:
         assert folded.hierarchy.dram.accesses == live.hierarchy.dram.accesses
         untouched = folded.hierarchy.l1d
         assert untouched.hits == untouched.misses == 0
-        assert not any(untouched._maps)
+        assert not any(untouched.blocks)

@@ -126,7 +126,7 @@ class TestPrivateL1D:
         machine.run(WARMUP, MEASURE)
         l1d = hierarchy.l1d
         assert l1d.hits == l1d.misses == 0
-        assert not any(l1d._maps)
+        assert not any(l1d.blocks)
         assert hierarchy.l2.hits + hierarchy.l2.misses > 0
 
     def test_l1d_gauges_match_a_live_l1d(self, trace):

@@ -1,5 +1,11 @@
 """Memory hierarchy composition tests."""
 
+from dataclasses import replace
+
+from hypothesis import given, settings, strategies as st
+
+from repro.memory.cache import Cache
+from repro.memory.dram import DRAM
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import MachineParams
 
@@ -82,3 +88,51 @@ class TestDataPath:
         params = MachineParams()
         h = MemoryHierarchy(params)
         assert h.l3.params.size == 2 * 1024 * 1024
+
+
+def reference_below_l1(l2, l3, dram, addr, cycle):
+    """The L2 -> L3 -> DRAM walk composed from ``Cache.touch``/``fill``."""
+    latency = l2.params.latency
+    if l2.touch(addr):
+        return latency
+    latency += l3.params.latency
+    if not l3.touch(addr):
+        latency += dram.access(addr, cycle + latency)
+        l3.fill(addr)
+    l2.fill(addr)
+    return latency
+
+
+def shrunk(level, sets, ways):
+    return replace(level, size=sets * ways * level.block_size, ways=ways)
+
+
+@settings(max_examples=200, deadline=None)
+@given(l2_geom=st.tuples(st.sampled_from([1, 2, 4]),
+                         st.integers(min_value=1, max_value=4)),
+       l3_geom=st.tuples(st.sampled_from([1, 2, 4, 8]),
+                         st.integers(min_value=1, max_value=4)),
+       ops=st.lists(st.tuples(st.integers(min_value=0, max_value=63),
+                              st.integers(min_value=0, max_value=63),
+                              st.integers(min_value=0, max_value=500)),
+                    max_size=150))
+def test_inline_walk_matches_touch_and_fill(l2_geom, l3_geom, ops):
+    """``_below_l1`` walks the L2/L3 set dicts inline; it must leave the
+    same latencies, counters and set contents (in LRU order) as the walk
+    composed from ``Cache.touch``/``fill`` on twin levels."""
+    base = MachineParams()
+    params = replace(base, l2=shrunk(base.l2, *l2_geom),
+                     l3=shrunk(base.l3, *l3_geom))
+    h = MemoryHierarchy(params)
+    l2, l3, dram = Cache(params.l2), Cache(params.l3), DRAM(params.dram)
+    cycle = 0
+    for block, offset, gap in ops:
+        cycle += gap
+        addr = block * 64 + offset
+        assert h._below_l1(addr, cycle) == \
+            reference_below_l1(l2, l3, dram, addr, cycle)
+    for ours, twin in ((h.l2, l2), (h.l3, l3)):
+        assert (ours.hits, ours.misses) == (twin.hits, twin.misses)
+        assert [list(s) for s in ours.blocks] == [list(s) for s in twin.blocks]
+    assert (h.dram.row_hits, h.dram.row_misses) == \
+        (dram.row_hits, dram.row_misses)

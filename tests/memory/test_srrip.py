@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro.memory.cache import Cache
+from repro.memory.icache import ConventionalICache, MissKind
 from repro.memory.srrip import DRRIPPolicy, SRRIPPolicy, _RRPV_MAX
 from repro.params import CacheParams
+
+
+def access(cache, addr):
+    """Fetch 4 bytes at ``addr``, filling the block on a miss."""
+    if cache.lookup(addr, 4) != MissKind.HIT:
+        cache.fill(addr & -64)
 
 
 class TestSRRIP:
@@ -32,18 +38,22 @@ class TestSRRIP:
         assert p.victim(0, candidates=[5, 6]) in (5, 6)
 
     def test_scan_resistance_vs_lru(self):
-        """SRRIP keeps a re-referenced block through a one-shot scan."""
-        params = CacheParams(name="T", size=1024, ways=2, latency=1,
-                             mshr_entries=1, replacement="srrip")
-        cache = Cache(params)
-        sets = cache.sets
-        hot = 0
-        cache.access(hot)
-        cache.access(hot)                   # promoted
-        # Scan: two one-shot blocks through the same set.
-        cache.access(1 * sets * 64)
-        cache.access(2 * sets * 64)
-        assert cache.probe(hot)             # survived the scan
+        """SRRIP keeps a re-referenced block through a one-shot scan;
+        LRU does not."""
+        survived = {}
+        for replacement in ("srrip", "lru"):
+            params = CacheParams(name="T", size=1024, ways=2, latency=1,
+                                 mshr_entries=1, replacement=replacement)
+            cache = ConventionalICache(params)
+            sets = cache.sets
+            hot = 0
+            access(cache, hot)
+            access(cache, hot)              # promoted
+            # Scan: two one-shot blocks through the same set.
+            access(cache, 1 * sets * 64)
+            access(cache, 2 * sets * 64)
+            survived[replacement] = cache.probe_range(hot, 4)
+        assert survived == {"srrip": True, "lru": False}
 
 
 class TestDRRIP:
@@ -73,9 +83,10 @@ class TestDRRIP:
     def test_through_cache(self):
         params = CacheParams(name="T", size=2048, ways=4, latency=1,
                              mshr_entries=1, replacement="drrip")
-        cache = Cache(params)
+        cache = ConventionalICache(params)
+        assert isinstance(cache.policy, DRRIPPolicy)
         for i in range(64):
-            cache.access(i * 64)
+            access(cache, i * 64)
         assert cache.misses == 64
 
 
