@@ -3,9 +3,9 @@
 A search that dies — SIGKILL, OOM, a pulled plug — must resume without
 re-simulating finished points. The journal is the durable record: one
 header line describing the search, then one line per completed
-evaluation. Appends are single ``write`` + ``fsync`` calls of whole
-lines, so the only possible damage from a crash is a truncated *last*
-line, which :meth:`SearchJournal.read` discards with a warning
+evaluation. Appends are :mod:`repro.jsonl` whole-line writes followed by
+an ``fsync``, so the only possible damage from a crash is a truncated
+*last* line, which :meth:`SearchJournal.read` discards with a warning
 (mirroring ``ResultCache.load``'s corrupt-entry handling). Records carry
 only deterministic simulation-derived fields, so journals written at
 different ``--jobs`` levels are identical modulo completion order.
@@ -13,13 +13,12 @@ different ``--jobs`` levels are identical modulo completion order.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import JournalError
+from ..jsonl import append_record, read_records
 
 #: Bump on any change to the header or eval record layout.
 SCHEMA_VERSION = 1
@@ -49,27 +48,10 @@ class SearchJournal:
         could silently mix incompatible results. Duplicate keys keep the
         first record (later ones are re-runs of already-journaled work).
         """
-        if not self.path.exists():
-            return None, {}
-        raw_lines = self.path.read_text().split("\n")
-        if raw_lines and raw_lines[-1] == "":
-            raw_lines.pop()
-        records: List[dict] = []
-        for lineno, line in enumerate(raw_lines):
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise ValueError("record is not an object")
-            except ValueError as exc:
-                if lineno == len(raw_lines) - 1:
-                    _log.warning(
-                        "discarding truncated last journal line in %s (%s)",
-                        self.path, exc)
-                    break
-                raise JournalError(
-                    f"{self.path}: corrupt journal line {lineno + 1}: {exc}"
-                ) from exc
-            records.append(record)
+        try:
+            records = read_records(self.path, "journal")
+        except ValueError as exc:
+            raise JournalError(str(exc)) from exc
         if not records:
             return None, {}
         header = records[0]
@@ -102,15 +84,7 @@ class SearchJournal:
     # -- writing ------------------------------------------------------------
 
     def _append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            os.write(fd, line.encode("utf-8"))
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        append_record(self.path, record, fsync=True)
 
     def ensure_header(self, meta: dict) -> Dict[str, dict]:
         """Start or resume: write the header if the journal is new,

@@ -32,8 +32,8 @@ class DistillationICache(InstructionCacheBase):
     __slots__ = ("sets", "loc_ways", "woc_words_per_set", "_index_mask",
                  "policy", "_tags", "_accessed", "_reused", "_woc",
                  "_woc_clock", "woc_hits", "_resident", "_used_bits",
-                 "_woc_words", "_policy_on_hit", "_policy_note_miss",
-                 "_policy_victim", "_policy_on_evict", "_policy_on_fill")
+                 "_woc_words", "_policy_on_hit", "_policy_victim",
+                 "_policy_on_evict", "_policy_on_fill")
 
     def __init__(self, sets: int = 64, loc_ways: int = 4,
                  woc_words_per_set: int = 64, latency: int = 4,
@@ -45,9 +45,10 @@ class DistillationICache(InstructionCacheBase):
         self.loc_ways = loc_ways
         self.woc_words_per_set = woc_words_per_set
         self._index_mask = sets - 1
+        # LRU keeps ReplacementPolicy's no-op note_miss, so a miss calls
+        # no policy hook.
         self.policy = LRUPolicy(sets, loc_ways)
         self._policy_on_hit = self.policy.on_hit
-        self._policy_note_miss = self.policy.note_miss
         self._policy_victim = self.policy.victim
         self._policy_on_evict = self.policy.on_evict
         self._policy_on_fill = self.policy.on_fill
@@ -109,7 +110,6 @@ class DistillationICache(InstructionCacheBase):
             return _HIT
 
         self.misses += 1
-        self._policy_note_miss(addr, set_idx)
         return _FULL_MISS
 
     # -- fill / distillation ---------------------------------------------------------

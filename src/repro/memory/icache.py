@@ -22,7 +22,7 @@ from ..errors import ConfigurationError, SimulationError
 from ..params import CacheParams, TRANSFER_BLOCK
 from ..stats.histograms import ByteUsageHistogram, TouchDistanceStats
 from ..telemetry.events import NULL_RECORDER
-from .replacement import ReplacementPolicy, make_policy
+from .replacement import ReplacementPolicy, make_policy, overridden_hook
 
 
 class MissKind(IntEnum):
@@ -131,7 +131,8 @@ class ConventionalICache(InstructionCacheBase):
                  "track_touch_distance", "_bypass", "_bypass_capacity",
                  "_tags", "_accessed", "_reused", "_set_misses",
                  "_insert_miss", "_touch", "_policy_on_hit",
-                 "_policy_note_miss", "_resident", "_used_bits")
+                 "_policy_note_miss", "_policy_should_admit", "_resident",
+                 "_used_bits")
 
     def __init__(self, params: Optional[CacheParams] = None,
                  policy: Optional[ReplacementPolicy] = None,
@@ -152,7 +153,11 @@ class ConventionalICache(InstructionCacheBase):
         self.policy = policy or make_policy(params.replacement,
                                             self.sets, self.ways)
         self._policy_on_hit = self.policy.on_hit
-        self._policy_note_miss = self.policy.note_miss
+        # None unless the policy overrides the no-op default (ACIC's
+        # admission filter, DRRIP's set duel): LRU pays no call per miss.
+        self._policy_note_miss = overridden_hook(self.policy, "note_miss")
+        self._policy_should_admit = overridden_hook(self.policy,
+                                                    "should_admit")
         self.track_touch_distance = track_touch_distance
         # Incremental storage accounting so ``storage_snapshot`` (called on
         # every efficiency sample) is O(1) instead of a full-array walk.
@@ -192,7 +197,9 @@ class ConventionalICache(InstructionCacheBase):
                 return _HIT
             self.misses += 1
             self._set_misses[set_idx] += 1
-            self._policy_note_miss(addr, set_idx)
+            note_miss = self._policy_note_miss
+            if note_miss is not None:
+                note_miss(addr, set_idx)
             return _FULL_MISS
 
         way = tags.index(block)
@@ -240,7 +247,8 @@ class ConventionalICache(InstructionCacheBase):
     def fill(self, block_addr: int, prefetch: bool = False) -> None:
         block = block_addr >> 6
         set_idx = block & self._index_mask
-        if not self.policy.should_admit(block_addr, set_idx):
+        admit = self._policy_should_admit
+        if admit is not None and not admit(block_addr, set_idx):
             if block not in self._bypass:
                 self._bypass.append(block)
                 if len(self._bypass) > self._bypass_capacity:

@@ -10,7 +10,7 @@ cache. The L1-D, L2 and L3 are LRU (:class:`~repro.memory.cache.Cache`).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 
@@ -119,6 +119,16 @@ class RandomPolicy(ReplacementPolicy):
                candidates: Optional[Sequence[int]] = None) -> int:
         pool = list(range(self.ways)) if candidates is None else list(candidates)
         return pool[self._rng.randrange(len(pool))]
+
+
+def overridden_hook(policy: ReplacementPolicy,
+                    name: str) -> Optional[Callable[[int, int], object]]:
+    """``policy``'s bound ``name`` hook (``note_miss`` or ``should_admit``),
+    or None when its class keeps the :class:`ReplacementPolicy` default, so
+    a cache calls the hook only for the policies that use it."""
+    if getattr(type(policy), name) is getattr(ReplacementPolicy, name):
+        return None
+    return getattr(policy, name)
 
 
 def make_policy(name: str, sets: int, ways: int) -> ReplacementPolicy:

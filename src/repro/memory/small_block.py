@@ -27,8 +27,8 @@ class SmallBlockICache(InstructionCacheBase):
     __slots__ = ("size", "ways", "block_size", "sets", "_offset_bits",
                  "_index_mask", "policy", "_tags", "_accessed", "_reused",
                  "_buffer", "_buffer_capacity", "buffer_hits", "_resident",
-                 "_policy_on_hit", "_policy_note_miss", "_policy_victim",
-                 "_policy_on_evict", "_policy_on_fill")
+                 "_policy_on_hit", "_policy_victim", "_policy_on_evict",
+                 "_policy_on_fill")
 
     def __init__(self, size: int = 32 * 1024, ways: int = 8,
                  block_size: int = 16, latency: int = 4,
@@ -46,9 +46,10 @@ class SmallBlockICache(InstructionCacheBase):
             raise ConfigurationError("set count must be a power of two")
         self._offset_bits = block_size.bit_length() - 1
         self._index_mask = self.sets - 1
+        # LRU keeps ReplacementPolicy's no-op note_miss, so a miss calls
+        # no policy hook.
         self.policy = LRUPolicy(self.sets, self.ways)
         self._policy_on_hit = self.policy.on_hit
-        self._policy_note_miss = self.policy.note_miss
         self._policy_victim = self.policy.victim
         self._policy_on_evict = self.policy.on_evict
         self._policy_on_fill = self.policy.on_fill
@@ -113,9 +114,6 @@ class SmallBlockICache(InstructionCacheBase):
             return _HIT
 
         self.misses += 1
-        note_miss = self._policy_note_miss
-        for sb in missing:
-            note_miss(sb << offset_bits, sb & index_mask)
         return _FULL_MISS
 
     def _install_chunk(self, small_block: int) -> None:

@@ -1,8 +1,8 @@
 """Fleet-level run observability.
 
-Everything *around* the simulator — the sweep engine's process pool, the
-DSE search loop, the perf gate — is orchestration, and orchestration that
-cannot be observed cannot be debugged. :mod:`repro.obs` makes every
+Everything *around* the simulator — the sweep engine's process pool and
+the DSE search loop — is orchestration, and orchestration that cannot be
+observed cannot be debugged. :mod:`repro.obs` makes every
 orchestrated run a first-class queryable artifact:
 
 * **span tracing** (:mod:`repro.obs.spans`) — hierarchical
@@ -25,8 +25,7 @@ orchestrated run a first-class queryable artifact:
   from the ``estimates__s<scale>.json`` sidecar;
 * **a CLI** (``python -m repro.obs``) — ``report`` reconstructs the span
   tree with critical-path and self-time rollups, ``tail`` follows a live
-  run, ``regress`` walks the committed ``BENCH_*.json`` chain and flags
-  throughput regressions.
+  run.
 
 Every hook is behind an ``obs is not None`` guard and nothing here runs
 per simulated cycle, so runs without ``--obs-dir`` pay nothing.

@@ -1,4 +1,4 @@
-"""Observability CLI: ``python -m repro.obs {report,tail,regress}``.
+"""Observability CLI: ``python -m repro.obs {report,tail}``.
 
 * ``report DIR``   — reconstruct the span tree of one run directory:
   ASCII tree with the critical path marked, per-name self-time rollups,
@@ -7,9 +7,6 @@
 * ``tail DIR``     — follow a live run: prints spans as they complete
   and the latest per-worker heartbeat; exits when the run finishes
   (``metrics.json`` appears), the timeout elapses, or ``--once``.
-* ``regress``      — walk the committed ``BENCH_*.json`` chain (plus
-  ``<obs-dir>/bench/`` snapshots) and print the throughput trend,
-  failing (exit 1) on any regression beyond ``--tolerance``.
 """
 
 from __future__ import annotations
@@ -21,12 +18,9 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
-from .regress import analyze, bench_chain, render
 from .report import render_report, report_data
 from .runs import ObsRun, read_heartbeats
 from .spans import read_spans
-
-REPO_ROOT = Path(__file__).resolve().parents[3]
 
 
 def cmd_report(opts) -> int:
@@ -93,26 +87,11 @@ def cmd_tail(opts) -> int:
             return 0
 
 
-def cmd_regress(opts) -> int:
-    chain = bench_chain(opts.root, obs_dir=opts.obs_dir)
-    if not chain:
-        print(f"no BENCH_*.json snapshots under {opts.root}",
-              file=sys.stderr)
-        return 2
-    analysis = analyze(chain, opts.tolerance)
-    if opts.json:
-        json.dump(analysis, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        print(render(analysis))
-    return 0 if analysis["ok"] else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Inspect run observability artifacts "
-                    "(span traces, heartbeats, perf trends).",
+                    "(span traces, heartbeats).",
         allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -135,19 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the current state and exit")
     p.set_defaults(fn=cmd_tail)
 
-    p = sub.add_parser("regress",
-                       help="BENCH_*.json perf trend + regression gate")
-    p.add_argument("--root", default=str(REPO_ROOT), metavar="DIR",
-                   help="repo root holding BENCH_*.json and "
-                        "benchmarks/perf/baseline.json")
-    p.add_argument("--obs-dir", default=None, metavar="DIR",
-                   help="also include <DIR>/bench/*.json snapshots")
-    p.add_argument("--tolerance", type=float, default=0.15, metavar="FRAC",
-                   help="allowed fractional geomean drop vs the previous "
-                        "same-suite entry (default: 0.15)")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable output")
-    p.set_defaults(fn=cmd_regress)
     return parser
 
 

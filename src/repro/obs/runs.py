@@ -1,7 +1,7 @@
 """Run directories: manifest, spans, heartbeats, final metrics.
 
-One orchestrated run (a ``run_all`` fill, a DSE search, a perfgate
-measurement) owns one directory::
+One orchestrated run (a ``run_all`` fill, a DSE search) owns one
+directory::
 
     <obs-dir>/
       manifest.json         run_id, kind, argv, config, host, git rev, scale
@@ -9,7 +9,6 @@ measurement) owns one directory::
       heartbeats/           worker-<pid>.jsonl, one line per state change
       metrics.json          written at the end: wall clock, counters,
                             MetricsRegistry snapshot
-      bench/                perfgate drops its BENCH_*.json copy here
 
 ``metrics.json`` doubles as the completion marker: ``tail`` follows a
 run until it appears, and ``report`` computes wall-clock coverage from

@@ -5,11 +5,11 @@ span of one run, its own ``span_id``, its parent's ``span_id`` (``None``
 for the root), wall-clock start/end in Unix nanoseconds, a status and a
 flat attribute dict — the OpenTelemetry shape, one JSON object per line.
 
-Durability follows :mod:`repro.dse.journal`: each finished span is
-appended as one whole-line ``write`` to an ``O_APPEND`` descriptor, so
-concurrent writers (pool workers appending to the same ``spans.jsonl``)
-interleave at line granularity and the only damage a SIGKILL can cause
-is a truncated *last* line, which :func:`read_spans` discards with a
+Durability is :mod:`repro.jsonl`'s: each finished span is appended as
+one whole-line ``write`` to an ``O_APPEND`` descriptor, so concurrent
+writers (pool workers appending to the same ``spans.jsonl``) interleave
+at line granularity and the only damage a SIGKILL can cause is a
+truncated *last* line, which :func:`read_spans` discards with a
 warning. Spans are written on *end*; a span in flight when the process
 dies is simply absent (its children may be present — the report CLI
 renders such orphans under a synthetic root).
@@ -23,8 +23,6 @@ span, so host and workers emit one connected tree.
 
 from __future__ import annotations
 
-import json
-import logging
 import os
 import secrets
 import time
@@ -32,10 +30,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
+from ..jsonl import append_record, read_records
+
 #: Bump on any change to the span record layout.
 SPAN_SCHEMA_VERSION = 1
-
-_log = logging.getLogger(__name__)
 
 
 def new_trace_id() -> str:
@@ -61,14 +59,7 @@ class SpanWriter:
         self.path = Path(path)
 
     def write(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            os.write(fd, line.encode("utf-8"))
-        finally:
-            os.close(fd)
+        append_record(self.path, record)
 
 
 def read_spans(path) -> List[Dict[str, Any]]:
@@ -80,27 +71,7 @@ def read_spans(path) -> List[Dict[str, Any]]:
     A missing file reads as an empty list (the run died before its first
     span ended).
     """
-    path = Path(path)
-    if not path.exists():
-        return []
-    raw_lines = path.read_text().split("\n")
-    if raw_lines and raw_lines[-1] == "":
-        raw_lines.pop()
-    spans: List[Dict[str, Any]] = []
-    for lineno, line in enumerate(raw_lines):
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("span record is not an object")
-        except ValueError as exc:
-            if lineno == len(raw_lines) - 1:
-                _log.warning("discarding truncated last span line in %s "
-                             "(%s)", path, exc)
-                break
-            raise ValueError(
-                f"{path}: corrupt span line {lineno + 1}: {exc}") from exc
-        spans.append(record)
-    return spans
+    return read_records(path, "span")
 
 
 class Tracer:

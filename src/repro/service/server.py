@@ -1,6 +1,6 @@
 """The simulation daemon: one warm :class:`SweepEngine`, many clients.
 
-Every consumer of the simulator (``run_all``, DSE, the perf gate, CI)
+Every consumer of the simulator (``run_all``, DSE, the benchmark, CI)
 used to cold-start its own process pool and its own trace memo, throwing
 the warm state away between invocations. :class:`ServiceServer` owns
 that state for as long as the daemon lives:
@@ -63,7 +63,8 @@ from ..errors import ConfigurationError
 from ..experiments.pool import SweepEngine, estimate_key
 from ..experiments.runner import RESULTS_VERSION, ResultCache, default_cache
 from ..obs.hooks import ProgressObs
-from ..obs.spans import SpanWriter, Tracer, read_spans
+from ..jsonl import append_record, read_records
+from ..obs.spans import Tracer
 from ..trace.workloads import (
     champsim_trace_path,
     is_imported_workload,
@@ -237,7 +238,7 @@ class ServiceServer:
         self.state_dir = Path(state_dir) if state_dir \
             else self.cache.root / "service"
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        self._journal = SpanWriter(self.state_dir / "jobs.jsonl")
+        self._journal = self.state_dir / "jobs.jsonl"
 
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
@@ -262,7 +263,7 @@ class ServiceServer:
     # -- journal -------------------------------------------------------------
 
     def _journal_append(self, record: Dict[str, Any]) -> None:
-        self._journal.write(record)
+        append_record(self._journal, record)
 
     def _restore_journal(self) -> None:
         """Rebuild terminal jobs from a previous daemon's journal.
@@ -270,13 +271,11 @@ class ServiceServer:
         A ``submit`` record without a matching ``done`` means the
         previous daemon died mid-job: the job resurfaces as ``lost``
         (its client resubmits; pairs already simulated are cache hits).
-        ``read_spans`` tolerates exactly a SIGKILL-truncated last line.
+        ``read_records`` tolerates exactly a SIGKILL-truncated last line.
         """
-        path = self._journal.path
-        if not path.exists():
-            return
+        path = self._journal
         try:
-            records = read_spans(path)
+            records = read_records(path, "jobs journal")
         except ValueError as exc:
             _log.warning("ignoring corrupt jobs journal %s (%s)", path, exc)
             return

@@ -80,6 +80,19 @@ class TestDRRIP:
         values = {p._insertion_rrpv(0, follower) for _ in range(64)}
         assert _RRPV_MAX in values
 
+    def test_cache_misses_train_psel(self):
+        """The cache calls DRRIP's overridden note_miss on every miss (it
+        skips only the no-op default), so misses in an SRRIP leader set
+        move PSEL toward SRRIP."""
+        params = CacheParams(name="T", size=2048, ways=4, latency=1,
+                             mshr_entries=1, replacement="drrip")
+        cache = ConventionalICache(params)
+        leader = min(cache.policy._srrip_sets)
+        for i in range(3):
+            assert cache.lookup((leader + i * cache.sets) * 64, 4) \
+                is not MissKind.HIT
+        assert cache.policy._psel == -3
+
     def test_through_cache(self):
         params = CacheParams(name="T", size=2048, ways=4, latency=1,
                              mshr_entries=1, replacement="drrip")

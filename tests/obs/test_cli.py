@@ -1,4 +1,4 @@
-"""The ``python -m repro.obs`` CLI: report / tail / regress exits."""
+"""The ``python -m repro.obs`` CLI: report / tail exits."""
 
 import json
 
@@ -66,40 +66,3 @@ class TestTail:
         assert "tail timeout" in capsys.readouterr().err
         run.finish()
 
-
-class TestRegress:
-    def _write_bench(self, path, geomean, suite="full", date="2026-08-01"):
-        path.write_text(json.dumps({
-            "date": date, "suite": suite,
-            "geomean_cycles_per_sec": geomean}))
-
-    def test_clean_chain_exit_zero(self, tmp_path, capsys):
-        self._write_bench(tmp_path / "BENCH_2026-08-01.json", 100.0)
-        self._write_bench(tmp_path / "BENCH_2026-08-02.json", 110.0,
-                          date="2026-08-02")
-        assert main(["regress", "--root", str(tmp_path)]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_regression_exit_one(self, tmp_path, capsys):
-        self._write_bench(tmp_path / "BENCH_2026-08-01.json", 100.0)
-        self._write_bench(tmp_path / "BENCH_2026-08-02.json", 50.0,
-                          date="2026-08-02")
-        assert main(["regress", "--root", str(tmp_path),
-                     "--tolerance", "0.15"]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_no_chain_exit_two(self, tmp_path, capsys):
-        assert main(["regress", "--root", str(tmp_path)]) == 2
-        assert "no BENCH_" in capsys.readouterr().err
-
-    def test_obs_dir_snapshot_included(self, tmp_path, capsys):
-        self._write_bench(tmp_path / "BENCH_2026-08-01.json", 100.0)
-        bench = tmp_path / "obs" / "bench"
-        bench.mkdir(parents=True)
-        self._write_bench(bench / "BENCH_2026-08-02.json", 120.0,
-                          date="2026-08-02")
-        assert main(["regress", "--root", str(tmp_path),
-                     "--obs-dir", str(tmp_path / "obs"), "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
-        labels = [e["label"] for e in data["entries"]]
-        assert labels[-1] == "obs:BENCH_2026-08-02.json"

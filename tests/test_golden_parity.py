@@ -80,7 +80,7 @@ VARIANT_RUNS = {
 #: 16-way conventional cache, the GHRP/ACIC/SRRIP replacement variants
 #: and the ideal (always-hit) L1-I.
 FAMILY_CONFIGS = ("conv64", "conv32_16w", "conv32_ghrp", "conv32_acic",
-                  "conv32_srrip", "ideal")
+                  "conv32_srrip", "conv32_drrip", "ideal")
 
 #: L1-I model paths the headline pairs do not reach, on the server
 #: workload: the small-block and distillation caches, a 16-way DSE point,
