@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..memory.icache import InstructionCacheBase, MissKind
-from ..memory.replacement import LRUPolicy
+from ..memory.replacement import LRUPolicy, overridden_hook
 from ..params import TRANSFER_BLOCK, UBSParams
 from ..telemetry.events import PREDICTOR
 from .predictor import PredictorConfig, UsefulnessPredictor
@@ -50,6 +50,7 @@ class UBSICache(InstructionCacheBase):
                  "_pending_bits", "_max_way", "_fit", "_stored_bytes",
                  "_used_bits",
                  "_predictor_mark", "_predictor_contains", "_policy_on_hit",
+                 "_policy_on_evict",
                  "partial_missing", "partial_overrun", "partial_underrun",
                  "way_evictions", "subblocks_installed", "blocks_discarded")
 
@@ -80,6 +81,8 @@ class UBSICache(InstructionCacheBase):
         self._predictor_mark = self.predictor.mark
         self._predictor_contains = self.predictor.contains
         self._policy_on_hit = self.policy.on_hit
+        # None for LRU (no-op default); GHRP trains on evictions.
+        self._policy_on_evict = overridden_hook(self.policy, "on_evict")
 
         n, w = self.sets, self.n_ways
         self._tags: List[List[Optional[int]]] = [[None] * w for _ in range(n)]
@@ -242,9 +245,10 @@ class UBSICache(InstructionCacheBase):
         if self._tags[set_idx][way] is None:
             return
         self.way_evictions += 1
-        self.policy.on_evict(set_idx, way,
-                             self._tags[set_idx][way] << 6,
-                             self._reused[set_idx][way])
+        on_evict = self._policy_on_evict
+        if on_evict is not None:
+            on_evict(set_idx, way, self._tags[set_idx][way] << 6,
+                     self._reused[set_idx][way])
         self._tags[set_idx][way] = None
         self._stored_bytes -= self.way_sizes[way]
         self._used_bits -= self._useful[set_idx][way].bit_count()

@@ -13,8 +13,9 @@ interface:
 
 Evaluation fans out pair-granular through
 :class:`repro.experiments.pool.SweepEngine`, so a search inherits the
-parallel scheduler, shared-memory traces, the on-disk ``ResultCache``
-and single-flight dedup for free. Every completed point is appended to a
+parallel scheduler, the per-worker trace memos over the trace cache,
+the on-disk ``ResultCache`` and single-flight dedup for free. Every
+completed point is appended to a
 :class:`repro.dse.journal.SearchJournal`; a resumed search replays the
 strategy deterministically and answers journaled points without
 simulating anything.
@@ -462,12 +463,8 @@ def run_search(space: DesignSpace, strategy: SearchStrategy,
             else:
                 new = evaluator.evaluate(batch)
             if profiler is not None:
-                stage = f"dse.gen{generation:03d}"
-                elapsed = perf_counter() - t0
-                profiler.stage_seconds[stage] = \
-                    profiler.stage_seconds.get(stage, 0.0) + elapsed
-                profiler.stage_calls[stage] = \
-                    profiler.stage_calls.get(stage, 0) + 1
+                profiler.charge(f"dse.gen{generation:03d}",
+                                perf_counter() - t0)
             records.extend(new)
             best = max(records,
                        key=lambda r: (objective_score(r, objective), r.key)) \

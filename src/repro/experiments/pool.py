@@ -3,8 +3,8 @@
 The experiment campaign (~150 (workload, config) pairs) is embarrassingly
 parallel at pair granularity, but naive parallelisation wastes most of
 the win: workload-group scheduling pins the wall clock to the slowest
-group, and every worker re-decodes its trace from disk into Python
-objects. :class:`SweepEngine` fixes both:
+group, and every pair re-reads or re-generates its workload's trace.
+:class:`SweepEngine` fixes both:
 
 * **Pair-granular dynamic load balancing** — every missing (workload,
   config) pair is an independent task pulled from one global queue the
@@ -13,13 +13,13 @@ objects. :class:`SweepEngine` fixes both:
   result cache's ``estimates__s<scale>.json`` sidecar, with a
   footprint×config heuristic for never-seen pairs). No straggler group
   can serialise the tail of the fill.
-* **Shared-memory columnar traces** — the host decodes/generates each
-  workload trace once as an :class:`~repro.trace.arrays.ArrayTrace` and
-  publishes its serialised bytes into a
-  :mod:`multiprocessing.shared_memory` segment; workers attach the
-  columns zero-copy. One decode per host instead of one per worker, and
-  a per-worker memo (small LRU) makes repeat pairs of the same workload
-  free.
+* **One trace hand-off: the on-disk trace cache** — a trace crosses a
+  process boundary only as the ``.atrace`` file of
+  :meth:`ResultCache.array_trace_for`, whose columns load zero-copy
+  from one buffer read. Each worker (and the inline engine) keeps a
+  small LRU of :class:`~repro.trace.arrays.ArrayTrace` objects over
+  that cache (:func:`_memo_trace`), so repeat pairs of the same
+  workload read nothing.
 * **Single-flight trace generation** — for a workload whose trace is not
   on disk yet, only one "pioneer" pair is dispatched; its worker
   generates and atomically persists the trace, and the workload's
@@ -29,19 +29,19 @@ objects. :class:`SweepEngine` fixes both:
 
 Results land in the same on-disk :class:`ResultCache` as the serial
 path, and simulation is deterministic, so parallel and serial fills are
-byte-identical (tests/experiments/test_run_all.py). Shared-memory
-segments are unlinked as soon as a workload's last pair completes, and
-unconditionally on the way out of :meth:`SweepEngine.run`.
+byte-identical (tests/experiments/test_run_all.py). The engine
+allocates no shared-memory segments, so nothing needs unlinking when a
+sweep ends or is killed.
 
 With ``persistent=True`` the engine instead keeps its warm state alive
 *across* :meth:`run` calls — the inline trace memo, the process pool and
-a bounded LRU of published shared-memory segments all survive until
-:meth:`close` — which is what lets a long-running owner (the
-:mod:`repro.service` daemon) answer many independent requests without
-re-paying pool spin-up or trace decode each time. Persistent engines
-assume a fixed ``REPRO_SCALE`` for their lifetime (worker trace memos
-are keyed by workload name only) and must be closed explicitly;
-:class:`SweepEngine` is also a context manager for exactly that.
+its workers' trace memos all survive until :meth:`close` — which is
+what lets a long-running owner (the :mod:`repro.service` daemon) answer
+many independent requests without re-paying pool spin-up or trace reads
+each time. Persistent engines assume a fixed ``REPRO_SCALE`` for their
+lifetime (worker trace memos are keyed by workload name only) and must
+be closed explicitly; :class:`SweepEngine` is also a context manager for
+exactly that.
 
 With an observer attached (``obs=``, a :class:`repro.obs.RunObs`) the
 engine additionally emits a ``sweep`` span per run and one ``pair`` span
@@ -56,7 +56,6 @@ guards: runs without an observer are unchanged.
 from __future__ import annotations
 
 import heapq
-import logging
 from collections import OrderedDict
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -70,13 +69,8 @@ Pair = Tuple[str, str]
 #: progress(workload, config, done, todo_total) after each simulated pair.
 ProgressFn = Callable[[str, str, int, int], None]
 
-_log = logging.getLogger(__name__)
-
 #: Traces memoised per worker process (and by the inline engine).
 TRACE_MEMO_LIMIT = 4
-
-#: Shared-memory trace segments a persistent engine keeps warm (LRU).
-PERSIST_SHM_LIMIT = 4
 
 #: Relative cost of a configuration family, used to order never-measured
 #: pairs longest-expected-first (sub-block designs simulate slower than
@@ -108,11 +102,26 @@ def expected_cost(pair: Pair, estimates: Dict[str, float]) -> float:
     return weight * get_workload(pair[0]).spec.n_functions / 1000.0
 
 
+def _memo_trace(memo: "OrderedDict[str, ArrayTrace]", cache: ResultCache,
+                workload: str) -> ArrayTrace:
+    """``workload``'s columnar trace from ``memo``, an LRU of at most
+    :data:`TRACE_MEMO_LIMIT` traces over ``cache``: a miss reads (or
+    generates and persists) the trace through
+    :meth:`ResultCache.array_trace_for`."""
+    trace = memo.get(workload)
+    if trace is not None:
+        memo.move_to_end(workload)
+        return trace
+    trace = memo[workload] = cache.array_trace_for(get_workload(workload))
+    while len(memo) > TRACE_MEMO_LIMIT:
+        memo.popitem(last=False)
+    return trace
+
+
 # -- worker side --------------------------------------------------------------
 
 _worker_caches: Dict[str, ResultCache] = {}
-_worker_traces: "OrderedDict[str, Tuple[ArrayTrace, Optional[object]]]" = \
-    OrderedDict()
+_worker_traces: "OrderedDict[str, ArrayTrace]" = OrderedDict()
 _worker_heartbeats: Dict[str, object] = {}
 
 
@@ -158,46 +167,7 @@ def _worker_cache(root: str) -> ResultCache:
     return cache
 
 
-def _worker_trace(cache: ResultCache, workload: str,
-                  shm_name: Optional[str]) -> ArrayTrace:
-    """This worker's columnar trace for ``workload``: memoised, attached
-    zero-copy from shared memory when the host published it, otherwise
-    loaded/generated through the disk cache."""
-    memo = _worker_traces
-    hit = memo.get(workload)
-    if hit is not None:
-        memo.move_to_end(workload)
-        return hit[0]
-    shm = None
-    if shm_name is not None:
-        from multiprocessing import resource_tracker, shared_memory
-
-        # Attach without registering: on Python < 3.13 attaching also
-        # registers the segment with the resource tracker (there is no
-        # ``track=False`` yet), and that late REGISTER races with the
-        # host's unlink-time UNREGISTER, producing spurious "leaked
-        # shared_memory objects" warnings at shutdown. The host owns the
-        # segment's lifecycle; workers must not track it.
-        real_register = resource_tracker.register
-        resource_tracker.register = lambda *a, **k: None
-        try:
-            shm = shared_memory.SharedMemory(name=shm_name)
-        finally:
-            resource_tracker.register = real_register
-        trace = ArrayTrace.from_shared_memory(shm)
-    else:
-        trace = cache.array_trace_for(get_workload(workload))
-    memo[workload] = (trace, shm)
-    while len(memo) > TRACE_MEMO_LIMIT:
-        _name, (old_trace, old_shm) = memo.popitem(last=False)
-        old_trace.release()
-        if old_shm is not None:
-            old_shm.close()
-    return trace
-
-
-def _worker_run_pair(workload: str, config: str, shm_name: Optional[str],
-                     cache_root: str,
+def _worker_run_pair(workload: str, config: str, cache_root: str,
                      obs_carrier: Optional[Dict[str, str]] = None,
                      ) -> Tuple[str, str, dict, Dict[str, int]]:
     """Pool entry point: simulate one pair into the shared disk cache.
@@ -227,12 +197,12 @@ def _worker_run_pair(workload: str, config: str, shm_name: Optional[str],
         result = cache.load(workload, config, count=False)
         if result is None:
             if is_smt_workload(workload):
-                # Co-run pairs have no single trace to fan out; the SMT
+                # Co-run pairs have no single trace to memoise; the SMT
                 # runner pulls each component through the disk cache.
                 result = _simulate(get_workload(workload), config,
                                    cache=cache)
             else:
-                trace = _worker_trace(cache, workload, shm_name)
+                trace = _memo_trace(_worker_traces, cache, workload)
                 result = _simulate(get_workload(workload), config, trace)
             cache.store(result)
         return result
@@ -276,8 +246,6 @@ class SweepEngine:
         # Warm state a persistent engine carries between run() calls.
         self._memo: "OrderedDict[str, ArrayTrace]" = OrderedDict()
         self._pool = None                              # ProcessPoolExecutor
-        self._published: "OrderedDict[str, object]" = \
-            OrderedDict()                              # workload -> SharedMemory
 
     def __enter__(self) -> "SweepEngine":
         return self
@@ -286,22 +254,13 @@ class SweepEngine:
         self.close()
 
     def close(self) -> None:
-        """Release warm state: shut the persistent pool down, unlink the
-        kept shared-memory segments, drop the trace memo. Idempotent;
-        a no-op for non-persistent engines (their state never outlives
-        :meth:`run`)."""
+        """Release warm state: shut the persistent pool down (its workers'
+        trace memos go with it) and drop the inline trace memo.
+        Idempotent; a no-op for non-persistent engines (their state never
+        outlives :meth:`run`)."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        while self._published:
-            _name, shm = self._published.popitem(last=False)
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:       # pragma: no cover - defensive
-                _log.warning("failed to unlink trace segment %s", _name)
-        for trace in self._memo.values():
-            trace.release()
         self._memo.clear()
 
     @property
@@ -312,11 +271,8 @@ class SweepEngine:
         return self.pairs_simulated * 60.0 / self.fill_seconds
 
     def _charge(self, stage: str, t0: float) -> None:
-        prof = self.profiler
-        if prof is not None:
-            dt = perf_counter() - t0
-            prof.stage_seconds[stage] = prof.stage_seconds.get(stage, 0) + dt
-            prof.stage_calls[stage] = prof.stage_calls.get(stage, 0) + 1
+        if self.profiler is not None:
+            self.profiler.charge(stage, perf_counter() - t0)
 
     def run(self, pairs: Iterable[Pair],
             progress: Optional[ProgressFn] = None) -> Dict[Pair, SimResult]:
@@ -382,7 +338,7 @@ class SweepEngine:
         cache = self.cache
         obs = self.obs
         # A persistent engine's memo survives this run, so repeat
-        # requests for the same workload skip the decode entirely.
+        # requests for the same workload skip the trace read entirely.
         memo = self._memo if self.persistent else OrderedDict()
         done = 0
         for workload, config in todo:
@@ -392,16 +348,9 @@ class SweepEngine:
             if not is_smt_workload(workload):
                 # Co-run pairs skip the memo: their component traces load
                 # through the disk cache inside the SMT runner.
-                trace = memo.get(workload)
-                if trace is None:
-                    t0 = perf_counter()
-                    trace = cache.array_trace_for(get_workload(workload))
-                    self._charge("trace", t0)
-                    memo[workload] = trace
-                    while len(memo) > TRACE_MEMO_LIMIT:
-                        memo.popitem(last=False)
-                else:
-                    memo.move_to_end(workload)
+                t0 = perf_counter()
+                trace = _memo_trace(memo, cache, workload)
+                self._charge("trace", t0)
             t0 = perf_counter()
             result = _simulate(get_workload(workload), config, trace,
                                cache=cache)
@@ -424,9 +373,6 @@ class SweepEngine:
 
         cache = self.cache
         cache_root = str(cache.root)
-        remaining: Dict[str, int] = {}
-        for workload, _config in todo:
-            remaining[workload] = remaining.get(workload, 0) + 1
 
         # Ready heap (longest first; `todo` is already sorted so the index
         # is the tiebreak) and pairs blocked behind a pioneer generation.
@@ -439,36 +385,6 @@ class SweepEngine:
                 heapq.heappush(ready, (index, workload, config))
             else:
                 blocked.setdefault(workload, []).append((workload, config))
-
-        # Per-run segments are unlinked at each workload's last pair; a
-        # persistent engine instead keeps a bounded LRU of segments warm
-        # across runs (unlinked only on eviction or close()).
-        published = self._published if self.persistent else OrderedDict()
-
-        def publish(workload: str) -> Optional[str]:
-            """Shared-memory name for a workload's trace, creating the
-            segment when ≥2 of its pairs still need it."""
-            shm = published.get(workload)
-            if shm is not None:
-                published.move_to_end(workload)
-                return shm.name
-            if remaining[workload] < 2 or not cache.trace_exists(workload):
-                return None          # pioneer run, or not worth a segment
-            t0 = perf_counter()
-            trace = cache.array_trace_for(get_workload(workload))
-            shm = trace.to_shared_memory()
-            trace.release()
-            published[workload] = shm
-            while self.persistent and len(published) > PERSIST_SHM_LIMIT:
-                unpublish(next(iter(published)))
-            self._charge("publish", t0)
-            return shm.name
-
-        def unpublish(workload: str) -> None:
-            shm = published.pop(workload, None)
-            if shm is not None:
-                shm.close()
-                shm.unlink()
 
         done = 0
         obs = self.obs
@@ -487,8 +403,7 @@ class SweepEngine:
                 while ready and len(inflight) < self.jobs:
                     _idx, workload, config = heapq.heappop(ready)
                     future = pool.submit(_worker_run_pair, workload,
-                                         config, publish(workload),
-                                         cache_root, carrier)
+                                         config, cache_root, carrier)
                     inflight[future] = (workload, config)
                     if obs is not None:
                         obs.pair_started(workload, config)
@@ -503,9 +418,6 @@ class SweepEngine:
                     result = SimResult.from_dict(payload)
                     self._note_done(results, estimates, workload, config,
                                     result)
-                    remaining[workload] -= 1
-                    if remaining[workload] == 0 and not self.persistent:
-                        unpublish(workload)
                     waiters = blocked.pop(workload, None)
                     if waiters:      # pioneer done: trace is on disk now
                         base = len(todo)
@@ -520,12 +432,6 @@ class SweepEngine:
         finally:
             if not self.persistent:
                 pool.shutdown(wait=True)
-                for workload in list(published):
-                    try:
-                        unpublish(workload)
-                    except OSError:   # pragma: no cover - defensive
-                        _log.warning("failed to unlink trace segment for %s",
-                                     workload)
 
     @staticmethod
     def _note_done(results, estimates, workload, config,

@@ -8,11 +8,12 @@ Usage::
 Runs every (workload, configuration) pair any benchmark needs through the
 pair-granular sweep engine (:mod:`repro.experiments.pool`), reusing the
 on-disk cache; safe to interrupt and resume. With ``--jobs N`` pairs are
-dynamically scheduled onto N worker processes with shared-memory trace
-fan-out; simulation is deterministic, so parallel and serial fills
-produce identical caches. ``--pairs REGEX`` restricts the fill to pairs
-whose ``workload::config`` key matches (e.g. ``--pairs 'server.*::ubs'``
-or ``--pairs '::conv'`` for every conventional configuration).
+dynamically scheduled onto N worker processes, each reading its traces
+from the on-disk trace cache; simulation is deterministic, so parallel
+and serial fills produce identical caches. ``--pairs REGEX`` restricts
+the fill to pairs whose ``workload::config`` key matches (e.g.
+``--pairs 'server.*::ubs'`` or ``--pairs '::conv'`` for every
+conventional configuration).
 ``--champsim PATH`` (repeatable) adds an imported real trace as the
 workload ``champsim:PATH`` against the core configurations, scheduled
 through the same engine as the synthetic suite.

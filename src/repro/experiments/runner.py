@@ -32,7 +32,6 @@ from ..memory.icache import ConventionalICache
 from ..stats.counters import SimResult
 from ..trace.arrays import ArrayTrace
 from ..trace.io import read_trace, write_trace
-from ..trace.record import Instruction
 from ..trace.workloads import (SMTWorkload, Workload, get_workload,
                                is_smt_workload, scale_factor)
 
@@ -104,8 +103,8 @@ class ResultCache:
 
     def _trace_path(self, workload: str) -> Path:
         # Uncompressed columnar container: reads are a single buffer pull
-        # whose columns load zero-copy (the sweep engine publishes exactly
-        # these bytes into shared memory for its workers).
+        # whose columns load zero-copy (the sweep engine's pool workers
+        # read their traces from exactly these files).
         scale = scale_factor()
         return self.root / "traces" / \
             f"{self._safe_name(workload)}__s{scale:g}.atrace"
@@ -313,7 +312,7 @@ def _simulate_smt(workload: SMTWorkload, config: str,
 
 
 def _simulate(workload: Workload, config: str,
-              trace: Optional[Sequence[Instruction]] = None,
+              trace: Optional[ArrayTrace] = None,
               cache: Optional[ResultCache] = None) -> SimResult:
     if isinstance(workload, SMTWorkload):
         return _simulate_smt(workload, config, cache)
@@ -348,7 +347,7 @@ def _simulate(workload: Workload, config: str,
 
 
 def run_pair(workload_name: str, config: str,
-             trace: Optional[Sequence[Instruction]] = None) -> SimResult:
+             trace: Optional[ArrayTrace] = None) -> SimResult:
     """Cached simulation of one (workload, config) pair."""
     cache = default_cache()
     hit = cache.load(workload_name, config)
@@ -370,8 +369,9 @@ def sweep(workloads: Sequence[str], configs: Sequence[str],
 
     With ``jobs == 1`` the engine simulates inline (traces memoised per
     workload, exactly the old behaviour); with ``jobs > 1`` individual
-    (workload, config) pairs are scheduled onto a process pool with
-    shared-memory trace fan-out (see :mod:`repro.experiments.pool`).
+    (workload, config) pairs are scheduled onto a process pool whose
+    workers read each trace from the on-disk trace cache (see
+    :mod:`repro.experiments.pool`).
     """
     from .pool import SweepEngine
 

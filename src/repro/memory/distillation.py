@@ -30,10 +30,10 @@ class DistillationICache(InstructionCacheBase):
     """LOC + WOC instruction cache."""
 
     __slots__ = ("sets", "loc_ways", "woc_words_per_set", "_index_mask",
-                 "policy", "_tags", "_accessed", "_reused", "_woc",
+                 "policy", "_tags", "_accessed", "_woc",
                  "_woc_clock", "woc_hits", "_resident", "_used_bits",
                  "_woc_words", "_policy_on_hit", "_policy_victim",
-                 "_policy_on_evict", "_policy_on_fill")
+                 "_policy_on_fill")
 
     def __init__(self, sets: int = 64, loc_ways: int = 4,
                  woc_words_per_set: int = 64, latency: int = 4,
@@ -45,20 +45,16 @@ class DistillationICache(InstructionCacheBase):
         self.loc_ways = loc_ways
         self.woc_words_per_set = woc_words_per_set
         self._index_mask = sets - 1
-        # LRU keeps ReplacementPolicy's no-op note_miss, so a miss calls
-        # no policy hook.
+        # LRU keeps ReplacementPolicy's no-op note_miss and on_evict, so
+        # a miss or an eviction calls no policy hook.
         self.policy = LRUPolicy(sets, loc_ways)
         self._policy_on_hit = self.policy.on_hit
         self._policy_victim = self.policy.victim
-        self._policy_on_evict = self.policy.on_evict
         self._policy_on_fill = self.policy.on_fill
         self._tags: List[List[Optional[int]]] = [
             [None] * loc_ways for _ in range(sets)
         ]
         self._accessed: List[List[int]] = [[0] * loc_ways for _ in range(sets)]
-        self._reused: List[List[bool]] = [
-            [False] * loc_ways for _ in range(sets)
-        ]
         # WOC per set: (block, word_index) -> lru stamp
         self._woc: List[Dict[Tuple[int, int], int]] = [
             {} for _ in range(sets)
@@ -82,7 +78,6 @@ class DistillationICache(InstructionCacheBase):
         if block in tags:
             way = tags.index(block)
             self.hits += 1
-            self._reused[set_idx][way] = True
             self._policy_on_hit(set_idx, way, addr)
             masks = self._accessed[set_idx]
             old = masks[way]
@@ -135,7 +130,6 @@ class DistillationICache(InstructionCacheBase):
         self._resident += 1
         tags[way] = block
         self._accessed[set_idx][way] = 0
-        self._reused[set_idx][way] = False
         self._policy_on_fill(set_idx, way, block_addr)
 
     def _distill(self, set_idx: int, way: int) -> None:
@@ -146,8 +140,6 @@ class DistillationICache(InstructionCacheBase):
         accessed = self._accessed[set_idx][way]
         if self.recording:
             self.byte_usage.add(accessed.bit_count())
-        self._policy_on_evict(set_idx, way, block << 6,
-                              self._reused[set_idx][way])
         self._tags[set_idx][way] = None
         self._resident -= 1
         self._used_bits -= accessed.bit_count()

@@ -131,8 +131,8 @@ class ConventionalICache(InstructionCacheBase):
                  "track_touch_distance", "_bypass", "_bypass_capacity",
                  "_tags", "_accessed", "_reused", "_set_misses",
                  "_insert_miss", "_touch", "_policy_on_hit",
-                 "_policy_note_miss", "_policy_should_admit", "_resident",
-                 "_used_bits")
+                 "_policy_note_miss", "_policy_should_admit",
+                 "_policy_on_evict", "_resident", "_used_bits")
 
     def __init__(self, params: Optional[CacheParams] = None,
                  policy: Optional[ReplacementPolicy] = None,
@@ -158,6 +158,9 @@ class ConventionalICache(InstructionCacheBase):
         self._policy_note_miss = overridden_hook(self.policy, "note_miss")
         self._policy_should_admit = overridden_hook(self.policy,
                                                     "should_admit")
+        # Likewise None unless the policy learns from evictions (GHRP's
+        # dead-block training, ACIC's filter).
+        self._policy_on_evict = overridden_hook(self.policy, "on_evict")
         self.track_touch_distance = track_touch_distance
         # Incremental storage accounting so ``storage_snapshot`` (called on
         # every efficiency sample) is O(1) instead of a full-array walk.
@@ -281,8 +284,9 @@ class ConventionalICache(InstructionCacheBase):
             self.byte_usage.add(used)
             if self.track_touch_distance and used:
                 self.touch_distance.add(self._touch[set_idx][way][:4], used)
-        self.policy.on_evict(set_idx, way, old << 6,
-                             self._reused[set_idx][way])
+        on_evict = self._policy_on_evict
+        if on_evict is not None:
+            on_evict(set_idx, way, old << 6, self._reused[set_idx][way])
         self._tags[set_idx][way] = None
         self._resident -= 1
         self._used_bits -= accessed.bit_count()

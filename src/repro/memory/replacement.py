@@ -122,10 +122,11 @@ class RandomPolicy(ReplacementPolicy):
 
 
 def overridden_hook(policy: ReplacementPolicy,
-                    name: str) -> Optional[Callable[[int, int], object]]:
-    """``policy``'s bound ``name`` hook (``note_miss`` or ``should_admit``),
-    or None when its class keeps the :class:`ReplacementPolicy` default, so
-    a cache calls the hook only for the policies that use it."""
+                    name: str) -> Optional[Callable[..., object]]:
+    """``policy``'s bound ``name`` hook (``note_miss``, ``should_admit`` or
+    ``on_evict``), or None when its class keeps the
+    :class:`ReplacementPolicy` default, so a cache calls the hook only for
+    the policies that use it."""
     if getattr(type(policy), name) is getattr(ReplacementPolicy, name):
         return None
     return getattr(policy, name)

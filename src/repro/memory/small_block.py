@@ -25,10 +25,9 @@ class SmallBlockICache(InstructionCacheBase):
     """L1-I with sub-64B blocks plus a 64B fill buffer."""
 
     __slots__ = ("size", "ways", "block_size", "sets", "_offset_bits",
-                 "_index_mask", "policy", "_tags", "_accessed", "_reused",
-                 "_buffer", "_buffer_capacity", "buffer_hits", "_resident",
-                 "_policy_on_hit", "_policy_victim", "_policy_on_evict",
-                 "_policy_on_fill")
+                 "_index_mask", "policy", "_tags", "_accessed", "_buffer",
+                 "_buffer_capacity", "buffer_hits", "_resident",
+                 "_policy_on_hit", "_policy_victim", "_policy_on_fill")
 
     def __init__(self, size: int = 32 * 1024, ways: int = 8,
                  block_size: int = 16, latency: int = 4,
@@ -46,20 +45,16 @@ class SmallBlockICache(InstructionCacheBase):
             raise ConfigurationError("set count must be a power of two")
         self._offset_bits = block_size.bit_length() - 1
         self._index_mask = self.sets - 1
-        # LRU keeps ReplacementPolicy's no-op note_miss, so a miss calls
-        # no policy hook.
+        # LRU keeps ReplacementPolicy's no-op note_miss and on_evict, so
+        # a miss or an eviction calls no policy hook.
         self.policy = LRUPolicy(self.sets, self.ways)
         self._policy_on_hit = self.policy.on_hit
         self._policy_victim = self.policy.victim
-        self._policy_on_evict = self.policy.on_evict
         self._policy_on_fill = self.policy.on_fill
         self._tags: List[List[Optional[int]]] = [
             [None] * ways for _ in range(self.sets)
         ]
         self._accessed: List[List[int]] = [[0] * ways for _ in range(self.sets)]
-        self._reused: List[List[bool]] = [
-            [False] * ways for _ in range(self.sets)
-        ]
         # Resident small-block count; once installed a way's accessed mask
         # is always the full block mask, so the storage snapshot reduces to
         # ``resident * block_size`` for both fields.
@@ -92,10 +87,8 @@ class SmallBlockICache(InstructionCacheBase):
             self.hits += 1
             full_mask = (1 << self.block_size) - 1
             on_hit = self._policy_on_hit
-            reused = self._reused
             accessed = self._accessed
             for sb, set_idx, way in present:
-                reused[set_idx][way] = True
                 on_hit(set_idx, way, sb << offset_bits)
                 accessed[set_idx][way] = full_mask
             return _HIT
@@ -107,9 +100,7 @@ class SmallBlockICache(InstructionCacheBase):
             for sb in missing:
                 self._install_chunk(sb)
             on_hit = self._policy_on_hit
-            reused = self._reused
             for sb, set_idx, way in present:
-                reused[set_idx][way] = True
                 on_hit(set_idx, way, sb << offset_bits)
             return _HIT
 
@@ -132,12 +123,8 @@ class SmallBlockICache(InstructionCacheBase):
                     min(self._accessed[set_idx][way].bit_count(),
                         self.byte_usage.block_size)
                 )
-            self._policy_on_evict(set_idx, way,
-                                  tags[way] << self._offset_bits,
-                                  self._reused[set_idx][way])
         tags[way] = small_block
         self._accessed[set_idx][way] = (1 << self.block_size) - 1
-        self._reused[set_idx][way] = False
         self._policy_on_fill(set_idx, way, small_block << self._offset_bits)
 
     def fill(self, block_addr: int, prefetch: bool = False) -> None:

@@ -2,7 +2,7 @@
 
 The daemon (:class:`ServiceServer`, ``python -m repro.service serve``)
 owns one persistent :class:`~repro.experiments.pool.SweepEngine` — warm
-process pool, trace memo and shared-memory segments — and fronts the
+process pool and trace memos — and fronts the
 content-addressed result cache for any number of concurrent clients
 over a line-delimited-JSON protocol (:mod:`repro.service.protocol`).
 The client side (:class:`ServiceClient`, :class:`RemoteEngine`) is what

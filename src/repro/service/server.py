@@ -6,8 +6,8 @@ the warm state away between invocations. :class:`ServiceServer` owns
 that state for as long as the daemon lives:
 
 * one **persistent sweep engine** (``SweepEngine(persistent=True)``) —
-  the process pool, the host/worker trace memos and the published
-  shared-memory trace segments all survive between requests;
+  the process pool and the host/worker trace memos survive between
+  requests;
 * the **content-addressed result cache** — a resubmitted pair is a pure
   cache hit, simulated by nobody;
 * **global single-flight dedup across clients** — all jobs queued at a
@@ -31,7 +31,7 @@ Robustness contract:
 
 * **SIGTERM / SIGINT → graceful drain**: new submissions are refused,
   every already-accepted job runs to completion, then the daemon tears
-  down (pool shut down, shared memory unlinked, socket file removed);
+  down (pool shut down, socket file removed);
 * **idle timeout**: with ``--idle-timeout S`` the daemon drains itself
   after S seconds without requests or work;
 * **per-job deadlines** cover *queue wait*: a job still queued when its
@@ -354,7 +354,7 @@ class ServiceServer:
 
     def join(self, timeout: Optional[float] = None) -> None:
         """Wait for a drain started by :meth:`stop` to finish, then
-        release every resource (pool, shared memory, socket file)."""
+        release every resource (pool, socket file)."""
         self._stop_event.wait(timeout)
         if self._sim_thread is not None:
             self._sim_thread.join(timeout)

@@ -105,6 +105,13 @@ class StageProfiler:
 
         return timed
 
+    def charge(self, stage: str, seconds: float) -> None:
+        """Charge one call of ``seconds`` to ``stage`` — for host-side
+        stages timed by their caller rather than by :meth:`wrap`."""
+        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) \
+            + seconds
+        self.stage_calls[stage] = self.stage_calls.get(stage, 0) + 1
+
     def start(self) -> None:
         self._started = perf_counter()
 

@@ -7,10 +7,11 @@ simulation cheap to move around:
 
 * serialisation is nine ``memcpy``-like column dumps behind a small
   versioned header (no per-record ``struct`` packing);
-* deserialisation from any buffer is zero-copy — the columns become
-  ``memoryview`` casts over the buffer, so loading a multi-megabyte
-  trace from :mod:`multiprocessing.shared_memory` costs O(1) instead of
-  one Python object per instruction;
+* deserialisation is zero-copy — the columns become ``memoryview``
+  casts over the buffer :func:`repro.trace.io.read_trace` reads, so
+  loading a multi-megabyte trace from the trace cache costs one file
+  read instead of one Python object per instruction (that ``.atrace``
+  file is also how a trace reaches the sweep engine's pool workers);
 * it is the only trace form the simulator's hot paths know: the BPU
   run-ahead (:func:`~repro.frontend.ftq.precompute_range_stream`) and
   the back-end's delivery loop (:meth:`~repro.cpu.backend.Backend.accept`)
@@ -57,8 +58,8 @@ Buffers of the earlier format version (the nine instruction columns
 without sidecars) are no longer read: :meth:`ArrayTrace.from_buffer`
 rejects them, and the trace cache regenerates such files.
 
-The 16-byte header keeps the u64 columns 8-aligned, which
-``memoryview.cast`` requires when the buffer is shared memory.
+The 16-byte header keeps every u64 column at an 8-byte-aligned offset
+into the buffer.
 """
 
 from __future__ import annotations
@@ -232,12 +233,10 @@ class ArrayTrace(Sequence):
 
     @classmethod
     def from_buffer(cls, buf: Buffer) -> "ArrayTrace":
-        """Zero-copy view over a serialised trace (bytes or shared memory).
+        """Zero-copy view over a serialised trace.
 
-        The returned trace borrows ``buf``: it must stay alive (and, for
-        shared memory, mapped) for the lifetime of the trace, and
-        :meth:`release` must drop the views before the segment can be
-        closed.
+        The returned trace borrows ``buf``, which its ``memoryview``
+        columns keep alive for the lifetime of the trace.
         """
         view = memoryview(buf)
         if len(view) < _HEADER.size:
@@ -267,11 +266,6 @@ class ArrayTrace(Sequence):
         return cls(tuple(by_name[name] for name, _ in COLUMNS), count,
                    tuple(by_name[name] for name, _ in SIDECAR_COLUMNS))
 
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ArrayTrace":
-        """Alias of :meth:`from_buffer` for symmetry with :meth:`to_bytes`."""
-        return cls.from_buffer(data)
-
     # -- serialisation -----------------------------------------------------
 
     @property
@@ -282,56 +276,10 @@ class ArrayTrace(Sequence):
     def to_bytes(self) -> bytes:
         return b"".join(self._chunks())
 
-    def write_into(self, buf) -> int:
-        """Serialise into a writable buffer (e.g. ``SharedMemory.buf``);
-        returns the number of bytes written."""
-        view = memoryview(buf)
-        offset = 0
-        for chunk in self._chunks():
-            view[offset:offset + len(chunk)] = chunk
-            offset += len(chunk)
-        return offset
-
     def _chunks(self) -> Iterable[bytes]:
         yield _HEADER.pack(MAGIC, VERSION, self._n)
         for name, _fmt in V2_COLUMNS:
             yield getattr(self, name).tobytes()
-
-    # -- shared memory -----------------------------------------------------
-
-    def to_shared_memory(self, name: Optional[str] = None):
-        """Create a shared-memory segment holding this trace serialised.
-
-        The caller owns the returned segment: ``close()`` + ``unlink()``
-        it when the last consumer is done.
-        """
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name, create=True,
-                                         size=max(1, self.nbytes))
-        self.write_into(shm.buf)
-        return shm
-
-    @classmethod
-    def from_shared_memory(cls, shm) -> "ArrayTrace":
-        """Zero-copy view over a segment written by :meth:`to_shared_memory`.
-
-        Call :meth:`release` before ``shm.close()`` — the views pin the
-        mapping.
-        """
-        return cls.from_buffer(shm.buf)
-
-    def release(self) -> None:
-        """Release borrowed ``memoryview`` columns (no-op for owned ones).
-
-        After this the trace must not be used again; it exists so a
-        worker can drop a memoised shared-memory trace and then close
-        the segment without a ``BufferError``.
-        """
-        for name, _fmt in V2_COLUMNS:
-            col = getattr(self, name)
-            if isinstance(col, memoryview):
-                col.release()
 
     # -- sequence protocol -------------------------------------------------
 
@@ -375,7 +323,7 @@ class ArrayTrace(Sequence):
         raise TypeError("ArrayTrace is unhashable")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        backing = ("shared" if self._n and isinstance(self.pc, memoryview)
+        backing = ("borrowed" if self._n and isinstance(self.pc, memoryview)
                    else "owned")
         return f"ArrayTrace({self._n} instructions, {backing} columns)"
 

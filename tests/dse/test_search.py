@@ -26,7 +26,7 @@ from repro.dse import (
 from repro.cpu import machine as machine_mod
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ResultCache
-from repro.telemetry import EventTrace
+from repro.telemetry import EventTrace, StageProfiler
 
 WORKLOADS = ["server_000"]
 
@@ -105,6 +105,19 @@ class TestRunSearch:
         assert len(events) == outcome.generations
         assert events[0].fields["total"] == 1       # the default point
         assert events[-1].fields["best_key"] == outcome.best.key
+
+    def test_profiler_charges_one_stage_per_generation(self, shared_cache):
+        space = DesignSpace()
+        prof = StageProfiler()
+        outcome = run_search(space, HillClimb(space, max_neighbors=2), 4,
+                             WORKLOADS, seed=0, cache=shared_cache,
+                             profiler=prof)
+        gens = {stage: calls for stage, calls in prof.stage_calls.items()
+                if stage.startswith("dse.")}
+        assert outcome.generations >= 2
+        assert gens == {f"dse.gen{g:03d}": 1
+                        for g in range(outcome.generations)}
+        assert all(prof.stage_seconds[stage] > 0 for stage in gens)
 
     def test_hill_climbs_neighbourhood(self, shared_cache):
         space = DesignSpace()

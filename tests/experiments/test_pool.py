@@ -172,9 +172,9 @@ class TestScheduling:
 
 class TestHygiene:
     def test_no_shared_memory_leaked(self, tmp_path):
-        """Every published segment must be unlinked by the time run()
-        returns — leaked /dev/shm entries outlive the process and eat
-        host RAM across campaigns."""
+        """A parallel fill must leave no /dev/shm entry behind — leaked
+        segments outlive the process and eat host RAM across
+        campaigns."""
         before = _shm_entries()
         _engine(tmp_path, "shm", jobs=2).run(PAIRS)
         assert _shm_entries() == before
@@ -203,26 +203,30 @@ class TestHygiene:
 
 
 class TestPersistent:
-    def test_persistent_engine_keeps_segments_until_close(self, tmp_path):
-        """With persistent=True the published trace segments survive
-        run() (warm fan-out for the next sweep) and are reclaimed —
-        along with the pool — only by close()."""
+    def test_persistent_pool_hands_traces_off_through_disk(self, tmp_path):
+        """A persistent pool survives run() and is shut down only by an
+        idempotent close(); its workers read traces from the trace cache,
+        so a warm sweep (every trace already on disk) creates no
+        shared-memory segment while it runs."""
         before = _shm_entries()
+        seen = []
         engine = SweepEngine(jobs=2, cache=ResultCache(tmp_path / "p"),
                              persistent=True)
         with engine:
             engine.run(PAIRS)              # pioneer runs generate traces
-            # Traces are on disk now: this sweep publishes segments.
+            pool = engine._pool
+            assert pool is not None
             engine.run([("server_000", "conv64"),
                         ("server_000", "small16"),
                         ("client_000", "conv64"),
-                        ("client_000", "small16")])
-            assert len(engine._published) == 2
-            assert _shm_entries() != before
-            assert engine._pool is not None
-        assert _shm_entries() == before    # close() unlinked them
+                        ("client_000", "small16")],
+                       progress=lambda *_: seen.append(_shm_entries()))
+            assert engine._pool is pool    # same warm pool
+            assert engine.pairs_simulated == 4
+        assert seen == [before] * 4
         assert engine._pool is None
         engine.close()                     # idempotent
+        assert engine._pool is None
 
     def test_persistent_results_match_throwaway(self, tmp_path):
         persistent = SweepEngine(jobs=1, cache=ResultCache(tmp_path / "a"),

@@ -1,7 +1,10 @@
 """GHRP and ACIC policy behaviour tests."""
 
+from repro.core.ubs_cache import UBSICache
 from repro.memory.acic import ACICFilter, _ADMIT_THRESHOLD, _CONF_MAX
 from repro.memory.ghrp import GHRPPolicy
+from repro.memory.icache import ConventionalICache, MissKind
+from repro.params import UBSParams, conventional_l1i
 
 
 class TestGHRP:
@@ -88,3 +91,42 @@ class TestACIC:
         conf_before = list(a._confidence)
         a.note_miss(block, 0)
         assert a._confidence == conf_before
+
+
+class TestCachesTrainOnEviction:
+    """The caches bind ``on_evict`` only for policies that override it;
+    these pin that GHRP and ACIC still see every eviction (at the golden
+    scale no eviction-trained decision changes a counter)."""
+
+    @staticmethod
+    def _evict_one_dead(policy):
+        # 1 KB, 2-way: blocks 0, 8 and 16 share set 0, so the third fill
+        # evicts the never-reused block 0.
+        ic = ConventionalICache(conventional_l1i(1024, ways=2),
+                                policy=policy)
+        for block in (0, 8, 16):
+            ic.fill(block << 6)
+
+    def test_conventional_cache_trains_ghrp(self):
+        g = GHRPPolicy(8, 2)
+        before = [list(table) for table in g._tables]
+        self._evict_one_dead(g)
+        assert g._tables != before
+
+    def test_conventional_cache_trains_acic(self):
+        a = ACICFilter(8, 2)
+        self._evict_one_dead(a)
+        assert a._confidence[a._conf_index(0)] == _CONF_MAX - 1
+
+    def test_ubs_cache_trains_ghrp(self):
+        ubs = UBSICache(UBSParams(sets=4, predictor_sets=4,
+                                  replacement="ghrp"))
+        before = [list(table) for table in ubs.policy._tables]
+        # Fetched blocks pass through the predictor into the ways; 256
+        # of them over 4 sets overflow the ways many times.
+        for block in range(0, 1024, 4):
+            if ubs.lookup(block << 6, 16) is not MissKind.HIT:
+                ubs.fill(block << 6)
+                ubs.lookup(block << 6, 16)
+        assert ubs.way_evictions > 0
+        assert ubs.policy._tables != before

@@ -398,9 +398,9 @@ class TestHygiene:
         srv.start()
         try:
             engine = RemoteEngine(srv.address)
-            # Two sweeps over one workload: the second runs with the
-            # trace already on disk, so segments get published and must
-            # be reclaimed by close().
+            # Two sweeps over one workload, the second with the trace
+            # already on disk and the daemon's pool warm: neither may
+            # leave a /dev/shm entry behind.
             engine.run([("server_000", "conv32"), ("server_000", "ubs")])
             engine.run([("server_000", "conv64"),
                         ("server_000", "small16")])

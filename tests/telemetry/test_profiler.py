@@ -28,6 +28,14 @@ class TestProfiler:
             wrapped()
         assert prof.stage_calls["s"] == 1
 
+    def test_charge_accumulates_seconds_and_calls(self):
+        prof = StageProfiler()
+        prof.charge("scan", 0.25)
+        prof.charge("scan", 0.5)
+        prof.charge("store", 0.125)
+        assert prof.stage_seconds == {"scan": 0.75, "store": 0.125}
+        assert prof.stage_calls == {"scan": 2, "store": 1}
+
     def test_report_throughput(self):
         prof = StageProfiler()
         prof.wall_seconds = 2.0

@@ -1,6 +1,5 @@
 """Columnar (structure-of-arrays) trace codec tests."""
 
-import os
 import struct
 
 import pytest
@@ -60,13 +59,13 @@ class TestCodec:
         at = ArrayTrace.from_instructions(trace500)
         data = at.to_bytes()
         assert len(data) == at.nbytes == serialized_nbytes(500)
-        back = ArrayTrace.from_bytes(data)
+        back = ArrayTrace.from_buffer(data)
         assert back == at
         assert back.to_instructions() == trace500
 
     def test_empty_trace_roundtrip(self):
         at = ArrayTrace.from_instructions([])
-        back = ArrayTrace.from_bytes(at.to_bytes())
+        back = ArrayTrace.from_buffer(at.to_bytes())
         assert len(back) == 0
         assert back.to_instructions() == []
 
@@ -77,7 +76,7 @@ class TestCodec:
                           target=u64max, src1=127, src2=-128, dst=-1,
                           mem_addr=u64max)
         at = ArrayTrace.from_instructions([ins])
-        (out,) = ArrayTrace.from_bytes(at.to_bytes()).to_instructions()
+        (out,) = ArrayTrace.from_buffer(at.to_bytes()).to_instructions()
         assert out == ins
 
     def test_version_mismatch_rejected(self, trace500):
@@ -152,7 +151,7 @@ class TestSidecars:
         v1 = struct.pack("<7sBQ", MAGIC, 1, len(at)) + b"".join(
             getattr(at, name).tobytes() for name, _ in COLUMNS)
         with pytest.raises(TraceError, match="no longer read"):
-            ArrayTrace.from_bytes(v1)
+            ArrayTrace.from_buffer(v1)
 
     def test_serialized_nbytes_counts_sidecars(self):
         # 16-byte header, 30 bytes of instruction columns plus the u64
@@ -185,34 +184,3 @@ class TestIOIntegration:
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(TraceError, match="truncated"):
             read_trace(path)
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
-                    reason="POSIX shared memory unavailable")
-class TestSharedMemory:
-    def test_shared_memory_roundtrip_and_release(self, trace500):
-        at = ArrayTrace.from_instructions(trace500)
-        shm = at.to_shared_memory()
-        try:
-            view = ArrayTrace.from_shared_memory(shm)
-            assert view == at
-            assert view.to_instructions() == trace500
-            # The views pin the mapping; release() must unpin it so the
-            # segment can be closed without a BufferError.
-            view.release()
-        finally:
-            shm.close()
-            shm.unlink()
-        assert not os.path.exists(f"/dev/shm/{shm.name}")
-
-    def test_close_without_release_fails(self, trace500):
-        at = ArrayTrace.from_instructions(trace500)
-        shm = at.to_shared_memory()
-        view = ArrayTrace.from_shared_memory(shm)
-        try:
-            with pytest.raises(BufferError):
-                shm.close()
-        finally:
-            view.release()
-            shm.close()
-            shm.unlink()
