@@ -13,10 +13,10 @@ from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 from ..params import TRANSFER_BLOCK
-from ..trace.record import Instruction
+from ..trace.arrays import ArrayTrace
 
 
-def reuse_distance_histogram(trace: Sequence[Instruction],
+def reuse_distance_histogram(trace: ArrayTrace,
                              bucket_edges: Sequence[int] = (
                                  8, 16, 32, 64, 128, 256, 512, 1024,
                                  2048, 4096, 8192,
@@ -33,7 +33,7 @@ def reuse_distance_histogram(trace: Sequence[Instruction],
     """
     last_access: Dict[int, int] = {}
     # Fenwick tree over access timestamps (1-based).
-    n = sum(1 for ins in trace if True)
+    n = len(trace)
     tree = [0] * (n + 2)
 
     def tree_add(i: int, delta: int) -> None:
@@ -56,8 +56,8 @@ def reuse_distance_histogram(trace: Sequence[Instruction],
 
     time = 0
     prev_block = None
-    for ins in trace:
-        block = ins.pc >> 6
+    for pc in trace.pc:
+        block = pc >> 6
         if block == prev_block:
             continue            # streaks within a block are one access
         prev_block = block
@@ -80,7 +80,7 @@ def reuse_distance_histogram(trace: Sequence[Instruction],
     return dict(histogram)
 
 
-def working_set_curve(trace: Sequence[Instruction],
+def working_set_curve(trace: ArrayTrace,
                       window: int = 10_000) -> List[Tuple[int, float]]:
     """Unique instruction blocks touched per window of N instructions.
 
@@ -90,8 +90,8 @@ def working_set_curve(trace: Sequence[Instruction],
     points: List[Tuple[int, float]] = []
     seen: set = set()
     start = 0
-    for i, ins in enumerate(trace):
-        seen.add(ins.pc >> 6)
+    for i, pc in enumerate(trace.pc):
+        seen.add(pc >> 6)
         if (i + 1) % window == 0:
             points.append((start, len(seen) * TRANSFER_BLOCK / 1024))
             seen = set()

@@ -1,6 +1,7 @@
 """Static/dynamic trace statistics.
 
-Everything here is simulator-free: pure passes over an instruction trace.
+Everything here is simulator-free: pure passes over the columns of an
+:class:`~repro.trace.arrays.ArrayTrace`.
 Used to calibrate the synthetic workload families against the properties
 the paper reports for its production traces, and exposed as a public API
 for characterising user-provided traces.
@@ -10,10 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
 from ..params import TRANSFER_BLOCK
-from ..trace.record import Instruction, InstrKind
+from ..trace.arrays import ArrayTrace
+from ..trace.record import IS_BRANCH, InstrKind
 
 
 @dataclass(frozen=True)
@@ -33,16 +35,12 @@ class FootprintReport:
         return self.footprint_bytes / 1024
 
 
-def footprint(trace: Sequence[Instruction]) -> FootprintReport:
-    """Unique PCs and 64-byte blocks touched by the trace."""
-    pcs = set()
-    blocks = set()
-    for ins in trace:
-        pcs.add(ins.pc)
-        blocks.add(ins.pc >> 6)
-        last = ins.pc + ins.size - 1
-        if last >> 6 != ins.pc >> 6:
-            blocks.add(last >> 6)
+def footprint(trace: ArrayTrace) -> FootprintReport:
+    """Unique PCs and 64-byte blocks touched by the trace (an instruction
+    that straddles a block boundary touches both blocks)."""
+    pcs = set(trace.pc)
+    blocks = {pc >> 6 for pc in pcs}
+    blocks.update((end - 1) >> 6 for end in set(trace.end))
     return FootprintReport(len(trace), len(pcs), len(blocks))
 
 
@@ -66,10 +64,11 @@ class InstructionMix:
         return self["LOAD"] + self["STORE"]
 
 
-def instruction_mix(trace: Sequence[Instruction]) -> InstructionMix:
-    counts = Counter(ins.kind.name for ins in trace)
+def instruction_mix(trace: ArrayTrace) -> InstructionMix:
+    counts = Counter(trace.kind)
     total = max(1, len(trace))
-    return InstructionMix({k: v / total for k, v in counts.items()})
+    return InstructionMix({InstrKind(k).name: v / total
+                           for k, v in counts.items()})
 
 
 @dataclass(frozen=True)
@@ -93,26 +92,28 @@ class BranchProfile:
                 if self.conditional else 0.0)
 
 
-def branch_profile(trace: Sequence[Instruction]) -> BranchProfile:
+def branch_profile(trace: ArrayTrace) -> BranchProfile:
     branches = taken = cond = cond_taken = 0
     sites = set()
-    for ins in trace:
-        if not ins.is_branch:
+    is_branch = IS_BRANCH
+    br_cond = int(InstrKind.BR_COND)
+    for pc, kind, was_taken in zip(trace.pc, trace.kind, trace.taken):
+        if not is_branch[kind]:
             continue
         branches += 1
-        sites.add(ins.pc)
-        if ins.taken:
+        sites.add(pc)
+        if was_taken:
             taken += 1
-        if ins.kind == InstrKind.BR_COND:
+        if kind == br_cond:
             cond += 1
-            if ins.taken:
+            if was_taken:
                 cond_taken += 1
     avg_bb = len(trace) / branches if branches else float(len(trace))
     return BranchProfile(branches, taken, cond, cond_taken, len(sites),
                          avg_bb)
 
 
-def run_length_profile(trace: Sequence[Instruction],
+def run_length_profile(trace: ArrayTrace,
                        granularity: int = 4) -> Counter:
     """Distribution of *sequential run lengths in bytes* — how many
     consecutive bytes the front-end fetches between taken branches.
@@ -123,17 +124,20 @@ def run_length_profile(trace: Sequence[Instruction],
     runs: Counter = Counter()
     run_bytes = 0
     prev_end = None
-    for ins in trace:
-        if prev_end is not None and ins.pc != prev_end:
+    is_branch = IS_BRANCH
+    for pc, size, end, kind, taken, target in zip(
+            trace.pc, trace.size, trace.end, trace.kind, trace.taken,
+            trace.target):
+        if prev_end is not None and pc != prev_end:
             if run_bytes:
                 runs[min(run_bytes, 4096)] += 1
             run_bytes = 0
-        run_bytes += ins.size
-        prev_end = ins.pc + ins.size
-        if ins.is_branch and ins.taken:
+        run_bytes += size
+        prev_end = end
+        if taken and is_branch[kind]:
             runs[min(run_bytes, 4096)] += 1
             run_bytes = 0
-            prev_end = ins.target
+            prev_end = target
     if run_bytes:
         runs[min(run_bytes, 4096)] += 1
     return runs

@@ -54,7 +54,6 @@ from ..telemetry import (
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.profiler import ProfileReport
 from ..trace.arrays import ArrayTrace
-from ..trace.record import Instruction
 from ..core.configs import ubs_params_for_budget, way_config
 from ..core.predictor import PredictorConfig
 from ..core.ubs_cache import UBSICache
@@ -232,7 +231,7 @@ class Core:
     #: Tag every telemetry event with its thread (``thread=<tid>``).
     tag_thread_events = False
 
-    def __init__(self, traces: Sequence[Sequence[Instruction]],
+    def __init__(self, traces: Sequence[ArrayTrace],
                  icache: InstructionCacheBase,
                  params: Optional[MachineParams] = None,
                  telemetry: Optional[Telemetry] = None,
@@ -251,8 +250,7 @@ class Core:
             icache.telemetry = recorder
             self.hierarchy.dram.telemetry = recorder
         self.threads = [
-            HardwareThread(tid, ArrayTrace.from_instructions(tr),
-                           self.params, self.hierarchy,
+            HardwareThread(tid, tr, self.params, self.hierarchy,
                            self.tag_thread_events, len(traces) == 1)
             for tid, tr in enumerate(traces)
         ]
@@ -872,7 +870,7 @@ class Machine(Core):
     """One simulated core running one thread, with a configurable L1-I
     organisation."""
 
-    def __init__(self, trace: Sequence[Instruction],
+    def __init__(self, trace: ArrayTrace,
                  icache: InstructionCacheBase,
                  params: Optional[MachineParams] = None,
                  telemetry: Optional[Telemetry] = None) -> None:
@@ -1017,7 +1015,7 @@ def split_machine_config(config: str) -> Tuple[str, Optional[MachineParams]]:
     return match.group("base"), params
 
 
-def build_machine(trace: Sequence[Instruction], config: str,
+def build_machine(trace: ArrayTrace, config: str,
                   telemetry: Optional[Telemetry] = None) -> Machine:
     """Build a full :class:`Machine` from a configuration name.
 

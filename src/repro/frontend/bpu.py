@@ -20,7 +20,7 @@ from __future__ import annotations
 from enum import IntEnum
 
 from ..params import BranchParams
-from ..trace.record import Instruction, InstrKind
+from ..trace.record import InstrKind
 from .btb import BTB
 from .perceptron import HashedPerceptron
 from .ras import ReturnAddressStack
@@ -61,7 +61,7 @@ class BranchPredictionUnit:
         self.cond_lookups = 0
         self.mispredicts = 0
         self.btb_resteers = 0
-        # Prebound component entry points; ``process`` runs once per
+        # Prebound component entry points; ``process_raw`` runs once per
         # control-flow instruction during BPU run-ahead.
         self._predict = self.direction.predict_and_train
         self._note_uncond = self.direction.note_unconditional
@@ -70,17 +70,11 @@ class BranchPredictionUnit:
         self._ras_push = self.ras.push
         self._ras_pop = self.ras.pop
 
-    def process(self, instr: Instruction) -> Resteer:
-        """Predict + train on one control-flow instruction; classify the
-        resteer the front-end would experience."""
-        return self.process_raw(instr.kind, instr.pc, instr.size,
-                                instr.taken, instr.target)
-
     def process_raw(self, kind: int, pc: int, size: int, taken: bool,
                     ins_target: int) -> Resteer:
-        """:meth:`process` on the raw field values of one control-flow
-        instruction — the entry point columnar traces use, so BPU
-        run-ahead never has to materialise ``Instruction`` objects."""
+        """Predict + train on one control-flow instruction, given as the
+        raw field values of a trace's columns; classify the resteer the
+        front-end would experience."""
         if kind == _BR_COND:
             self.cond_lookups += 1
             predicted_taken = self._predict(pc, taken)

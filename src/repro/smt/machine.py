@@ -33,7 +33,7 @@ from ..params import MachineParams
 from ..stats.counters import FrontEndStats, SimResult
 from ..telemetry import Telemetry
 from ..telemetry.metrics import MetricsRegistry
-from ..trace.record import Instruction
+from ..trace.arrays import ArrayTrace
 
 __all__ = ["ARBITRATION_POLICIES", "SMTMachine", "THREAD_ADDR_STRIDE",
            "build_smt_machine"]
@@ -50,7 +50,7 @@ class SMTMachine(Core):
 
     tag_thread_events = True
 
-    def __init__(self, traces: Sequence[Sequence[Instruction]],
+    def __init__(self, traces: Sequence[ArrayTrace],
                  icache: InstructionCacheBase,
                  params: Optional[MachineParams] = None,
                  telemetry: Optional[Telemetry] = None,
@@ -113,7 +113,7 @@ class SMTMachine(Core):
         )
 
 
-def build_smt_machine(traces: Sequence[Sequence[Instruction]], config: str,
+def build_smt_machine(traces: Sequence[ArrayTrace], config: str,
                       telemetry: Optional[Telemetry] = None,
                       policy: str = "rr") -> SMTMachine:
     """Build an :class:`SMTMachine` from a configuration name.

@@ -24,9 +24,10 @@ importer and :func:`repro.trace.io.read_trace` — and
 :meth:`ArrayTrace.from_instructions` returns an ``ArrayTrace`` argument
 unchanged, so it converts only hand-built instruction lists.
 
-``ArrayTrace`` is also a read-only ``Sequence[Instruction]``: indexing
-builds the object view lazily, for tools and tests that want to look at
-individual instructions.
+``ArrayTrace`` is the only trace form past the point where a trace is
+built: every consumer — the machines, the exporters and the analysis
+passes — reads its columns (``trace.pc[i]``, ``trace.kind[i]``, ...).
+There is no per-instruction object view to read back.
 
 ``derived`` is a per-trace scratch dict for state that is a pure
 function of the trace and a few parameters: the BPU range stream and its
@@ -65,10 +66,10 @@ into the buffer.
 from __future__ import annotations
 
 import struct
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from ..errors import TraceError
-from .record import IS_BRANCH, Instruction, InstrKind
+from .record import IS_BRANCH, Instruction
 
 try:  # numpy vectorises the one-time sidecar build; optional.
     import numpy as _np
@@ -165,7 +166,7 @@ if _np is not None:
     _IS_BRANCH_NP = _np.array(IS_BRANCH, dtype=bool)
 
 
-class ArrayTrace(Sequence):
+class ArrayTrace:
     """A read-only columnar trace (see module docstring).
 
     Columns are either owned ``array.array`` objects (built by
@@ -201,8 +202,8 @@ class ArrayTrace(Sequence):
             cls, instructions: Union["ArrayTrace", Iterable[Instruction]],
     ) -> "ArrayTrace":
         """``instructions`` itself when it is already an ``ArrayTrace``
-        (every producer in the package builds one), else its object view
-        decoded into owned columns."""
+        (every producer in the package builds one), else the hand-built
+        :class:`Instruction` records packed into owned columns."""
         if isinstance(instructions, ArrayTrace):
             return instructions
         from array import array
@@ -281,43 +282,18 @@ class ArrayTrace(Sequence):
         for name, _fmt in V2_COLUMNS:
             yield getattr(self, name).tobytes()
 
-    # -- sequence protocol -------------------------------------------------
-
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._n))]
-        n = self._n
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("ArrayTrace index out of range")
-        return Instruction(
-            self.pc[index], self.size[index], InstrKind(self.kind[index]),
-            taken=self.taken[index] == 1, target=self.target[index],
-            src1=self.src1[index], src2=self.src2[index],
-            dst=self.dst[index], mem_addr=self.mem_addr[index],
-        )
-
-    def to_instructions(self) -> List[Instruction]:
-        """Materialise the object view of the whole trace."""
-        return [self[i] for i in range(self._n)]
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, ArrayTrace):
-            if self._n != other._n:
-                return False
-            return all(
-                getattr(self, name).tobytes() == getattr(other, name).tobytes()
-                for name, _fmt in COLUMNS
-            )
-        if isinstance(other, (list, tuple)):
-            if self._n != len(other):
-                return False
-            return all(self[i] == other[i] for i in range(self._n))
-        return NotImplemented
+        if not isinstance(other, ArrayTrace):
+            return NotImplemented
+        if self._n != other._n:
+            return False
+        return all(
+            getattr(self, name).tobytes() == getattr(other, name).tobytes()
+            for name, _fmt in COLUMNS
+        )
 
     def __hash__(self) -> None:  # type: ignore[override]
         raise TypeError("ArrayTrace is unhashable")

@@ -38,11 +38,11 @@ import gzip
 import struct
 from array import array
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence, Union
+from typing import BinaryIO, Sequence, Union
 
 from ..errors import TraceError
 from .arrays import COLUMNS, ArrayTrace
-from .record import IS_BRANCH, Instruction, InstrKind
+from .record import IS_BRANCH, InstrKind
 
 RECORD = struct.Struct("<QBB2B4B2Q4Q")
 assert RECORD.size == 64
@@ -150,11 +150,9 @@ def read_champsim(path: PathLike, limit: int = 0) -> ArrayTrace:
     return ArrayTrace(tuple(columns[name] for name, _ in COLUMNS), n)
 
 
-def write_champsim(path: PathLike,
-                   instructions: Union[ArrayTrace, Iterable[Instruction]]) -> int:
+def write_champsim(path: PathLike, trace: ArrayTrace) -> int:
     """Export a trace as a ChampSim trace (lossy: sizes/targets are
     carried implicitly by the IP sequence, exactly as in real traces)."""
-    trace = ArrayTrace.from_instructions(instructions)
     with _open(path, "wb") as fh:
         for pc, kind, taken, src1, dst_reg, mem_addr in zip(
                 trace.pc, trace.kind, trace.taken, trace.src1, trace.dst,

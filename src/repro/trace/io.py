@@ -4,9 +4,9 @@ Synthesised workloads are persisted so they can be re-used without
 re-running the generator (mirroring how ChampSim consumes pre-packaged
 trace files). The one on-disk container is the columnar
 :class:`~repro.trace.arrays.ArrayTrace` layout (``b"REPROAT"`` + format
-version 2): :func:`write_trace` writes it for an ``ArrayTrace`` or any
-iterable of instructions, and :func:`read_trace` returns an
-``ArrayTrace`` whose columns are zero-copy views over the file bytes.
+version 2): :func:`write_trace` writes an ``ArrayTrace``, and
+:func:`read_trace` returns one whose columns are zero-copy views over
+the file bytes.
 Older containers (the earlier record-oriented format and ``REPROAT``
 files without sidecar columns) are no longer read: :func:`read_trace`
 rejects them with a :class:`~repro.errors.TraceError`, and the trace
@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import gzip
 from pathlib import Path
-from typing import BinaryIO, Iterable, Union
+from typing import BinaryIO, Union
 
 from ..errors import TraceError
 from .arrays import MAGIC, VERSION, ArrayTrace
-from .record import Instruction
 
 PathLike = Union[str, Path]
 
@@ -40,12 +39,9 @@ def _open(path: PathLike, mode: str) -> BinaryIO:
     return open(path, mode)
 
 
-def write_trace(path: PathLike,
-                instructions: Union[Iterable[Instruction], ArrayTrace]) -> int:
+def write_trace(path: PathLike, trace: ArrayTrace) -> int:
     """Write a trace to ``path`` in the columnar container; returns the
-    number of instructions. Instruction iterables are converted with
-    :meth:`ArrayTrace.from_instructions` first."""
-    trace = ArrayTrace.from_instructions(instructions)
+    number of instructions."""
     with _open(path, "wb") as fh:
         for chunk in trace._chunks():
             fh.write(chunk)

@@ -1,16 +1,19 @@
-"""Instruction records — the per-instruction view of a trace.
+"""Instruction kinds, and the input record of hand-built traces.
 
 A trace is the instruction stream on the *correct* execution path (like a
 ChampSim trace), stored as the columns of a
-:class:`~repro.trace.arrays.ArrayTrace`; indexing one yields
-:class:`Instruction` objects. The branch predictor is responsible for
-deciding which instructions the front-end would have predicted correctly.
+:class:`~repro.trace.arrays.ArrayTrace`. :class:`Instruction` is only the
+record that :meth:`ArrayTrace.from_instructions
+<repro.trace.arrays.ArrayTrace.from_instructions>` consumes, so that a
+trace can be written out by hand; nothing reads a trace back as
+``Instruction`` objects. The branch predictor is responsible for deciding
+which instructions the front-end would have predicted correctly.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .arrays import ArrayTrace
@@ -72,7 +75,10 @@ def is_memory_kind(kind: InstrKind) -> bool:
 
 
 class Instruction:
-    """One retired instruction on the correct path.
+    """One retired instruction on the correct path, as written by hand
+    before :meth:`ArrayTrace.from_instructions
+    <repro.trace.arrays.ArrayTrace.from_instructions>` packs it into
+    columns.
 
     Attributes
     ----------
@@ -112,52 +118,16 @@ class Instruction:
         self.dst = dst
         self.mem_addr = mem_addr
 
-    @property
-    def next_pc(self) -> int:
-        """Address of the next instruction on the correct path."""
-        return self.target if self.taken else self.pc + self.size
 
-    @property
-    def is_branch(self) -> bool:
-        return self.kind in _BRANCH_KINDS
-
-    @property
-    def is_memory(self) -> bool:
-        return self.kind in _MEMORY_KINDS
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        extra = ""
-        if self.is_branch:
-            extra = f" taken={self.taken} target={self.target:#x}"
-        if self.is_memory:
-            extra += f" mem={self.mem_addr:#x}"
-        return (f"Instruction(pc={self.pc:#x}, size={self.size}, "
-                f"kind={self.kind.name}{extra})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Instruction):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.pc, self.size, self.kind, self.taken, self.target))
-
-
-def validate_trace(
-    instructions: Union["ArrayTrace", Iterable[Instruction]],
-) -> "ArrayTrace":
-    """Check control-flow continuity of a trace and return it as an
-    :class:`~repro.trace.arrays.ArrayTrace` (itself when it is one).
+def validate_trace(trace: "ArrayTrace") -> "ArrayTrace":
+    """Check control-flow continuity of a trace and return it.
 
     Every instruction's ``pc`` must equal the previous instruction's
-    ``next_pc``; violations raise :class:`~repro.errors.TraceError`.
+    next pc (its ``target`` when taken, else its ``end``); violations
+    raise :class:`~repro.errors.TraceError`.
     """
     from ..errors import TraceError
-    from .arrays import ArrayTrace
 
-    trace = ArrayTrace.from_instructions(instructions)
     pcs = trace.pc
     for i in range(1, len(trace)):
         expected = trace.target[i - 1] if trace.taken[i - 1] \

@@ -3,22 +3,17 @@
 import pytest
 
 from repro.analysis.reuse import reuse_distance_histogram, working_set_curve
+from repro.trace.arrays import ArrayTrace
 from repro.trace.record import Instruction, InstrKind
 
 
 def block_stream(blocks):
     """One 4-byte instruction per named 64B block, jumping between them."""
-    out = []
-    prev = None
-    for b in blocks:
-        pc = b * 64
-        if prev is not None:
-            prev.taken = True
-            prev.target = pc
-        ins = Instruction(pc, 4, InstrKind.JUMP, taken=False, target=0)
-        out.append(ins)
-        prev = ins
-    return out
+    pcs = [b * 64 for b in blocks]
+    return ArrayTrace.from_instructions(
+        Instruction(pc, 4, InstrKind.JUMP, taken=nxt is not None,
+                    target=nxt or 0)
+        for pc, nxt in zip(pcs, pcs[1:] + [None]))
 
 
 class TestReuseDistance:

@@ -8,15 +8,17 @@ from repro.analysis.trace_stats import (
     instruction_mix,
     run_length_profile,
 )
+from repro.trace.arrays import ArrayTrace
 from repro.trace.record import Instruction, InstrKind
 
 
-def seq(n, pc=0x1000, size=4):
+def seq(n, pc=0x1000, size=4, times=1):
+    """``n`` straight-line ALU instructions, repeated ``times`` times."""
     out = []
     for _ in range(n):
         out.append(Instruction(pc, size, InstrKind.ALU))
         pc += size
-    return out
+    return ArrayTrace.from_instructions(out * times)
 
 
 class TestFootprint:
@@ -28,11 +30,12 @@ class TestFootprint:
         assert report.footprint_bytes == report.unique_blocks * 64
 
     def test_loop_counts_once(self):
-        trace = seq(16) * 10
+        trace = seq(16, times=10)
         assert footprint(trace).unique_pcs == 16
 
     def test_straddling_instruction_counts_both_blocks(self):
-        trace = [Instruction(0x103C, 8, InstrKind.ALU)]
+        trace = ArrayTrace.from_instructions(
+            [Instruction(0x103C, 8, InstrKind.ALU)])
         assert footprint(trace).unique_blocks == 2
 
     def test_on_synthetic_trace(self, tiny_trace):
@@ -59,13 +62,13 @@ class TestInstructionMix:
 
 class TestBranchProfile:
     def test_counts(self):
-        trace = [
+        trace = ArrayTrace.from_instructions([
             Instruction(0, 4, InstrKind.ALU),
             Instruction(4, 4, InstrKind.BR_COND, taken=True, target=64),
             Instruction(64, 4, InstrKind.BR_COND, taken=False, target=0),
             Instruction(68, 4, InstrKind.JUMP, taken=True, target=4),
             Instruction(4, 4, InstrKind.BR_COND, taken=True, target=64),
-        ]
+        ])
         p = branch_profile(trace)
         assert p.branches == 4
         assert p.conditional == 3
@@ -86,11 +89,11 @@ class TestRunLengths:
         assert runs == {64: 1}
 
     def test_taken_branch_splits_runs(self):
-        trace = [
+        trace = ArrayTrace.from_instructions([
             Instruction(0, 4, InstrKind.ALU),
             Instruction(4, 4, InstrKind.JUMP, taken=True, target=256),
             Instruction(256, 4, InstrKind.ALU),
-        ]
+        ])
         runs = run_length_profile(trace)
         assert runs[8] == 1
         assert runs[4] == 1

@@ -37,12 +37,3 @@ def tiny_program():
 def tiny_trace(tiny_program):
     spec = small_spec()
     return TraceWalker(tiny_program, spec).run(30_000)
-
-
-@pytest.fixture(scope="session")
-def pressure_trace():
-    """A trace that genuinely thrashes a 32 KB L1-I."""
-    spec = small_spec(name="test_pressure", seed=7, n_functions=700,
-                      n_entry_points=48, shared_fraction=0.25)
-    program = ProgramBuilder(spec).build()
-    return TraceWalker(program, spec).run(60_000)

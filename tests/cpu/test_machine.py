@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.memory.distillation import DistillationICache
 from repro.memory.icache import ConventionalICache
 from repro.memory.small_block import SmallBlockICache
+from repro.trace.arrays import ArrayTrace
 from repro.trace.record import Instruction, InstrKind
 from repro.trace.synthesis import generate_trace
 
@@ -19,7 +20,7 @@ def straight_trace(n, pc=0x1000):
     for _ in range(n):
         out.append(Instruction(pc, 4, InstrKind.ALU, dst=1))
         pc += 4
-    return out
+    return ArrayTrace.from_instructions(out)
 
 
 def loop_trace(iterations, body=256, pc=0x1000):
@@ -32,7 +33,7 @@ def loop_trace(iterations, body=256, pc=0x1000):
             p += 4
         out.append(Instruction(p, 4, InstrKind.BR_COND, taken=True,
                                target=pc))
-    return out
+    return ArrayTrace.from_instructions(out)
 
 
 class TestStraightLine:
@@ -70,7 +71,7 @@ class TestStraightLine:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigurationError):
-            Machine([], build_icache("conv32"))
+            Machine(ArrayTrace.from_instructions([]), build_icache("conv32"))
 
 
 class TestSyntheticWorkload:

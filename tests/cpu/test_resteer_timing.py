@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cpu.machine import Machine, build_icache
+from repro.trace.arrays import ArrayTrace
 from repro.trace.record import Instruction, InstrKind
 
 
@@ -27,7 +28,7 @@ def loop_with_random_branch(iterations, body=64, pc=0x1000):
             out.append(Instruction(p + 4, 4, InstrKind.ALU, dst=2))
         q = p + 8
         out.append(Instruction(q, 4, InstrKind.JUMP, taken=True, target=pc))
-    return out
+    return ArrayTrace.from_instructions(out)
 
 
 class TestMispredictStalls:
@@ -56,7 +57,8 @@ class TestMispredictStalls:
                                      target=p + 8))
             clean.append(Instruction(p + 8, 4, InstrKind.JUMP, taken=True,
                                      target=pc))
-        result_clean = Machine(clean, build_icache("conv32")).run(2000, 5000)
+        result_clean = Machine(ArrayTrace.from_instructions(clean),
+                               build_icache("conv32")).run(2000, 5000)
         assert result_clean.ipc > result_noisy.ipc
         assert result_clean.frontend.mispredict_stall_cycles \
             < result_noisy.frontend.mispredict_stall_cycles
@@ -73,6 +75,7 @@ class TestDecodeResteer:
             trace.append(Instruction(pc, 4, InstrKind.JUMP, taken=True,
                                      target=target))
             pc = target
-        machine = Machine(trace, build_icache("conv192"))
+        machine = Machine(ArrayTrace.from_instructions(trace),
+                          build_icache("conv192"))
         result = machine.run(100, 350)
         assert result.frontend.btb_resteers > 0

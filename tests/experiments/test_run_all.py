@@ -8,6 +8,8 @@ import repro.experiments.run_all as run_all_mod
 import repro.experiments.runner as runner_mod
 from repro.experiments.run_all import all_pairs, main
 
+from ..trace_columns import head
+
 
 class TestAllPairs:
     def test_no_duplicates(self):
@@ -127,7 +129,7 @@ class TestChampSimImport:
         from repro.trace.champsim import write_champsim
 
         trace_file = tmp_path / "real.champsim"
-        write_champsim(trace_file, tiny_trace[:4000])
+        write_champsim(trace_file, head(tiny_trace, 4000))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setattr(runner_mod, "_default_cache", None)
         monkeypatch.setattr(run_all_mod, "all_pairs", lambda: [])

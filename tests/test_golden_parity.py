@@ -8,10 +8,10 @@ recorded before the optimization pass of PR 3; this test re-simulates
 each pinned (workload, config) pair and compares the full result dict —
 counters, efficiency summary and extras — key for key.
 
-Every entry point into the cycle loop is held to the same goldens: a
-:class:`Machine` built from an instruction list, one built from an
-:class:`ArrayTrace`, and a one-thread :func:`build_smt_machine`. Co-runs
-and degenerate traces have goldens of their own.
+Every entry point into the cycle loop is held to the same goldens: the
+:func:`build_machine` factory, a :class:`Machine` built directly, and a
+one-thread :func:`build_smt_machine`. Co-runs and degenerate traces have
+goldens of their own.
 
 Regenerate the goldens (only after an *intentional* semantics change,
 together with a ``RESULTS_VERSION`` bump) with::
@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cpu.machine import Machine, build_icache
+from repro.cpu.machine import Machine, build_icache, build_machine
 from repro.errors import ConfigurationError
 from repro.params import CoreParams, MachineParams
 from repro.smt import build_smt_machine
@@ -114,25 +114,22 @@ def _check_golden(path: Path, produced: dict, what: str) -> None:
     )
 
 
-def _run_list(instrs, config, warmup, measure):
-    return Machine(list(instrs), build_icache(config)).run(warmup, measure)
+def _run_factory(trace, config, warmup, measure):
+    return build_machine(trace, config).run(warmup, measure)
 
 
-def _run_columnar(instrs, config, warmup, measure):
-    return Machine(ArrayTrace.from_instructions(instrs),
-                   build_icache(config)).run(warmup, measure)
+def _run_columnar(trace, config, warmup, measure):
+    return Machine(trace, build_icache(config)).run(warmup, measure)
 
 
-def _run_smt_solo(instrs, config, warmup, measure):
-    machine = build_smt_machine([ArrayTrace.from_instructions(instrs)],
-                                config)
-    return machine.run([(warmup, measure)])
+def _run_smt_solo(trace, config, warmup, measure):
+    return build_smt_machine([trace], config).run([(warmup, measure)])
 
 
 #: Entry points into the one cycle loop, keyed by test-id prefix (the
-#: instruction-list ``Machine`` keeps the bare ``<workload>-<config>`` id).
+#: ``build_machine`` factory keeps the bare ``<workload>-<config>`` id).
 ENTRY_POINTS = {
-    "": _run_list,
+    "": _run_factory,
     "columnar": _run_columnar,
     "smt_solo": _run_smt_solo,
 }
@@ -154,7 +151,7 @@ def test_bit_identical_to_golden(entry, workload, config):
     result.workload = workload
     result.config = config
     _check_golden(_golden_path(workload, config), result.to_dict(),
-                  f"{workload}/{config} via {entry or 'list'}")
+                  f"{workload}/{config} via {entry or 'build_machine'}")
 
 
 @pytest.mark.parametrize("workload,config", [
@@ -201,9 +198,10 @@ class TestEdgeTraces:
     CONFIGS = ("conv32", "ubs")
 
     def _assert_golden(self, name, instrs, warmup, measure):
+        trace = ArrayTrace.from_instructions(instrs)
         produced = {}
         for config in self.CONFIGS:
-            result = _run_list(instrs, config, warmup, measure)
+            result = _run_factory(trace, config, warmup, measure)
             result.workload = "edge"
             result.config = config
             produced[config] = result.to_dict()
@@ -211,11 +209,11 @@ class TestEdgeTraces:
                       f"edge trace {name}")
 
     def test_empty_trace_rejected_on_both_paths(self):
+        empty = ArrayTrace.from_instructions([])
         with pytest.raises(ConfigurationError, match="empty trace"):
-            Machine([], build_icache("conv32"))
+            build_machine(empty, "conv32")
         with pytest.raises(ConfigurationError, match="empty trace"):
-            Machine(ArrayTrace.from_instructions([]),
-                    build_icache("conv32"))
+            Machine(empty, build_icache("conv32"))
 
     def test_single_instruction(self):
         self._assert_golden(

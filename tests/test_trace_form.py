@@ -1,16 +1,22 @@
-"""Contract: the simulator runs on the columnar trace form only.
+"""Contract: the columnar trace form is the only one.
 
-Machines read an :class:`~repro.trace.arrays.ArrayTrace`'s columns — the
-range-stream walk, the back-end's fused op tables and the cycle loop —
-and never its per-instruction object view. With that view made to raise,
-every L1-I family must still build and run, solo and in a co-run, with
-and without telemetry. The trace producers — synthesis, the suite's
-workloads and the ChampSim importer and exporter — write and read the
-columns directly and construct no :class:`Instruction` at all.
+:class:`~repro.trace.arrays.ArrayTrace` has no per-instruction object
+view to read back, and :class:`~repro.trace.record.Instruction` is only
+the input record of :meth:`ArrayTrace.from_instructions`: no other module
+of the package imports it. Every L1-I family builds and runs on the
+columns, solo and in a co-run, with and without telemetry. The trace
+producers — synthesis, the suite's workloads and the ChampSim importer
+and exporter — write and read the columns directly and construct no
+:class:`Instruction` at all.
 """
+
+import ast
+from collections.abc import Sequence
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cpu.machine import build_machine
 from repro.smt import build_smt_machine
 from repro.telemetry import EventTrace, StageProfiler, Telemetry
@@ -31,13 +37,34 @@ def traces():
     return [generate_trace(small_spec(seed=seed), 3000) for seed in (1, 2)]
 
 
-@pytest.fixture(autouse=True)
-def no_object_view(monkeypatch):
-    def forbidden(self, *args):
-        raise AssertionError("the simulator used the ArrayTrace object view")
+#: The modules that may name ``Instruction``: its definition, the one
+#: converter that consumes it, and the package's re-export.
+INSTRUCTION_MODULES = {"trace/record.py", "trace/arrays.py",
+                       "trace/__init__.py"}
 
-    monkeypatch.setattr(ArrayTrace, "__getitem__", forbidden)
-    monkeypatch.setattr(ArrayTrace, "__iter__", forbidden)
+
+def test_array_trace_has_no_object_view():
+    for name in ("__getitem__", "__iter__", "to_instructions"):
+        assert not hasattr(ArrayTrace, name), name
+    assert not issubclass(ArrayTrace, Sequence)
+
+
+def test_only_the_trace_package_imports_instruction():
+    root = Path(repro.__file__).parent
+    users = set()
+    for path in root.rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if "Instruction" in names:
+                users.add(path.relative_to(root).as_posix())
+    assert users <= INSTRUCTION_MODULES, sorted(users - INSTRUCTION_MODULES)
+    assert "trace/arrays.py" in users
 
 
 def telemetry(observed):

@@ -15,31 +15,23 @@ from repro.trace.arrays import (
     serialized_nbytes,
 )
 from repro.trace.io import read_trace, write_trace
-from repro.trace.record import Instruction, InstrKind
+from repro.trace.record import IS_BRANCH, Instruction, InstrKind
 
-from .test_io import _random_trace
+from ..trace_columns import columns, record_columns
+from .test_io import _random_records
 
 
 @pytest.fixture
 def trace500():
-    return _random_trace(500, seed=3)
+    return _random_records(500, seed=3)
 
 
 class TestConstruction:
     def test_from_instructions_roundtrip(self, trace500):
         at = ArrayTrace.from_instructions(trace500)
         assert len(at) == 500
-        assert at.to_instructions() == trace500
-        assert at == trace500          # sequence-vs-list equality
-
-    def test_lazy_getitem_matches_objects(self, trace500):
-        at = ArrayTrace.from_instructions(trace500)
-        assert at[0] == trace500[0]
-        assert at[-1] == trace500[-1]
-        assert at[7].kind is trace500[7].kind   # real InstrKind members
-        assert at[10:13] == trace500[10:13]
-        with pytest.raises(IndexError):
-            at[500]
+        assert columns(at) == record_columns(trace500)
+        assert at != trace500          # no equality with a record list
 
     def test_from_instructions_returns_array_trace_unchanged(self, trace500):
         at = ArrayTrace.from_instructions(trace500)
@@ -61,13 +53,13 @@ class TestCodec:
         assert len(data) == at.nbytes == serialized_nbytes(500)
         back = ArrayTrace.from_buffer(data)
         assert back == at
-        assert back.to_instructions() == trace500
+        assert columns(back) == record_columns(trace500)
 
     def test_empty_trace_roundtrip(self):
         at = ArrayTrace.from_instructions([])
         back = ArrayTrace.from_buffer(at.to_bytes())
         assert len(back) == 0
-        assert back.to_instructions() == []
+        assert back == at
 
     def test_max_width_fields(self):
         """Every column survives its extreme representable values."""
@@ -76,8 +68,8 @@ class TestCodec:
                           target=u64max, src1=127, src2=-128, dst=-1,
                           mem_addr=u64max)
         at = ArrayTrace.from_instructions([ins])
-        (out,) = ArrayTrace.from_buffer(at.to_bytes()).to_instructions()
-        assert out == ins
+        back = ArrayTrace.from_buffer(at.to_bytes())
+        assert columns(back) == record_columns([ins])
 
     def test_version_mismatch_rejected(self, trace500):
         data = bytearray(ArrayTrace.from_instructions(trace500).to_bytes())
@@ -128,10 +120,10 @@ class TestSidecars:
             assert i <= b < n
             # No walk boundary strictly before b…
             for j in range(i, b):
-                assert not trace500[j].is_branch
+                assert not IS_BRANCH[at.kind[j]]
                 assert at.pc[j + 1] == at.end[j]
             # …and b itself is one (branch, discontinuity, or the end).
-            assert (trace500[b].is_branch or b == n - 1
+            assert (IS_BRANCH[at.kind[b]] or b == n - 1
                     or at.pc[b + 1] != at.end[b])
 
     def test_python_sidecar_fallback_matches(self, trace500):

@@ -65,7 +65,7 @@ class TestRoundTrip:
             Instruction(0x1009, 4, InstrKind.ALU),
         ]
         path = tmp_path / "t.champsim"
-        write_champsim(path, trace)
+        write_champsim(path, ArrayTrace.from_instructions(trace))
         back = read_champsim(path)
         assert list(back.size[:2]) == [7, 2]
 
@@ -238,8 +238,8 @@ class TestPropertyRoundTrip:
                 if kind in (InstrKind.LOAD, InstrKind.STORE) else 0
             out.append(Instruction(pc, size, kind, taken=taken,
                                    target=target, mem_addr=mem))
-            pc = out[-1].next_pc
-        return out
+            pc = target if taken else pc + size
+        return ArrayTrace.from_instructions(out)
 
     @given(trace=_random_streams())
     @settings(max_examples=40, deadline=None)
@@ -247,10 +247,11 @@ class TestPropertyRoundTrip:
         path = tmp_path_factory.mktemp("cs") / "t.champsim"
         write_champsim(path, trace)
         back = read_champsim(path)
-        assert list(back.pc) == [i.pc for i in trace]
-        assert list(back.taken) == [i.taken for i in trace]
+        assert back.pc == trace.pc
+        assert back.taken == trace.taken
         # Targets are carried by the *next* record's IP, so the trailing
         # instruction's target is unrecoverable (format limitation).
-        for ours, theirs in zip(trace[:-1], back.target[:-1]):
-            if ours.taken:
-                assert theirs == ours.target
+        for taken, ours, theirs in zip(trace.taken[:-1], trace.target[:-1],
+                                       back.target[:-1]):
+            if taken:
+                assert theirs == ours

@@ -10,8 +10,11 @@ from repro.trace.arrays import COLUMNS, MAGIC, VERSION, ArrayTrace
 from repro.trace.io import read_trace, write_trace
 from repro.trace.record import Instruction, InstrKind
 
+from ..trace_columns import columns, record_columns
 
-def _random_trace(n, seed=0):
+
+def _random_records(n, seed=0):
+    """``n`` random, control-flow-continuous instruction records."""
     rng = random.Random(seed)
     out = []
     pc = 0x400000
@@ -27,8 +30,12 @@ def _random_trace(n, seed=0):
                           mem_addr=rng.randrange(1 << 40)
                           if kind in (InstrKind.LOAD, InstrKind.STORE) else 0)
         out.append(ins)
-        pc = ins.next_pc
+        pc = ins.target if taken else pc + size
     return out
+
+
+def _random_trace(n, seed=0):
+    return ArrayTrace.from_instructions(_random_records(n, seed))
 
 
 class TestRoundTrip:
@@ -52,7 +59,7 @@ class TestRoundTrip:
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.trace"
-        write_trace(path, [])
+        write_trace(path, ArrayTrace.from_instructions([]))
         assert len(read_trace(path)) == 0
 
     def test_field_fidelity(self, tmp_path):
@@ -60,13 +67,14 @@ class TestRoundTrip:
                           target=0xCAFEBABE, src1=31, src2=-1, dst=0,
                           mem_addr=0)
         path = tmp_path / "one.trace"
-        write_trace(path, [ins])
-        (out,) = read_trace(path)
-        assert out.pc == 0xDEADBEEF
-        assert out.kind is InstrKind.CALL_IND
-        assert out.taken is True
-        assert out.target == 0xCAFEBABE
-        assert out.src1 == 31 and out.src2 == -1 and out.dst == 0
+        write_trace(path, ArrayTrace.from_instructions([ins]))
+        out = columns(read_trace(path))
+        assert out == record_columns([ins])
+        assert out["pc"] == [0xDEADBEEF]
+        assert out["kind"] == [InstrKind.CALL_IND]
+        assert out["taken"] == [1]
+        assert out["target"] == [0xCAFEBABE]
+        assert (out["src1"], out["src2"], out["dst"]) == ([31], [-1], [0])
 
 
 class TestChampSimAutoDetect:
@@ -81,7 +89,7 @@ class TestChampSimAutoDetect:
         out = read_trace(path)
         # ChampSim records carry no sizes, so only the IP stream is
         # exactly preserved; that is all auto-detection promises.
-        assert [i.pc for i in out] == [i.pc for i in trace]
+        assert out.pc == trace.pc
 
     def test_compressed_extension_detected(self, tmp_path):
         from repro.trace.io import is_champsim_file
@@ -123,18 +131,17 @@ def _v1_record_file(path, trace):
     rec = struct.Struct("<QQQBBBbbb")
     with open(path, "wb") as fh:
         fh.write(b"REPROTR1" + struct.pack("<I", len(trace)))
-        for ins in trace:
-            fh.write(rec.pack(ins.pc, ins.target, ins.mem_addr, ins.size,
-                              int(ins.kind), 1 if ins.taken else 0,
-                              ins.src1, ins.src2, ins.dst))
+        for row in zip(trace.pc, trace.target, trace.mem_addr, trace.size,
+                       trace.kind, trace.taken, trace.src1, trace.src2,
+                       trace.dst):
+            fh.write(rec.pack(*row))
 
 
 def _v1_array_file(path, trace):
     """Write ``trace`` in the retired version-1 columnar container (the
     nine instruction columns, no sidecars)."""
-    at = ArrayTrace.from_instructions(trace)
-    path.write_bytes(struct.pack("<7sBQ", MAGIC, 1, len(at)) + b"".join(
-        getattr(at, name).tobytes() for name, _ in COLUMNS))
+    path.write_bytes(struct.pack("<7sBQ", MAGIC, 1, len(trace)) + b"".join(
+        getattr(trace, name).tobytes() for name, _ in COLUMNS))
 
 
 class TestRetiredContainers:
