@@ -113,8 +113,7 @@ def branch_profile(trace: ArrayTrace) -> BranchProfile:
                          avg_bb)
 
 
-def run_length_profile(trace: ArrayTrace,
-                       granularity: int = 4) -> Counter:
+def run_length_profile(trace: ArrayTrace) -> Counter:
     """Distribution of *sequential run lengths in bytes* — how many
     consecutive bytes the front-end fetches between taken branches.
 

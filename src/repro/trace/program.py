@@ -11,6 +11,7 @@ model to emit an instruction trace.
 from __future__ import annotations
 
 from enum import IntEnum
+from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
@@ -42,6 +43,13 @@ _TERM_INSTR = {
     TermKind.ICALL: InstrKind.CALL_IND,
     TermKind.RET: InstrKind.RET,
 }
+
+
+#: Terminators that need a taken successor, and those that need a
+#: fall-through successor.
+_TAKES_BRANCH = frozenset((TermKind.COND, TermKind.LOOP, TermKind.JUMP))
+_FALLS_THROUGH = frozenset((TermKind.FALL, TermKind.COND, TermKind.LOOP,
+                            TermKind.CALL, TermKind.ICALL))
 
 
 class BasicBlock:
@@ -135,14 +143,13 @@ class Function:
                         f"{self.name}: block {b.index} references block {succ} "
                         f"outside 0..{n - 1}"
                     )
-            if b.term in (TermKind.COND, TermKind.LOOP, TermKind.JUMP):
+            if b.term in _TAKES_BRANCH:
                 if b.taken_succ is None:
                     raise ConfigurationError(
                         f"{self.name}: block {b.index} {b.term.name} without "
                         "taken successor"
                     )
-            if b.term in (TermKind.FALL, TermKind.COND, TermKind.LOOP,
-                          TermKind.CALL, TermKind.ICALL):
+            if b.term in _FALLS_THROUGH:
                 if b.fall_succ is None:
                     raise ConfigurationError(
                         f"{self.name}: block {b.index} {b.term.name} without "
@@ -163,7 +170,6 @@ class Program:
         self.dispatcher = dispatcher
         self.entry_points = tuple(entry_points)
         self.code_base = code_base
-        self._laid_out = False
         self.layout()
 
     def layout(self) -> None:
@@ -175,15 +181,10 @@ class Program:
             fn.addr = addr
             for block in fn.blocks:
                 block.addr = addr
-                offsets = []
-                off = 0
-                for size in block.instr_sizes:
-                    offsets.append(off)
-                    off += size
-                block.instr_offsets = tuple(offsets)
-                addr += block.size
+                offsets = tuple(accumulate(block.instr_sizes, initial=0))
+                block.instr_offsets = offsets[:-1]
+                addr += offsets[-1]
             fn.validate()
-        self._laid_out = True
 
     @property
     def code_size(self) -> int:

@@ -19,6 +19,18 @@ Two stages mirror how real binaries come to exist and then execute:
 Both stages are fully deterministic for a given spec and seed. The walk
 draws the RNG in program order, which fixes the trace bytes;
 ``tests/trace/test_synthesis_digests.py`` pins them for every workload.
+
+Draws are exact, not merely equivalent in distribution. Both stages call
+the generator's C methods, ``random()`` and ``getrandbits(k)``, at every
+draw site, with the formula the ``random.Random`` method they stand for
+computes: ``randrange(n)`` and ``randint`` are :func:`_below`'s
+``getrandbits`` rejection loop, ``uniform(a, b)`` is
+``a + (b - a) * random()``, ``choices`` over the variable-length sizes is a
+``bisect_right`` on their cumulative weights, and :func:`_geometric`
+inlines ``expovariate``. Only ``Random.sample`` (rare, at indirect-call
+sites) is still called. CPython 3.10, 3.11 and 3.12 compute these methods
+the same way; ``tests/trace/test_draws.py`` checks every inlined form
+against the method it replaces, values and generator state both.
 """
 
 from __future__ import annotations
@@ -28,20 +40,37 @@ from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from math import log
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from .arrays import COLUMNS, ArrayTrace
-from .program import BasicBlock, Function, Program, TermKind
+from .program import _TERM_INSTR, BasicBlock, Function, Program, TermKind
 from .record import InstrKind
 
 STACK_BASE = 0x7FFF_0000
 GLOBAL_BASE = 0x1000_0000
+#: No register (-1 in the src1/dst columns), as the walker collects it: the
+#: byte whose signed value is -1.
+_NO_REG = 0xFF
 
 #: Instruction-size distribution of the synthetic variable-length ISA
 #: (mean ~4.3 bytes, like x86 server code).
 _VARIABLE_SIZES = (2, 3, 4, 5, 6, 7, 8, 10, 13, 15)
 _VARIABLE_WEIGHTS = (0.10, 0.22, 0.28, 0.14, 0.09, 0.07, 0.05, 0.03, 0.01, 0.01)
+#: ``Random.choices(_VARIABLE_SIZES, _VARIABLE_WEIGHTS)`` draws
+#: ``_VARIABLE_SIZES[bisect_right(_SIZE_CUM, random() * _SIZE_TOTAL, 0,
+#: _SIZE_HI)]``; these are the values it computes on every call.
+_SIZE_CUM = list(accumulate(_VARIABLE_WEIGHTS))
+_SIZE_TOTAL = _SIZE_CUM[-1] + 0.0
+_SIZE_HI = len(_VARIABLE_SIZES) - 1
+
+#: ``randrange(n)`` draws ``n.bit_length()`` bits per try; the walker
+#: draws registers, stack slots and words within a data block this way.
+_REGS, _REG_BITS = 32, 6
+_STACK_SLOTS, _STACK_BITS = 16, 5
+_WORDS, _WORD_BITS = 8, 4
 
 _DEFAULT_MIX = {
     InstrKind.ALU: 0.53,
@@ -87,7 +116,6 @@ class SynthesisSpec:
 
     n_entry_points: int = 48
     zipf_alpha: float = 0.9
-    call_span: int = 0                  # kept for compatibility; unused
     shared_fraction: float = 0.25       # functions shared across entry slices
 
     instr_mix: Dict[InstrKind, float] = field(
@@ -122,26 +150,37 @@ class _ZipfSampler:
     def __init__(self, n: int, alpha: float) -> None:
         weights = [1.0 / (k + 1) ** alpha for k in range(n)]
         total = sum(weights)
-        acc = 0.0
-        self._cumulative: List[float] = []
-        for w in weights:
-            acc += w / total
-            self._cumulative.append(acc)
+        self._cumulative: List[float] = list(
+            accumulate([w / total for w in weights]))
 
     def sample(self, rng: random.Random) -> int:
         return bisect_right(self._cumulative, rng.random())
 
 
-def _geometric(rng: random.Random, mean: float, minimum: int = 1) -> int:
-    """Geometric-ish draw with the given mean, at least ``minimum``."""
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """``Random.randrange(n)``, drawn as CPython 3.10-3.12 draw it: take
+    ``n.bit_length()`` random bits until the value is below ``n``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _geometric(random: Callable[[], float], mean: float,
+               minimum: int = 1) -> int:
+    """Geometric-ish draw with the given mean, at least ``minimum``:
+    ``minimum + int(expovariate(1.0 / (mean - minimum)) + 0.5)``, with
+    ``expovariate`` inlined (``random`` is the bound ``Random.random``)."""
     if mean <= minimum:
         return minimum
-    draw = int(rng.expovariate(1.0 / (mean - minimum)) + 0.5)
-    return minimum + draw
+    return minimum + int(-log(1.0 - random()) / (1.0 / (mean - minimum))
+                         + 0.5)
 
 
 class ProgramBuilder:
-    """Builds a static program from a :class:`SynthesisSpec`."""
+    """Builds a static program from a :class:`SynthesisSpec`, drawing
+    the generator's C methods directly (see the module docstring)."""
 
     def __init__(self, spec: SynthesisSpec) -> None:
         self.spec = spec
@@ -158,23 +197,28 @@ class ProgramBuilder:
 
     # -- low-level helpers ---------------------------------------------------
 
-    def _body_kind(self) -> InstrKind:
-        r = self._rng.random()
-        return self._mix_kinds[bisect_right(self._mix_cumulative, r)]
-
-    def _instr_size(self) -> int:
-        if self.spec.isa == "fixed4":
-            return 4
-        return self._rng.choices(_VARIABLE_SIZES, _VARIABLE_WEIGHTS)[0]
-
     def _block_body(self, n_instrs: int,
                     terminator: Optional[InstrKind]) -> Tuple[List[int], List[InstrKind]]:
-        """Sizes and kinds for a block of ``n_instrs`` total instructions."""
-        n_body = n_instrs - (1 if terminator is not None else 0)
-        sizes = [self._instr_size() for _ in range(max(0, n_body))]
-        kinds = [self._body_kind() for _ in range(max(0, n_body))]
+        """Sizes and kinds for a block of ``n_instrs`` (at least one)
+        instructions: the body's sizes are drawn, then its kinds, then the
+        terminator's size. A ``fixed4`` size draws nothing."""
+        random = self._rng.random
+        n_body = n_instrs if terminator is None else n_instrs - 1
+        mix_kinds, mix_cumulative = self._mix_kinds, self._mix_cumulative
+        if self.spec.isa == "fixed4":
+            sizes = [4] * n_instrs
+            kinds = [mix_kinds[bisect_right(mix_cumulative, random())]
+                     for _ in range(n_body)]
+        else:
+            sizes = [_VARIABLE_SIZES[bisect_right(
+                         _SIZE_CUM, random() * _SIZE_TOTAL, 0, _SIZE_HI)]
+                     for _ in range(n_body)]
+            kinds = [mix_kinds[bisect_right(mix_cumulative, random())]
+                     for _ in range(n_body)]
+            if terminator is not None:
+                sizes.append(_VARIABLE_SIZES[bisect_right(
+                    _SIZE_CUM, random() * _SIZE_TOTAL, 0, _SIZE_HI)])
         if terminator is not None:
-            sizes.append(self._instr_size())
             kinds.append(terminator)
         return sizes, kinds
 
@@ -184,50 +228,49 @@ class ProgramBuilder:
         Real branch populations are dominated by strongly biased branches
         with a hard-to-predict tail; the mixture below gives a realistic
         overall misprediction rate for a perceptron predictor. The
-        ``cond_bias_low/high`` knobs bound the hard tail.
+        ``cond_bias_low/high`` knobs bound the hard tail. Each bias is a
+        ``uniform(a, b)`` draw, ``a + (b - a) * random()``.
         """
-        rng = self._rng
-        r = rng.random()
+        random = self._rng.random
+        r = random()
         if r < 0.68:
-            bias = rng.uniform(0.94, 0.995)
+            bias = 0.94 + (0.995 - 0.94) * random()
         elif r < 0.93:
-            bias = rng.uniform(0.82, 0.94)
+            bias = 0.82 + (0.94 - 0.82) * random()
         else:
-            bias = rng.uniform(self.spec.cond_bias_low,
-                               self.spec.cond_bias_high)
-        return bias if rng.random() < 0.5 else 1.0 - bias
+            low = self.spec.cond_bias_low
+            bias = low + (self.spec.cond_bias_high - low) * random()
+        return bias if random() < 0.5 else 1.0 - bias
 
     # -- function construction ----------------------------------------------
 
     def _build_function(self, index: int, callee_pool: Sequence[int],
                         call_scale: float = 1.0) -> Function:
+        """Function ``index``, calling into ``callee_pool`` (ascending, as
+        :meth:`build` makes it)."""
         spec = self.spec
         rng = self._rng
-        protos: List[dict] = []
+        random, getrandbits = rng.random, rng.getrandbits
+        block_body = self._block_body
+        blocks: List[BasicBlock] = []
+        JUMP, RET = TermKind.JUMP, TermKind.RET
 
-        def add(n_instrs: int, term: TermKind, *, taken: Optional[int] = None,
-                fall: Optional[int] = None, callee: Optional[int] = None,
-                bias: float = 0.5, loop_mean: float = 0.0,
-                cold: bool = False) -> int:
-            term_instr = {
-                TermKind.COND: InstrKind.BR_COND,
-                TermKind.LOOP: InstrKind.BR_COND,
-                TermKind.JUMP: InstrKind.JUMP,
-                TermKind.CALL: InstrKind.CALL,
-                TermKind.ICALL: InstrKind.CALL_IND,
-                TermKind.RET: InstrKind.RET,
-            }.get(term)
-            sizes, kinds = self._block_body(max(1, n_instrs), term_instr)
-            protos.append(dict(sizes=sizes, kinds=kinds, term=term,
-                               taken=taken, fall=fall, callee=callee,
-                               callees=(), bias=bias, loop_mean=loop_mean,
-                               cold=cold))
-            return len(protos) - 1
+        def add(n_instrs: int, term: TermKind, **fields) -> BasicBlock:
+            """Append a block of ``n_instrs`` (at least 1) instructions;
+            every block but a jump or a return falls through to the next
+            one."""
+            sizes, kinds = block_body(n_instrs, _TERM_INSTR.get(term))
+            i = len(blocks)
+            block = BasicBlock(i, sizes, kinds, term, fall_succ=(
+                None if term is JUMP or term is RET else i + 1), **fields)
+            blocks.append(block)
+            return block
 
         # Only higher-indexed callees keep the call graph a DAG.
-        callees = [c for c in callee_pool if c > index]
+        callees = list(callee_pool[bisect_right(callee_pool, index):])
         can_call = bool(callees)
-        n_units = _geometric(rng, spec.units_per_function_mean, minimum=2)
+        hot_mean = spec.hot_block_instrs_mean
+        n_units = _geometric(random, spec.units_per_function_mean, minimum=2)
         t_cold = spec.p_unit_cold
         t_ifelse = t_cold + spec.p_unit_ifelse
         t_loop = t_ifelse + spec.p_unit_loop
@@ -235,79 +278,57 @@ class ProgramBuilder:
         t_vcall = t_call + spec.p_unit_vcall * call_scale
         t_straight = t_vcall + spec.p_unit_straight
         for _ in range(n_units):
-            r = rng.random()
-            hot_n = _geometric(rng, spec.hot_block_instrs_mean, minimum=2)
+            r = random()
+            hot_n = _geometric(random, hot_mean, minimum=2)
             if r < t_cold:
                 # Hot block whose terminator usually skips an inline cold
-                # region of one or more blocks (error/rare-path code).
+                # region of one or more blocks (error/rare-path code):
+                # randint(1, cold_blocks_max) of them.
                 a = add(hot_n, TermKind.COND, bias=1.0 - spec.cold_exec_prob)
-                n_cold = rng.randint(1, max(1, spec.cold_blocks_max))
-                last = a
+                n_cold = 1 + _below(getrandbits, max(1, spec.cold_blocks_max))
                 for _ in range(n_cold):
-                    cold_n = _geometric(rng, spec.cold_block_instrs_mean,
+                    cold_n = _geometric(random, spec.cold_block_instrs_mean,
                                         minimum=2)
-                    last = add(cold_n, TermKind.FALL, cold=True)
-                    protos[last]["fall"] = last + 1
-                protos[a]["taken"] = last + 1
-                protos[a]["fall"] = a + 1
+                    last = add(cold_n, TermKind.FALL, is_cold=True)
+                a.taken_succ = last.index + 1
             elif r < t_ifelse:
                 bias = self._draw_bias()
                 a = add(hot_n, TermKind.COND, bias=bias)
-                then_n = _geometric(rng, spec.hot_block_instrs_mean, minimum=2)
-                b = add(then_n, TermKind.JUMP)
-                else_n = _geometric(rng, spec.hot_block_instrs_mean, minimum=2)
-                c = add(else_n, TermKind.FALL)
-                protos[a]["taken"] = c       # branch taken -> else side
-                protos[a]["fall"] = b
-                protos[b]["taken"] = c + 1   # jump over the else side
-                protos[c]["fall"] = c + 1
+                b = add(_geometric(random, hot_mean, minimum=2), TermKind.JUMP)
+                c = add(_geometric(random, hot_mean, minimum=2), TermKind.FALL)
+                a.taken_succ = c.index         # branch taken -> else side
+                b.taken_succ = c.index + 1     # jump over the else side
             elif r < t_loop:
                 body_blocks = max(1, spec.loop_body_blocks)
-                first_body = len(protos)
-                for j in range(body_blocks):
-                    body_n = _geometric(rng, spec.hot_block_instrs_mean,
-                                        minimum=2)
-                    if j == body_blocks - 1:
-                        # Trip count is fixed per loop site (drawn here, not
-                        # per entry): real loop bounds are mostly stable and
-                        # history predictors learn them, so loop exits are
-                        # not a dominant mispredict source.
-                        trips = float(_geometric(
-                            rng, max(1.0, spec.loop_trips_mean), minimum=2))
-                        latch = add(body_n, TermKind.LOOP,
-                                    taken=first_body, loop_mean=trips)
-                        protos[latch]["fall"] = latch + 1
-                    else:
-                        blk = add(body_n, TermKind.FALL)
-                        protos[blk]["fall"] = blk + 1
+                first_body = len(blocks)
+                for _ in range(body_blocks - 1):
+                    add(_geometric(random, hot_mean, minimum=2),
+                        TermKind.FALL)
+                body_n = _geometric(random, hot_mean, minimum=2)
+                # Trip count is fixed per loop site (drawn here, not per
+                # entry): real loop bounds are mostly stable and history
+                # predictors learn them, so loop exits are not a dominant
+                # mispredict source.
+                trips = float(_geometric(
+                    random, max(1.0, spec.loop_trips_mean), minimum=2))
+                add(body_n, TermKind.LOOP, taken_succ=first_body,
+                    loop_mean=trips)
             elif r < t_call and can_call:
-                callee = callees[rng.randrange(len(callees))]
-                a = add(hot_n, TermKind.CALL, callee=callee)
-                protos[a]["fall"] = a + 1
+                callee = callees[_below(getrandbits, len(callees))]
+                add(hot_n, TermKind.CALL, callee=callee)
             elif r < t_vcall and can_call:
                 # Virtual-dispatch site: one of several callees per visit.
                 k = min(spec.vcall_targets, len(callees))
                 targets = tuple(rng.sample(callees, k))
-                a = add(hot_n, TermKind.ICALL)
-                protos[a]["callees"] = targets
-                protos[a]["fall"] = a + 1
+                add(hot_n, TermKind.ICALL, callees=targets)
             elif r < t_straight:
-                n = _geometric(rng, spec.straight_block_instrs_mean, minimum=8)
-                a = add(n, TermKind.FALL)
-                protos[a]["fall"] = a + 1
+                n = _geometric(random, spec.straight_block_instrs_mean,
+                               minimum=8)
+                add(n, TermKind.FALL)
             else:
-                a = add(hot_n, TermKind.FALL)
-                protos[a]["fall"] = a + 1
+                add(hot_n, TermKind.FALL)
 
-        add(max(1, _geometric(rng, 3.0)), TermKind.RET)  # epilogue
-        blocks = [
-            BasicBlock(i, p["sizes"], p["kinds"], p["term"],
-                       taken_succ=p["taken"], fall_succ=p["fall"],
-                       callee=p["callee"], callees=p["callees"],
-                       bias=p["bias"], loop_mean=p["loop_mean"],
-                       is_cold=p["cold"])
-            for i, p in enumerate(protos)
-        ]
+        add(max(1, _geometric(random, 3.0)), TermKind.RET)  # epilogue
         return Function(index, blocks)
 
     def _build_dispatcher(self, entry_points: Sequence[int]) -> Function:
@@ -393,24 +414,37 @@ class TraceWalker:
 
     # -- main loop -----------------------------------------------------------
 
-    def _block_columns(self, block: BasicBlock) -> tuple:
-        """The static column slices of ``block``: pc, size and kind of
-        every instruction, zero target/taken for the body (every
-        instruction but a terminator), the all-``-1`` src2 column (no
-        second source is drawn), then the body's memory-op flags and the
+    def _block_columns(self, blocks: List[BasicBlock],
+                       block: BasicBlock) -> tuple:
+        """The static column slices of ``block``, one of its function's
+        ``blocks``: pc, size and kind of every instruction; target and
+        taken, zero for the body (every instruction but a terminator) and
+        then the terminator's own where the walk does not decide it (the
+        target of a branch, a jump or a direct call, the taken bit of a
+        jump, a call or a return); the all-``-1`` src2 column (no second
+        source is drawn); then the body's memory-op flags and the
         instruction count."""
         n = len(block.instr_sizes)
-        n_body = n if block.term == TermKind.FALL else n - 1
+        term = block.term
+        n_body = n if term is TermKind.FALL else n - 1
         base = block.addr
-        body_kinds = block.instr_kinds[:n_body]
+        targets = array("Q", bytes(8 * n_body))
+        takens = array("B", bytes(n_body))
+        if term in (TermKind.COND, TermKind.LOOP, TermKind.JUMP):
+            targets.append(blocks[block.taken_succ].addr)  # type: ignore[index]
+        elif term is TermKind.CALL:
+            callee = self.program.functions[block.callee]  # type: ignore[index]
+            targets.append(callee.addr)
+        if term not in (TermKind.FALL, TermKind.COND, TermKind.LOOP):
+            takens.append(1)
         return (array("Q", [base + off for off in block.instr_offsets]),
                 array("B", block.instr_sizes),
                 array("B", block.instr_kinds),
-                array("Q", bytes(8 * n_body)),
-                array("B", bytes(n_body)),
+                targets,
+                takens,
                 array("b", [-1]) * n,
                 tuple(k is InstrKind.LOAD or k is InstrKind.STORE
-                      for k in body_kinds),
+                      for k in block.instr_kinds[:n_body]),
                 n)
 
     def run(self, n_instructions: int) -> ArrayTrace:
@@ -418,14 +452,18 @@ class TraceWalker:
         block boundary, so the result may slightly exceed the request) as
         an :class:`ArrayTrace`. Each visited block extends the columns by
         its static slices (:meth:`_block_columns`); the RNG is drawn per
-        body instruction, in order, and then for the terminator."""
+        body instruction, in order, and then for the terminator. Every
+        ``randrange`` is inlined as the ``getrandbits`` loop of
+        :func:`_below`."""
         program = self.program
         functions = program.functions
         dispatcher = program.dispatcher
         spec = self.spec
         rng = self._rng
-        random = rng.random
-        randrange = rng.randrange
+        random, getrandbits = rng.random, rng.getrandbits
+        regs, reg_bits = _REGS, _REG_BITS
+        stack_slots, stack_bits = _STACK_SLOTS, _STACK_BITS
+        words, word_bits = _WORDS, _WORD_BITS
         p_src_recent = spec.p_src_recent
         p_stack = spec.p_stack_access
         data_cumulative = self._data_zipf._cumulative
@@ -445,96 +483,118 @@ class TraceWalker:
         target_ext, target_a = target_col.extend, target_col.append
         taken_ext, taken_a = taken_col.extend, taken_col.append
         mem_a = columns["mem_addr"].append
-        src1_a = columns["src1"].append
-        dst_a = columns["dst"].append
+        # src1 and dst take one value per instruction: collect them in
+        # bytearrays, whose append is a third of a signed-byte array's,
+        # and reinterpret the bytes at the end (-1 is collected as
+        # _NO_REG).
+        src1s, dsts = bytearray(), bytearray()
+        src1_a, dst_a = src1s.append, dsts.append
 
         # The last eight destination registers, oldest first.
         recent_dsts = deque([1, 2, 3, 4], maxlen=8)
         recent_a = recent_dsts.append
         # A call-stack frame: (function index, block index to resume at,
-        # per-activation loop trip counters).
+        # per-activation loop trip counters). Each frame lowers the stack
+        # top by 192 bytes.
         stack: List[Tuple[int, int, Dict[int, int]]] = []
+        stack_top = STACK_BASE
         fn_idx = dispatcher
+        blocks = functions[fn_idx].blocks
         blk_idx = 0
         loop_counters: Dict[int, int] = {}
         n = 0
 
         while n < n_instructions:
-            fn = functions[fn_idx]
-            block = fn.blocks[blk_idx]
+            block = blocks[blk_idx]
             cols = block_columns.get(block)
             if cols is None:
-                cols = block_columns[block] = self._block_columns(block)
-            pcs, sizes, kinds, zeros_q, zeros_b, src2s, mem_ops, n_block = cols
+                cols = block_columns[block] = self._block_columns(blocks,
+                                                                  block)
+            pcs, sizes, kinds, targets, takens, src2s, mem_ops, n_block = cols
             pc_ext(pcs)
             size_ext(sizes)
             kind_ext(kinds)
+            target_ext(targets)
+            taken_ext(takens)
             src2_ext(src2s)
-            target_ext(zeros_q)
-            taken_ext(zeros_b)
             n += n_block
-            stack_top = STACK_BASE - len(stack) * 192
 
+            # randrange(32) for dst; a recent destination (randrange of
+            # the window's length) or randrange(32) for src1; for a memory
+            # op, randrange(16) for a stack slot or a Zipf data block and
+            # randrange(8) for the word in it.
             for is_mem in mem_ops:
-                dst = randrange(32)
+                dst = getrandbits(reg_bits)
+                while dst >= regs:
+                    dst = getrandbits(reg_bits)
                 if random() < p_src_recent:
-                    src1 = recent_dsts[randrange(len(recent_dsts))]
+                    m = len(recent_dsts)
+                    k = m.bit_length()
+                    r = getrandbits(k)
+                    while r >= m:
+                        r = getrandbits(k)
+                    src1 = recent_dsts[r]
                 else:
-                    src1 = randrange(32)
+                    src1 = getrandbits(reg_bits)
+                    while src1 >= regs:
+                        src1 = getrandbits(reg_bits)
                 if not is_mem:
                     mem_a(0)
                 elif random() < p_stack:
-                    mem_a(stack_top - 8 * randrange(16))
+                    r = getrandbits(stack_bits)
+                    while r >= stack_slots:
+                        r = getrandbits(stack_bits)
+                    mem_a(stack_top - 8 * r)
                 else:
-                    mem_a(GLOBAL_BASE
-                          + bisect_right(data_cumulative, random())
-                          * data_bytes + 8 * randrange(8))
+                    addr = (GLOBAL_BASE
+                            + bisect_right(data_cumulative, random())
+                            * data_bytes)
+                    r = getrandbits(word_bits)
+                    while r >= words:
+                        r = getrandbits(word_bits)
+                    mem_a(addr + 8 * r)
                 src1_a(src1)
                 dst_a(dst)
                 recent_a(dst)
 
             term = block.term
-            if term == FALL:
+            if term is FALL:
                 blk_idx = block.fall_succ  # type: ignore[assignment]
                 continue
 
             # The terminator: no destination, no data access.
-            dst_a(-1)
+            dst_a(_NO_REG)
             mem_a(0)
-            if term == COND:
+            if term is COND:
                 taken = random() < block.bias
-                target_a(fn.blocks[block.taken_succ].addr)  # type: ignore[index]
                 taken_a(taken)
                 src1_a(recent_dsts[0])
                 blk_idx = (block.taken_succ if taken  # type: ignore[assignment]
                            else block.fall_succ)
-            elif term == LOOP:
+            elif term is LOOP:
                 remaining = loop_counters.get(blk_idx)
                 if remaining is None:
                     remaining = max(1, int(block.loop_mean))
                 if remaining > 1:
                     loop_counters[blk_idx] = remaining - 1
-                    taken, succ = True, block.taken_succ
+                    taken_a(1)
+                    blk_idx = block.taken_succ  # type: ignore[assignment]
                 else:
                     loop_counters.pop(blk_idx, None)
-                    taken, succ = False, block.fall_succ
-                target_a(fn.blocks[block.taken_succ].addr)  # type: ignore[index]
-                taken_a(taken)
+                    taken_a(0)
+                    blk_idx = block.fall_succ  # type: ignore[assignment]
                 src1_a(recent_dsts[0])
-                blk_idx = succ  # type: ignore[assignment]
-            elif term == JUMP:
-                target_a(fn.blocks[block.taken_succ].addr)  # type: ignore[index]
-                taken_a(1)
-                src1_a(-1)
+            elif term is JUMP:
+                src1_a(_NO_REG)
                 blk_idx = block.taken_succ  # type: ignore[assignment]
-            elif term == CALL:
-                callee = functions[block.callee]  # type: ignore[index]
-                target_a(callee.addr)
-                taken_a(1)
-                src1_a(-1)
+            elif term is CALL:
+                src1_a(_NO_REG)
                 stack.append((fn_idx, block.fall_succ, loop_counters))  # type: ignore[arg-type]
-                fn_idx, blk_idx, loop_counters = callee.index, 0, {}
-            elif term == ICALL:
+                stack_top -= 192
+                fn_idx = functions[block.callee].index  # type: ignore[index]
+                blocks = functions[fn_idx].blocks
+                blk_idx, loop_counters = 0, {}
+            elif term is ICALL:
                 k = len(block.callees)
                 if block.fall_succ is not None and fn_idx == dispatcher:
                     pick = block.callees[self._entry_zipf.sample(rng) % k]
@@ -546,24 +606,26 @@ class TraceWalker:
                     pick = block.callees[sampler.sample(rng)]
                 callee = functions[pick]
                 target_a(callee.addr)
-                taken_a(1)
                 src1_a(recent_dsts[0])
                 stack.append((fn_idx, block.fall_succ, loop_counters))  # type: ignore[arg-type]
+                stack_top -= 192
                 fn_idx, blk_idx, loop_counters = callee.index, 0, {}
-            elif term == RET:
-                taken_a(1)
-                src1_a(-1)
+                blocks = functions[fn_idx].blocks
+            elif term is RET:
+                src1_a(_NO_REG)
                 if not stack:
                     # Defensive: a RET with no caller restarts the dispatcher.
-                    target_a(functions[dispatcher].addr)
                     fn_idx, blk_idx, loop_counters = dispatcher, 0, {}
                 else:
-                    caller_fn, resume_blk, counters = stack.pop()
-                    target_a(functions[caller_fn].blocks[resume_blk].addr)
-                    fn_idx, blk_idx, loop_counters = caller_fn, resume_blk, counters
+                    fn_idx, blk_idx, loop_counters = stack.pop()
+                    stack_top += 192
+                blocks = functions[fn_idx].blocks
+                target_a(blocks[blk_idx].addr)
             else:  # pragma: no cover - exhaustive above
                 raise ConfigurationError(f"unhandled terminator {term}")
 
+        columns["src1"] = array("b", src1s)
+        columns["dst"] = array("b", dsts)
         return ArrayTrace(tuple(columns[name] for name, _ in COLUMNS), n)
 
 

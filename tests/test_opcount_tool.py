@@ -116,3 +116,39 @@ def test_nested_code_counts_with_its_enclosing_function():
         "UBSICache._install_victim.<locals>.<listcomp>") == "fills"
     assert opcount.stage_of("Core._arbitrate.<locals>.<lambda>") == "loop"
     assert opcount.stage_of("EfficiencySampler.maybe_sample") == "other"
+
+
+def test_the_synthesis_row_follows_the_simulated_configs():
+    assert opcount.SYNTH_KEY == "synth/server_000"
+    assert opcount.SYNTH_KEY not in opcount.configs()
+
+
+def test_every_synthesis_stage_key_names_a_trace_function():
+    defined = set()
+    for module in opcount.SYNTH_MODULES:
+        path = SRC.parent / (module.replace(".", "/") + ".py")
+        defined.update(name.split(".")[0]
+                       for name in _qualnames(ast.parse(path.read_text())))
+    stale = sorted(set(opcount.SYNTH_STAGE_OF) - defined)
+    assert not stale, f"SYNTH_STAGE_OF names no synthesis code: {stale}"
+    assert set(opcount.SYNTH_STAGE_OF.values()) <= set(opcount.SYNTH_STAGES)
+
+
+def test_synthesis_stages():
+    stage = opcount.synth_stage_of
+    assert stage("random:Random._randbelow_with_getrandbits") == "random"
+    assert stage("TraceWalker.run") == "walk"
+    assert stage("ProgramBuilder._build_function.<locals>.add") == "build"
+    assert stage("Program.layout") == "build"
+    assert stage("generate_trace") == "other"
+
+
+def test_each_set_of_stages_gets_its_own_header():
+    synth = {"instructions": 10, "bytecodes": 50, "calls": 10,
+             "stages": dict.fromkeys(opcount.SYNTH_STAGES, 0)}
+    lines = opcount.render({"a": _counts(5_000_000), "b": _counts(5_000_000),
+                            opcount.SYNTH_KEY: synth})
+    assert lines[0].startswith("per simulated instruction")
+    assert lines[3].startswith("per synthesised instruction")
+    assert lines[4].startswith(opcount.SYNTH_KEY)
+    assert len(lines) == 5

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Deterministic cost gate: bytecodes and Python calls per simulated
-instruction.
+(and per synthesised) instruction.
 
 Usage::
 
@@ -15,6 +15,15 @@ on conv32, ubs, small16, distill32 and the 16-way DSE point, plus the
 ``server_000+client_000`` co-run (20K instructions per thread, the same
 windows) on conv32 and ubs. Traces and machines are built before the
 tracer starts, so only the cycle loop is counted.
+
+One more row, ``synth/server_000``, counts trace synthesis:
+``generate_trace`` of 20K server_000 instructions, program build and
+walk. It counts the frames of ``repro.trace.synthesis`` and
+``repro.trace.program`` and those of the stdlib ``random`` module, so a
+draw inlined from a ``random.py`` method into the package moves
+bytecodes between counted frames instead of out of view. The
+``ArrayTrace`` it returns is not counted: its sidecar build takes a
+numpy path where numpy is installed.
 
 A count does not depend on the host, the load or the hash seed, so it
 resolves a hot-path change that one timed run cannot. It misses costs
@@ -60,6 +69,7 @@ SOLO_WORKLOAD = "server_000"
 SOLO_CONFIGS = ("conv32", "ubs", "small16", "distill32", DSE_POINT)
 CORUN_WORKLOADS = ("server_000", "client_000")
 CORUN_CONFIGS = ("conv32", "ubs")
+SYNTH_KEY = "synth/server_000"
 
 STAGES = ("fetch", "fdip", "bpu", "fills", "backend", "below_l1", "loop",
           "other")
@@ -136,6 +146,38 @@ STAGE_OF: Dict[str, str] = {
 }
 
 
+#: The synthesis row's stages: the program build, the walk, the stdlib
+#: ``random`` methods either one calls, and the rest (``generate_trace``).
+SYNTH_STAGES = ("build", "walk", "random", "other")
+
+#: The modules whose frames the synthesis row counts, with ``random``.
+SYNTH_MODULES = ("repro.trace.synthesis", "repro.trace.program")
+
+#: The synthesis stage of each ``repro.trace`` class or function, by the
+#: first component of ``co_qualname``.
+SYNTH_STAGE_OF: Dict[str, str] = {
+    "ProgramBuilder": "build",
+    "_geometric": "build",
+    "_below": "build",
+    "BasicBlock": "build",
+    "Function": "build",
+    "Program": "build",
+    "TraceWalker": "walk",
+    "_ZipfSampler": "walk",
+}
+
+#: Counter keys of frames in the stdlib ``random`` module start with this.
+RANDOM_PREFIX = "random:"
+
+
+def synth_stage_of(qualname: str) -> str:
+    """``qualname``'s synthesis stage (a ``RANDOM_PREFIX`` key is a
+    ``random`` module frame)."""
+    if qualname.startswith(RANDOM_PREFIX):
+        return "random"
+    return SYNTH_STAGE_OF.get(qualname.split(".")[0], "other")
+
+
 def stage_of(qualname: str) -> str:
     """``qualname``'s stage: its own entry, else its enclosing
     function's, else ``other``."""
@@ -150,42 +192,34 @@ def stage_of(qualname: str) -> str:
 
 
 def configs() -> List[str]:
-    """Every configuration the tool counts, as ``workload/config``."""
+    """Every simulated configuration the tool counts, as
+    ``workload/config`` (the synthesis row, ``SYNTH_KEY``, comes after
+    them)."""
     corun = "+".join(CORUN_WORKLOADS)
     return ([f"{SOLO_WORKLOAD}/{c}" for c in SOLO_CONFIGS]
             + [f"{corun}/{c}" for c in CORUN_CONFIGS])
 
 
-def count(key: str) -> Tuple[dict, Counter]:
-    """Run one ``workload/config`` under the tracer: its table entry
-    (integer counts) and the bytecodes of each function by qualname."""
-    import repro
-    from repro.cpu.machine import build_machine
-    from repro.smt.machine import build_smt_machine
-    from repro.trace.synthesis import generate_trace
-    from repro.trace.workloads import get_workload
-
-    workloads, config = key.split("/")
-    traces = [generate_trace(get_workload(w).spec, INSTRUCTIONS)
-              for w in workloads.split("+")]
-    if len(traces) == 1:
-        machine = build_machine(traces[0], config)
-        run = lambda: machine.run(WARMUP, MEASURE)  # noqa: E731
-    else:
-        machine = build_smt_machine(traces, config)
-        run = lambda: machine.run([(WARMUP, MEASURE)] * len(traces))  # noqa: E731
-    pkg = os.path.dirname(repro.__file__)
+def _trace(run, roots: Tuple[str, ...]) -> Tuple[Counter, int]:
+    """Run ``run()`` under the tracer: the bytecodes of each function
+    whose file starts with one of ``roots``, by qualname (a ``random``
+    module function's under ``RANDOM_PREFIX``), and the calls into them."""
+    import random
     ops: Counter = Counter()
     calls = 0
 
     def opcode(frame, event, arg):
         if event == "opcode":
-            ops[frame.f_code.co_qualname] += 1
+            code = frame.f_code
+            if code.co_filename == random.__file__:
+                ops[RANDOM_PREFIX + code.co_qualname] += 1
+            else:
+                ops[code.co_qualname] += 1
         return opcode
 
     def call(frame, event, arg):
         nonlocal calls
-        if not frame.f_code.co_filename.startswith(pkg):
+        if not frame.f_code.co_filename.startswith(roots):
             return None
         calls += 1
         frame.f_trace_lines, frame.f_trace_opcodes = False, True
@@ -196,24 +230,70 @@ def count(key: str) -> Tuple[dict, Counter]:
         run()
     finally:
         sys.settrace(None)
-    stages = dict.fromkeys(STAGES, 0)
+    return ops, calls
+
+
+def count(key: str) -> Tuple[dict, Counter]:
+    """Run one ``workload/config`` (or ``SYNTH_KEY``) under the tracer:
+    its table entry (integer counts) and the bytecodes of each function
+    by qualname."""
+    import importlib
+    import random
+
+    import repro
+    from repro.cpu.machine import build_machine
+    from repro.smt.machine import build_smt_machine
+    from repro.trace.synthesis import generate_trace
+    from repro.trace.workloads import get_workload
+
+    workloads, config = key.split("/")
+    if key == SYNTH_KEY:
+        spec = get_workload(config).spec
+        traces: list = []
+        run = lambda: traces.append(generate_trace(spec, INSTRUCTIONS))  # noqa: E731
+        roots = tuple(importlib.import_module(m).__file__
+                      for m in SYNTH_MODULES) + (random.__file__,)
+        stages, stage = SYNTH_STAGES, synth_stage_of
+    else:
+        traces = [generate_trace(get_workload(w).spec, INSTRUCTIONS)
+                  for w in workloads.split("+")]
+        if len(traces) == 1:
+            machine = build_machine(traces[0], config)
+            run = lambda: machine.run(WARMUP, MEASURE)  # noqa: E731
+        else:
+            machine = build_smt_machine(traces, config)
+            run = lambda: machine.run([(WARMUP, MEASURE)] * len(traces))  # noqa: E731
+        roots = (os.path.dirname(repro.__file__),)
+        stages, stage = STAGES, stage_of
+    ops, calls = _trace(run, roots)
+    split = dict.fromkeys(stages, 0)
     for qualname, n in ops.items():
-        stages[stage_of(qualname)] += n
-    entry = {"instructions": INSTRUCTIONS * len(traces),
+        split[stage(qualname)] += n
+    instructions = (len(traces[0]) if key == SYNTH_KEY
+                    else INSTRUCTIONS * len(traces))
+    entry = {"instructions": instructions,
              "bytecodes": sum(ops.values()), "calls": calls,
-             "stages": stages}
+             "stages": split}
     return entry, ops
 
 
 def render(counts: Dict[str, dict]) -> List[str]:
-    """The per-instruction table: totals, calls and the stage split."""
-    head = f"{'per simulated instruction':<34} {'bytecodes':>9} {'calls':>6}"
-    head += "".join(f" {s:>8}" for s in STAGES)
-    lines = [head]
+    """The per-instruction table: totals, calls and the stage split,
+    under one header per set of stages."""
+    lines: List[str] = []
+    header = None
     for key, c in counts.items():
+        stages = tuple(c["stages"])
+        if stages != header:
+            header = stages
+            what = ("synthesised" if stages == SYNTH_STAGES
+                    else "simulated")
+            head = f"per {what} instruction"
+            head = f"{head:<34} {'bytecodes':>9} {'calls':>6}"
+            lines.append(head + "".join(f" {s:>8}" for s in stages))
         n = c["instructions"]
         row = f"{key:<34.34} {c['bytecodes'] / n:>9.1f} {c['calls'] / n:>6.2f}"
-        row += "".join(f" {c['stages'][s] / n:>8.1f}" for s in STAGES)
+        row += "".join(f" {c['stages'][s] / n:>8.1f}" for s in stages)
         lines.append(row)
     return lines
 
@@ -270,7 +350,8 @@ def verdict(counts: Dict[str, dict], table: dict,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Bytecodes and Python calls per simulated instruction; "
+        description="Bytecodes and Python calls per simulated and per "
+                    "synthesised instruction; "
                     "fails when a count rises more than "
                     f"{TOLERANCE:.0%} above {TABLE.relative_to(ROOT)}.")
     parser.add_argument("--write", action="store_true",
@@ -290,7 +371,7 @@ def main(argv=None) -> int:
             print("\n".join(lines))
             return status
     counts = {}
-    for key in configs():
+    for key in configs() + [SYNTH_KEY]:
         start = time.perf_counter()
         counts[key], _ = count(key)
         print(f"counted {key} in {time.perf_counter() - start:.1f} s",
