@@ -42,7 +42,6 @@ from .cpu import Machine, build_icache, build_machine
 from .stats import SimResult
 from .telemetry import (
     EventTrace,
-    MetricsRegistry,
     StageProfiler,
     StallAccounting,
     Telemetry,
@@ -63,7 +62,6 @@ __all__ = [
     "Machine",
     "MachineParams",
     "MemoryHierarchy",
-    "MetricsRegistry",
     "PredictorConfig",
     "ReproError",
     "SimResult",

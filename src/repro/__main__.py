@@ -99,7 +99,7 @@ def _cmd_run(args) -> int:
         _export_trace(telemetry.recorder, result, args.trace_out)
     if args.metrics_out:
         with open(args.metrics_out, "w") as fh:
-            json.dump(machine.metrics.snapshot(), fh, indent=2,
+            json.dump(machine.metrics(), fh, indent=2,
                       sort_keys=True)
             fh.write("\n")
     profile = machine.profile_report()

@@ -15,7 +15,7 @@ Section VI-J evaluates several organisations; all are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..params import TRANSFER_BLOCK
@@ -183,12 +183,11 @@ class UsefulnessPredictor:
     def storage_snapshot(self) -> Tuple[int, int]:
         return self._used_bits, self._resident * TRANSFER_BLOCK
 
-    def register_metrics(self, registry,
-                         prefix: str = "predictor") -> None:
-        """Register hit/eviction/content gauges under ``prefix``."""
-        registry.gauge(f"{prefix}.hits", lambda: self.hits)
-        registry.gauge(f"{prefix}.evictions", lambda: self.evictions)
-        registry.gauge(f"{prefix}.blocks", self.block_count)
+    def metrics(self, prefix: str = "predictor") -> Dict[str, int]:
+        """Hit/eviction/content counters under ``prefix``."""
+        return {f"{prefix}.hits": self.hits,
+                f"{prefix}.evictions": self.evictions,
+                f"{prefix}.blocks": self.block_count()}
 
     def block_count(self) -> int:
         return sum(1 for _ in self.entries())

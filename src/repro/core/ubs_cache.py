@@ -349,21 +349,14 @@ class UBSICache(InstructionCacheBase):
         return (self.partial_missing + self.partial_overrun
                 + self.partial_underrun)
 
-    def register_metrics(self, registry, prefix: str = "l1i") -> None:
-        super().register_metrics(registry, prefix)
-        registry.gauge(f"{prefix}.partial_missing",
-                       lambda: self.partial_missing)
-        registry.gauge(f"{prefix}.partial_overrun",
-                       lambda: self.partial_overrun)
-        registry.gauge(f"{prefix}.partial_underrun",
-                       lambda: self.partial_underrun)
-        registry.gauge(f"{prefix}.way_evictions",
-                       lambda: self.way_evictions)
-        registry.gauge(f"{prefix}.subblocks_installed",
-                       lambda: self.subblocks_installed)
-        registry.gauge(f"{prefix}.blocks_discarded",
-                       lambda: self.blocks_discarded)
-        self.predictor.register_metrics(registry, f"{prefix}.predictor")
+    def metrics(self, prefix: str = "l1i") -> Dict[str, int]:
+        out = super().metrics(prefix)
+        for name in ("partial_missing", "partial_overrun",
+                     "partial_underrun", "way_evictions",
+                     "subblocks_installed", "blocks_discarded"):
+            out[f"{prefix}.{name}"] = getattr(self, name)
+        out.update(self.predictor.metrics(f"{prefix}.predictor"))
+        return out
 
     def reset_stats(self) -> None:
         super().reset_stats()

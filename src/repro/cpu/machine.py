@@ -27,7 +27,7 @@ import heapq
 import re
 from dataclasses import fields as _dataclass_fields, replace
 from time import perf_counter
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..frontend.bpu import BranchPredictionUnit, Resteer
@@ -51,7 +51,6 @@ from ..telemetry import (
     STALL as EV_STALL,
     Telemetry,
 )
-from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.profiler import ProfileReport
 from ..trace.arrays import ArrayTrace
 from ..core.configs import ubs_params_for_budget, way_config
@@ -222,11 +221,11 @@ class Core:
     """Hardware threads on one core with a shared front end; ``traces``
     are one :class:`ArrayTrace` per thread (an object trace is converted
     once, here). Subclasses are the entry points: each defines ``run``
-    and adds its metric names in ``_register_metrics``.
+    and adds its own counters in :meth:`metrics`.
 
     A finished core must stay free of reference cycles, so that dropping
     the last reference frees it at once rather than at the next cyclic
-    GC collection (see :attr:`metrics`)."""
+    GC collection."""
 
     #: Tag every telemetry event with its thread (``thread=<tid>``).
     tag_thread_events = False
@@ -261,32 +260,26 @@ class Core:
         self.cycle = 0
         self.wall_seconds = 0.0
 
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """A registry of pull-style gauges over this machine (the hot paths
-        carry no metrics bookkeeping), built on each access. The gauges
-        close over the machine, so a stored registry would make every
-        machine a reference cycle that only the cyclic GC could free."""
-        reg = MetricsRegistry()
-        self._register_metrics(reg)
-        return reg
-
-    def _register_metrics(self, reg: MetricsRegistry) -> None:
-        """The gauges over the shared structures; entry points add their
-        own."""
-        reg.gauge("machine.cycles", lambda: self.cycle)
-        reg.gauge("ftq.capacity", lambda: self._ftq_capacity)
-        reg.gauge("mshr.allocations", lambda: self.mshr.allocations)
-        reg.gauge("mshr.merges", lambda: self.mshr.merges)
-        reg.gauge("mshr.occupancy", lambda: len(self.mshr))
-        self.icache.register_metrics(reg)
-        self.hierarchy.register_metrics(reg)
+    def metrics(self) -> Dict[str, int]:
+        """Every component's counters, read now, as one flat dict keyed by
+        dotted name (``machine.cycles``, ``l1i.misses``, ...). The hot
+        paths keep no metrics bookkeeping; entry points extend this with
+        their own counters, ahead of the shared ones."""
+        mshr = self.mshr
+        out = {"machine.cycles": self.cycle,
+               "ftq.capacity": self._ftq_capacity,
+               "mshr.allocations": mshr.allocations,
+               "mshr.merges": mshr.merges,
+               "mshr.occupancy": len(mshr)}
+        out.update(self.icache.metrics())
+        out.update(self.hierarchy.metrics())
         if self.n_threads == 1:
             # A lone thread's back-end counts its own (precomputed) L1-D
             # outcomes; the hierarchy's L1-D serves co-runs only.
             b = self.threads[0].backend
-            reg.gauge("l1d.hits", lambda: b.l1d_hits)
-            reg.gauge("l1d.misses", lambda: b.l1d_misses)
+            out["l1d.hits"] = b.l1d_hits
+            out["l1d.misses"] = b.l1d_misses
+        return out
 
     def profile_report(self) -> Optional[ProfileReport]:
         """The attached profiler's report (None when not profiling)."""
@@ -876,16 +869,16 @@ class Machine(Core):
                  telemetry: Optional[Telemetry] = None) -> None:
         super().__init__([trace], icache, params, telemetry)
 
-    def _register_metrics(self, reg: MetricsRegistry) -> None:
+    def metrics(self) -> Dict[str, int]:
         t = self.threads[0]
-        reg.gauge("machine.instructions_delivered", lambda: t.delivered)
+        out = {"machine.instructions_delivered": t.delivered}
         for f in _dataclass_fields(FrontEndStats):
-            reg.gauge(f"frontend.{f.name}",
-                      lambda name=f.name: getattr(t.stats, name))
-        reg.gauge("ftq.occupancy", lambda: t.ftq_occupancy)
-        reg.gauge("bpu.cond_lookups", lambda: t.bpu.cond_lookups)
-        reg.gauge("bpu.mispredicts", lambda: t.bpu.mispredicts)
-        super()._register_metrics(reg)
+            out[f"frontend.{f.name}"] = getattr(t.stats, f.name)
+        out["ftq.occupancy"] = t.ftq_occupancy
+        out["bpu.cond_lookups"] = t.bpu.cond_lookups
+        out["bpu.mispredicts"] = t.bpu.mispredicts
+        out.update(super().metrics())
+        return out
 
     def run(self, warmup: int, measure: int,
             sample_efficiency: bool = True,

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
@@ -380,7 +379,7 @@ def run_search(space: DesignSpace, strategy: SearchStrategy,
                objective: str = "speedup", baseline: str = "conv32",
                jobs: int = 1, seed: int = 0, cache=None,
                journal: Optional[SearchJournal] = None,
-               recorder=None, profiler=None, obs=None, engine=None,
+               profiler=None, obs=None, engine=None,
                progress: Optional[ProgressFn] = None) -> SearchOutcome:
     """Run one budget-constrained search to completion.
 
@@ -391,12 +390,13 @@ def run_search(space: DesignSpace, strategy: SearchStrategy,
     :class:`repro.obs.RunObs` / :class:`~repro.obs.ProgressObs`) wraps
     every generation in a ``genNNN`` span and threads through the sweep
     engine, so a search's span tree nests generation → sweep → pair.
-    ``engine`` injects a ready-made engine (e.g. a
+    ``engine`` injects a ready-made engine (the dse CLI's run session
+    hands in its persistent local engine, or a
     :class:`repro.service.RemoteEngine` so every generation runs on a
     warm daemon) in place of the local persistent
-    ``SweepEngine(jobs=...)`` the search otherwise opens and closes;
-    results are identical either way — simulation is deterministic and
-    the journal never records who simulated.
+    ``SweepEngine(jobs=..., profiler=...)`` the search otherwise opens
+    and closes; results are identical either way — simulation is
+    deterministic and the journal never records who simulated.
     """
     if budget_evals < 1:
         raise ConfigurationError("budget_evals must be positive")
@@ -421,19 +421,6 @@ def run_search(space: DesignSpace, strategy: SearchStrategy,
         records = outcome.records
         generation = 0
 
-        def emit(new: List[EvalRecord], best: Optional[EvalRecord]) -> None:
-            if recorder is None or not recorder.enabled:
-                return
-            recorder.emit(
-                "search", generation, strategy=strategy.name,
-                evaluated=len(new),
-                resumed=sum(1 for r in new if r.resumed),
-                total=len(records),
-                best_key=best.key if best is not None else None,
-                best_score=(objective_score(best, objective)
-                            if best is not None else None),
-            )
-
         # The default point is always evaluated first so every report can
         # place Table II against the discovered frontier (free when journaled
         # or already in the result cache).
@@ -455,21 +442,13 @@ def run_search(space: DesignSpace, strategy: SearchStrategy,
                 if pending:
                     continue
                 break
-            t0 = perf_counter()
             if obs is not None:
                 with obs.span(f"gen{generation:03d}", strategy=strategy.name,
                               points=len(batch)):
                     new = evaluator.evaluate(batch)
             else:
                 new = evaluator.evaluate(batch)
-            if profiler is not None:
-                profiler.charge(f"dse.gen{generation:03d}",
-                                perf_counter() - t0)
             records.extend(new)
-            best = max(records,
-                       key=lambda r: (objective_score(r, objective), r.key)) \
-                if records else None
-            emit(new, best)
             if progress is not None:
                 progress(generation, new, len(records), budget_evals)
             generation += 1

@@ -5,9 +5,8 @@ simulation results on disk (``.repro_cache/``) so the full benchmark suite
 only ever simulates each (workload, configuration) pair once.
 """
 
-from .runner import ResultCache, run_config, run_pair, sweep
+from .runner import ResultCache, run_pair
 from .pool import SweepEngine, run_pairs
 from . import report
 
-__all__ = ["ResultCache", "SweepEngine", "report", "run_config",
-           "run_pair", "run_pairs", "sweep"]
+__all__ = ["ResultCache", "SweepEngine", "report", "run_pair", "run_pairs"]

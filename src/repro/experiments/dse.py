@@ -28,7 +28,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List
 
 from ..dse import (
     DesignSpace,
@@ -43,7 +43,7 @@ from ..dse import (
 from ..trace.workloads import scale_factor, workload_names
 from ..viz import scatter_plot
 from .report import format_table
-from .runner import default_cache
+from .session import RunSession, add_session_arguments
 
 #: Default workload selection: the family the paper's headline front-end
 #: stall numbers come from (and the cheapest to keep a search tractable).
@@ -200,22 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=SEARCH_BUDGET_TOLERANCE, metavar="FRAC",
                         help="admissible deviation from the 444 B/set data "
                              f"budget (default: {SEARCH_BUDGET_TOLERANCE})")
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="write search-progress telemetry events as "
-                             "JSONL")
-    parser.add_argument("--profile", action="store_true",
-                        help="print per-generation wall-clock stages")
-    parser.add_argument("--obs-dir", default=None, metavar="DIR",
-                        help="write run observability artifacts (manifest, "
-                             "span trace, heartbeats, metrics) into DIR; "
-                             "defaults to $REPRO_OBS_DIR, off when neither "
-                             "is set")
-    parser.add_argument("--server", default=None, metavar="ADDR",
-                        help="evaluate generations through a running "
-                             "simulation daemon (unix:/path or host:port; "
-                             "see docs/service.md); defaults to "
-                             "$REPRO_SERVER, local execution when neither "
-                             "is set or the daemon does not answer")
+    add_session_arguments(parser)
     return parser
 
 
@@ -230,98 +215,40 @@ def main(argv: List[str]) -> int:
     strategy = make_strategy(opts.strategy, space, objective=opts.objective)
     journal = SearchJournal(os.path.join(opts.out, "journal.jsonl"))
 
-    recorder = None
-    if opts.trace_out is not None:
-        from ..telemetry import EventTrace
-        recorder = EventTrace()
-    profiler = None
-    if opts.profile:
-        from ..telemetry import StageProfiler
-        profiler = StageProfiler()
-
     def progress(generation: int, new, done: int, budget: int) -> None:
         resumed = sum(1 for r in new if r.resumed)
         print(f"[gen {generation}] +{len(new)} points "
               f"({resumed} from journal) -> {done}/{budget}", flush=True)
 
-    from ..obs import ProgressObs, RunObs, SweepProgress, resolve_obs_dir
-
-    obs_dir = resolve_obs_dir(opts.obs_dir)
-    if obs_dir is not None:
-        obs = RunObs.create(
-            obs_dir, "dse", argv=["dse"] + list(argv),
-            config={"strategy": opts.strategy, "seed": opts.seed,
-                    "budget_evals": opts.budget_evals,
-                    "jobs": max(1, opts.jobs),
-                    "workloads": workloads, "objective": opts.objective})
-    else:
-        obs = ProgressObs(SweepProgress())
-
-    engine = None
-    server = opts.server or os.environ.get("REPRO_SERVER")
-    if server:
-        from ..service import RemoteEngine, probe
-
-        info = probe(server)
-        if info is None:
-            print(f"service at {server} not answering; "
-                  f"running locally", flush=True)
-        else:
-            engine = RemoteEngine(server, obs=obs)
-            print(f"routing through service at {server} "
-                  f"(pid {info.get('pid')}, jobs={info.get('jobs')})",
-                  flush=True)
-
-    status = "OK"
-    try:
+    jobs = max(1, opts.jobs)
+    config = {"strategy": opts.strategy, "seed": opts.seed,
+              "budget_evals": opts.budget_evals, "jobs": jobs,
+              "workloads": workloads, "objective": opts.objective}
+    with RunSession("dse", argv, opts, jobs, config) as session:
         outcome = run_search(
             space, strategy, opts.budget_evals, workloads,
             objective=opts.objective, baseline=opts.baseline,
-            jobs=max(1, opts.jobs), seed=opts.seed, cache=default_cache(),
-            journal=journal, recorder=recorder, profiler=profiler,
-            obs=obs, engine=engine, progress=progress)
-    except BaseException:
-        status = "ERROR"
-        raise
-    finally:
-        if engine is not None:
-            engine.close()
-        metrics = None
-        if status == "OK":
-            from ..telemetry import MetricsRegistry
-
-            registry = MetricsRegistry()
-            default_cache().register_metrics(registry)
-            metrics = registry.snapshot()
-            metrics.update({
-                "evaluations": len(outcome.records),
-                "generations": outcome.generations,
-                "pairs_simulated": outcome.pairs_simulated,
-                "evals_resumed": outcome.evals_resumed,
-            })
-        obs.finish(metrics=metrics, status=status)
-
-    report = render_report(outcome, workloads, opts.seed)
-    report_path = os.path.join(opts.out, "report.txt")
-    with open(report_path, "w") as fh:
-        fh.write(report)
-    with open(os.path.join(opts.out, "pareto.json"), "w") as fh:
-        json.dump(pareto_blob(outcome, workloads, opts.seed), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
-
-    if recorder is not None:
-        from ..telemetry import write_jsonl
-        write_jsonl(recorder, opts.trace_out)
-    if profiler is not None:
-        for stage in sorted(profiler.stage_seconds):
-            print(f"{stage}: {profiler.stage_seconds[stage]:.2f}s "
-                  f"({profiler.stage_calls[stage]} call(s))", flush=True)
-
-    print(report)
-    print(f"evals {len(outcome.records)} resumed {outcome.evals_resumed} "
-          f"simulated-pairs {outcome.pairs_simulated}", flush=True)
-    print(f"report: {report_path}", flush=True)
+            seed=opts.seed, journal=journal, obs=session.obs,
+            engine=session.engine, progress=progress)
+        session.metrics.update({
+            "evaluations": len(outcome.records),
+            "generations": outcome.generations,
+            "pairs_simulated": outcome.pairs_simulated,
+            "evals_resumed": outcome.evals_resumed,
+        })
+        report = render_report(outcome, workloads, opts.seed)
+        report_path = os.path.join(opts.out, "report.txt")
+        with open(report_path, "w") as fh:
+            fh.write(report)
+        with open(os.path.join(opts.out, "pareto.json"), "w") as fh:
+            json.dump(pareto_blob(outcome, workloads, opts.seed), fh,
+                      indent=2, sort_keys=True)
+            fh.write("\n")
+        print(report)
+        print(f"evals {len(outcome.records)} resumed "
+              f"{outcome.evals_resumed} simulated-pairs "
+              f"{outcome.pairs_simulated}", flush=True)
+        print(f"report: {report_path}", flush=True)
     return 0
 
 

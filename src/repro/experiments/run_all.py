@@ -30,15 +30,14 @@ consume (see :mod:`repro.obs`).
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from typing import List, Tuple
 
 from ..trace.workloads import WorkloadFamily, workload_names
-from .pool import SweepEngine, estimate_key
+from .pool import estimate_key
 from .report import perf_workloads
-from .runner import default_cache
+from .session import RunSession, add_session_arguments
 
 
 def all_pairs() -> List[Tuple[str, str]]:
@@ -114,23 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--champsim", action="append", default=[], metavar="PATH",
         help="also fill the imported ChampSim trace at PATH (workload "
              "'champsim:PATH') against the core configs; repeatable")
-    parser.add_argument(
-        "--obs-dir", default=None, metavar="DIR",
-        help="write run observability artifacts (manifest, span trace, "
-             "heartbeats, metrics) into DIR; defaults to $REPRO_OBS_DIR, "
-             "off when neither is set")
-    parser.add_argument(
-        "--server", default=None, metavar="ADDR",
-        help="route the fill through a running simulation daemon "
-             "(unix:/path or host:port; see docs/service.md); defaults "
-             "to $REPRO_SERVER, local execution when neither is set or "
-             "the daemon does not answer")
+    add_session_arguments(parser)
     return parser
 
 
 def main(argv: List[str]) -> int:
-    from ..obs import ProgressObs, RunObs, SweepProgress, resolve_obs_dir
-
     opts = build_parser().parse_args(argv)
     pairs = all_pairs()
     for path in opts.champsim:
@@ -146,65 +133,26 @@ def main(argv: List[str]) -> int:
             print(w, c)
         return 0
     jobs = max(1, opts.jobs)
-    obs_dir = resolve_obs_dir(opts.obs_dir)
-    if obs_dir is not None:
-        obs = RunObs.create(
-            obs_dir, "run_all", argv=["run_all"] + list(argv),
-            config={"jobs": jobs, "pairs": len(pairs),
-                    "filter": opts.pairs.pattern if opts.pairs else None})
-    else:
-        obs = ProgressObs(SweepProgress())
-    cache = default_cache()
-    engine = None
-    server = opts.server or os.environ.get("REPRO_SERVER")
-    if server:
-        from ..service import RemoteEngine, probe
-
-        info = probe(server)
-        if info is None:
-            print(f"service at {server} not answering; "
-                  f"running locally", flush=True)
-        else:
-            engine = RemoteEngine(server, obs=obs)
-            jobs = int(info.get("jobs", 1))
-            print(f"routing through service at {server} "
-                  f"(pid {info.get('pid')}, jobs={jobs})", flush=True)
-    if engine is None:
-        engine = SweepEngine(jobs=jobs, cache=cache, obs=obs)
-
-    print(f"{len(pairs)} pairs selected "
-          f"({jobs} job{'s' if jobs > 1 else ''})", flush=True)
-    status = "OK"
-    try:
+    config = {"jobs": jobs, "pairs": len(pairs),
+              "filter": opts.pairs.pattern if opts.pairs else None}
+    with RunSession("run_all", argv, opts, jobs, config) as session:
+        engine = session.engine
+        jobs = session.jobs
+        print(f"{len(pairs)} pairs selected "
+              f"({jobs} job{'s' if jobs > 1 else ''})", flush=True)
         engine.run(pairs)
-    except BaseException:
-        status = "ERROR"
-        raise
-    finally:
-        from ..telemetry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        cache.register_metrics(registry)
-        metrics = registry.snapshot()
-        metrics.update({
+        session.metrics.update({
             "pairs_selected": len(pairs),
             "pairs_simulated": engine.pairs_simulated,
             "fill_seconds": round(engine.fill_seconds, 3),
             "fill_pairs_per_min": round(engine.pairs_per_min, 1),
         })
-        if isinstance(engine, SweepEngine):
-            where = cache.counters_line()
-        else:
-            metrics["server"] = engine.address
-            where = f"via service {engine.address}"
-            engine.close()
-        obs.finish(metrics=metrics, status=status)
-    print(f"done: {engine.pairs_simulated} simulated in "
-          f"{engine.fill_seconds:.1f}s "
-          f"({engine.pairs_per_min:.1f} pairs/min; "
-          f"{where})", flush=True)
-    if obs_dir is not None:
-        print(f"obs: {obs_dir}", flush=True)
+        where = session.cache.counters_line() if session.server is None \
+            else f"via service {session.server}"
+        print(f"done: {engine.pairs_simulated} simulated in "
+              f"{engine.fill_seconds:.1f}s "
+              f"({engine.pairs_per_min:.1f} pairs/min; "
+              f"{where})", flush=True)
     return 0
 
 

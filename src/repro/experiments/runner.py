@@ -24,9 +24,9 @@ import re
 import tempfile
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
-from ..cpu.machine import Machine, build_icache, build_machine
+from ..cpu.machine import build_machine
 from ..errors import TraceError
 from ..memory.icache import ConventionalICache
 from ..stats.counters import SimResult
@@ -55,9 +55,8 @@ class ResultCache:
     :meth:`store` calls, and ``corrupt_evicted`` counts the subset of
     misses that deleted a damaged entry. The sweep engine merges its
     workers' per-pair deltas back into the host cache's counters, so
-    after a fill they describe the whole run; :meth:`register_metrics`
-    exposes them as pull gauges on a
-    :class:`~repro.telemetry.metrics.MetricsRegistry`.
+    after a fill they describe the whole run; :meth:`metrics` names
+    them for a run's ``metrics.json``.
     """
 
     def __init__(self, root: Optional[Path] = None) -> None:
@@ -68,13 +67,11 @@ class ResultCache:
             "hits": 0, "misses": 0, "stores": 0, "corrupt_evicted": 0,
         }
 
-    def register_metrics(self, registry,
-                         prefix: str = "result_cache") -> None:
-        """Expose the counters as pull gauges (``result_cache.hits``,
+    def metrics(self, prefix: str = "result_cache") -> Dict[str, int]:
+        """The counters under ``prefix`` (``result_cache.hits``,
         ``.misses``, ``.stores``, ``.corrupt_evicted``)."""
-        for name in self.counters:
-            registry.gauge(f"{prefix}.{name}",
-                           source=lambda n=name: self.counters[n])
+        return {f"{prefix}.{name}": count
+                for name, count in self.counters.items()}
 
     def counters_line(self) -> str:
         """One-line human summary, used by ``run_all``'s exit line."""
@@ -357,31 +354,3 @@ def run_pair(workload_name: str, config: str,
     cache.store(result)
     return result
 
-
-def run_config(workloads: Sequence[str], config: str) -> List[SimResult]:
-    """Cached simulation of many workloads against one configuration."""
-    return [run_pair(name, config) for name in workloads]
-
-
-def sweep(workloads: Sequence[str], configs: Sequence[str],
-          jobs: int = 1) -> Dict[Tuple[str, str], SimResult]:
-    """Run the full (workload x config) matrix through the sweep engine.
-
-    With ``jobs == 1`` the engine simulates inline (traces memoised per
-    workload, exactly the old behaviour); with ``jobs > 1`` individual
-    (workload, config) pairs are scheduled onto a process pool whose
-    workers read each trace from the on-disk trace cache (see
-    :mod:`repro.experiments.pool`).
-    """
-    from .pool import SweepEngine
-
-    pairs = [(name, config) for name in workloads for config in configs]
-    return SweepEngine(jobs=jobs, cache=default_cache()).run(pairs)
-
-
-def missing_pairs(workloads: Iterable[str],
-                  configs: Iterable[str]) -> List[Tuple[str, str]]:
-    """Pairs not yet in the cache (used by the prefill CLI)."""
-    cache = default_cache()
-    return [(w, c) for w in workloads for c in configs
-            if cache.load(w, c) is None]

@@ -28,13 +28,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..trace.workloads import scale_factor
-from .pool import SweepEngine
-from .runner import default_cache
+from .session import RunSession, add_session_arguments
 
 #: Four workloads spanning the contention regimes: two big-footprint
 #: servers (one violently front-end bound), a loopy mid-size client and
@@ -162,22 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", default=None, metavar="PATH",
         help="write the matrices as JSON to PATH ('-' for stdout); the "
              "format repro.smt.pairing consumes")
-    parser.add_argument(
-        "--obs-dir", default=None, metavar="DIR",
-        help="write run observability artifacts into DIR; defaults to "
-             "$REPRO_OBS_DIR, off when neither is set")
-    parser.add_argument(
-        "--server", default=None, metavar="ADDR",
-        help="route the fill through a running simulation daemon "
-             "(unix:/path or host:port); defaults to $REPRO_SERVER, "
-             "local execution when neither is set or the daemon does "
-             "not answer")
+    add_session_arguments(parser)
     return parser
 
 
 def main(argv: List[str]) -> int:
-    from ..obs import ProgressObs, RunObs, SweepProgress, resolve_obs_dir
-
     opts = build_parser().parse_args(argv)
     workloads = opts.workloads
     pairs = matrix_pairs(workloads, opts.configs, opts.policy)
@@ -186,78 +173,39 @@ def main(argv: List[str]) -> int:
             print(w, c)
         return 0
     jobs = max(1, opts.jobs)
-    obs_dir = resolve_obs_dir(opts.obs_dir)
-    if obs_dir is not None:
-        obs = RunObs.create(
-            obs_dir, "smt_matrix", argv=["smt_matrix"] + list(argv),
-            config={"jobs": jobs, "workloads": workloads,
-                    "configs": opts.configs, "policy": opts.policy})
-    else:
-        obs = ProgressObs(SweepProgress())
-    cache = default_cache()
-    engine = None
-    server = opts.server or os.environ.get("REPRO_SERVER")
-    if server:
-        from ..service import RemoteEngine, probe
-
-        info = probe(server)
-        if info is None:
-            print(f"service at {server} not answering; running locally",
-                  flush=True)
-        else:
-            engine = RemoteEngine(server, obs=obs)
-            jobs = int(info.get("jobs", 1))
-            print(f"routing through service at {server} "
-                  f"(pid {info.get('pid')}, jobs={jobs})", flush=True)
-    if engine is None:
-        engine = SweepEngine(jobs=jobs, cache=cache, obs=obs)
-
-    print(f"{len(pairs)} jobs selected ({len(workloads)} workloads x "
-          f"{len(opts.configs)} configs, policy={opts.policy}, "
-          f"{jobs} job{'s' if jobs > 1 else ''})", flush=True)
-    status = "OK"
-    try:
+    config = {"jobs": jobs, "workloads": workloads,
+              "configs": opts.configs, "policy": opts.policy}
+    with RunSession("smt_matrix", argv, opts, jobs, config) as session:
+        engine = session.engine
+        jobs = session.jobs
+        print(f"{len(pairs)} jobs selected ({len(workloads)} workloads x "
+              f"{len(opts.configs)} configs, policy={opts.policy}, "
+              f"{jobs} job{'s' if jobs > 1 else ''})", flush=True)
         results = engine.run(pairs)
-        matrices = {config: build_matrix(results, workloads, config,
-                                         opts.policy)
-                    for config in opts.configs}
-    except BaseException:
-        status = "ERROR"
-        raise
-    finally:
-        from ..telemetry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        cache.register_metrics(registry)
-        metrics = registry.snapshot()
-        metrics.update({
+        session.metrics.update({
             "pairs_selected": len(pairs),
             "pairs_simulated": engine.pairs_simulated,
             "fill_seconds": round(engine.fill_seconds, 3),
         })
-        if not isinstance(engine, SweepEngine):
-            metrics["server"] = engine.address
-            engine.close()
-        obs.finish(metrics=metrics, status=status)
-
-    for config in opts.configs:
-        print()
-        print(render_matrix(matrices[config]), flush=True)
-    if opts.json:
-        payload = json.dumps({
-            "scale": scale_factor(),
-            "policy": opts.policy,
-            "workloads": workloads,
-            "configs": matrices,
-        }, indent=1, sort_keys=True)
-        if opts.json == "-":
-            print(payload)
-        else:
-            with open(opts.json, "w") as fh:
-                fh.write(payload + "\n")
-            print(f"\nmatrices written to {opts.json}", flush=True)
-    if obs_dir is not None:
-        print(f"obs: {obs_dir}", flush=True)
+        matrices = {config: build_matrix(results, workloads, config,
+                                         opts.policy)
+                    for config in opts.configs}
+        for config in opts.configs:
+            print()
+            print(render_matrix(matrices[config]), flush=True)
+        if opts.json:
+            payload = json.dumps({
+                "scale": scale_factor(),
+                "policy": opts.policy,
+                "workloads": workloads,
+                "configs": matrices,
+            }, indent=1, sort_keys=True)
+            if opts.json == "-":
+                print(payload)
+            else:
+                with open(opts.json, "w") as fh:
+                    fh.write(payload + "\n")
+                print(f"\nmatrices written to {opts.json}", flush=True)
     return 0
 
 

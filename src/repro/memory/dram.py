@@ -8,7 +8,7 @@ activate + CAS. All timings are expressed in core cycles (see
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..params import DramParams
 from ..telemetry.events import DRAM_ROW, NULL_RECORDER
@@ -81,11 +81,11 @@ class DRAM:
     def accesses(self) -> int:
         return self.row_hits + self.row_misses
 
-    def register_metrics(self, registry, prefix: str = "dram") -> None:
-        """Register row-buffer and channel counters as pull gauges."""
-        registry.gauge(f"{prefix}.row_hits", lambda: self.row_hits)
-        registry.gauge(f"{prefix}.row_misses", lambda: self.row_misses)
-        registry.gauge(f"{prefix}.accesses", lambda: self.accesses)
+    def metrics(self, prefix: str = "dram") -> Dict[str, int]:
+        """Row-buffer counters under ``prefix``."""
+        return {f"{prefix}.row_hits": self.row_hits,
+                f"{prefix}.row_misses": self.row_misses,
+                f"{prefix}.accesses": self.accesses}
 
     def reset_stats(self) -> None:
         self.row_hits = 0

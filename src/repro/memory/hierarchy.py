@@ -19,7 +19,7 @@ that back up the L1-I exactly as in ChampSim.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from ..params import MachineParams
 from .cache import Cache
@@ -120,15 +120,16 @@ class MemoryHierarchy:
         self._below_l1(addr, cycle)
         self._l1d_fill(addr)
 
-    def register_metrics(self, registry) -> None:
-        """Register every shared level's counters into ``registry``."""
+    def metrics(self) -> Dict[str, int]:
+        """Every shared level's counters."""
+        out: Dict[str, int] = {}
         for name, cache in (("l1d", self.l1d), ("l2", self.l2),
                             ("l3", self.l3)):
-            registry.gauge(f"{name}.hits", lambda c=cache: c.hits)
-            registry.gauge(f"{name}.misses", lambda c=cache: c.misses)
-        self.dram.register_metrics(registry)
-        registry.gauge("hierarchy.instr_fetches",
-                       lambda: self.instr_fetches)
+            out[f"{name}.hits"] = cache.hits
+            out[f"{name}.misses"] = cache.misses
+        out.update(self.dram.metrics())
+        out["hierarchy.instr_fetches"] = self.instr_fetches
+        return out
 
     def reset_stats(self) -> None:
         for cache in (self.l1d, self.l2, self.l3):

@@ -16,7 +16,7 @@ and Fig. 2 storage-efficiency sampling) and first-touch distance tracking
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..params import CacheParams, TRANSFER_BLOCK
@@ -106,12 +106,12 @@ class InstructionCacheBase:
             yield addr, chunk
             addr += chunk
 
-    def register_metrics(self, registry, prefix: str = "l1i") -> None:
-        """Register hit/miss/content gauges under ``prefix``."""
-        registry.gauge(f"{prefix}.hits", lambda: self.hits)
-        registry.gauge(f"{prefix}.misses", lambda: self.misses)
-        registry.gauge(f"{prefix}.accesses", lambda: self.accesses)
-        registry.gauge(f"{prefix}.blocks", self.block_count)
+    def metrics(self, prefix: str = "l1i") -> Dict[str, int]:
+        """Hit/miss/content counters under ``prefix``."""
+        return {f"{prefix}.hits": self.hits,
+                f"{prefix}.misses": self.misses,
+                f"{prefix}.accesses": self.accesses,
+                f"{prefix}.blocks": self.block_count()}
 
     def reset_stats(self) -> None:
         self.hits = 0

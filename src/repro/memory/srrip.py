@@ -62,7 +62,9 @@ class DRRIPPolicy(SRRIPPolicy):
         self._brrip_sets = set(
             s + stride // 2 for s in range(0, sets, stride)
         ) - self._srrip_sets
-        # PSEL > 0 favours SRRIP.
+        # A leader's miss counts against its policy: SRRIP leaders lower
+        # PSEL, BRRIP leaders raise it, and followers take BRRIP while
+        # PSEL < 0 (the SRRIP leaders miss more).
         self._psel = 0
         self._psel_max = 1 << 9
 
@@ -78,7 +80,7 @@ class DRRIPPolicy(SRRIPPolicy):
         elif set_idx in self._brrip_sets:
             use_brrip = True
         else:
-            use_brrip = self._psel > 0
+            use_brrip = self._psel < 0
         if use_brrip:
             # BRRIP: mostly distant, occasionally long.
             return _RRPV_LONG if self._rng.random() < (1 / 32) else _RRPV_MAX

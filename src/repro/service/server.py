@@ -68,7 +68,9 @@ from ..obs.spans import Tracer
 from ..trace.workloads import (
     champsim_trace_path,
     is_imported_workload,
+    is_smt_workload,
     scale_factor,
+    smt_workload,
     workload_names,
 )
 from .protocol import (
@@ -462,6 +464,13 @@ class ServiceServer:
                 path = champsim_trace_path(workload)
                 if not path or not os.path.exists(path):
                     return f"imported trace not found: {workload!r}"
+                continue
+            if is_smt_workload(workload):
+                # Parsing resolves every component workload.
+                try:
+                    smt_workload(workload)
+                except ConfigurationError as exc:
+                    return str(exc)
                 continue
             if known is None:
                 known = set(workload_names())

@@ -23,7 +23,7 @@ The cycle loop is the one :class:`repro.cpu.machine.Machine` runs
 from __future__ import annotations
 
 from dataclasses import fields
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..cpu.machine import (THREAD_ADDR_STRIDE, Core, build_icache,
                            split_machine_config)
@@ -32,7 +32,6 @@ from ..memory.icache import InstructionCacheBase
 from ..params import MachineParams
 from ..stats.counters import FrontEndStats, SimResult
 from ..telemetry import Telemetry
-from ..telemetry.metrics import MetricsRegistry
 from ..trace.arrays import ArrayTrace
 
 __all__ = ["ARBITRATION_POLICIES", "SMTMachine", "THREAD_ADDR_STRIDE",
@@ -63,18 +62,16 @@ class SMTMachine(Core):
                 f"(choose from {ARBITRATION_POLICIES})")
         super().__init__(traces, icache, params, telemetry, policy)
 
-    def _register_metrics(self, reg: MetricsRegistry) -> None:
-        reg.gauge("machine.threads", lambda: self.n_threads)
-        reg.gauge("ftq.occupancy", lambda: self._ftq_occ)
+    def metrics(self) -> Dict[str, int]:
+        out = {"machine.threads": self.n_threads,
+               "ftq.occupancy": self._ftq_occ}
         for t in self.threads:
             prefix = f"thread.{t.tid}"
-            reg.gauge(f"{prefix}.instructions_delivered",
-                      lambda t=t: t.delivered)
-            reg.gauge(f"{prefix}.ftq_occupancy",
-                      lambda t=t: t.ftq_occupancy)
-            reg.gauge(f"{prefix}.arb_lost_cycles",
-                      lambda t=t: t.arb_lost_cycles)
-        super()._register_metrics(reg)
+            out[f"{prefix}.instructions_delivered"] = t.delivered
+            out[f"{prefix}.ftq_occupancy"] = t.ftq_occupancy
+            out[f"{prefix}.arb_lost_cycles"] = t.arb_lost_cycles
+        out.update(super().metrics())
+        return out
 
     def run(self, windows: Sequence[Tuple[int, int]],
             sample_efficiency: bool = True,

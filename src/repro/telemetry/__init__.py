@@ -1,6 +1,6 @@
-"""Telemetry: event tracing, metrics and simulator profiling.
+"""Telemetry: event tracing and simulator profiling.
 
-Three independent facilities, bundled by :class:`Telemetry` for handing
+Two independent facilities, bundled by :class:`Telemetry` for handing
 to a :class:`~repro.cpu.machine.Machine`:
 
 * **event tracing** (:mod:`repro.telemetry.events`) — typed per-event
@@ -8,8 +8,6 @@ to a :class:`~repro.cpu.machine.Machine`:
   decisions, DRAM row-buffer activity, FTQ occupancy) exported as JSONL
   or CSV and summarised by
   :class:`~repro.telemetry.accounting.StallAccounting`;
-* **metrics** (:mod:`repro.telemetry.metrics`) — a registry of named
-  counters/gauges/histograms each simulator component registers into;
 * **profiling** (:mod:`repro.telemetry.profiler`) — host wall-clock time
   per simulation stage plus simulated-cycles-per-second throughput.
 
@@ -36,34 +34,27 @@ from .events import (
     NullRecorder,
     PREDICTOR,
     RUN_SUMMARY,
-    SEARCH,
     STALL,
     STALL_CAUSES,
 )
 from .exporters import iter_jsonl, read_jsonl, write_csv, write_jsonl
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profiler import ProfileReport, StageProfiler
 
 __all__ = [
-    "Counter",
     "DRAM_ROW",
     "EVENT_KINDS",
     "Event",
     "EventRecorder",
     "EventTrace",
     "FTQ",
-    "Gauge",
-    "Histogram",
     "L1I",
     "MSHR",
-    "MetricsRegistry",
     "NULL_RECORDER",
     "NULL_TELEMETRY",
     "NullRecorder",
     "PREDICTOR",
     "ProfileReport",
     "RUN_SUMMARY",
-    "SEARCH",
     "STALL",
     "STALL_CAUSES",
     "StageProfiler",

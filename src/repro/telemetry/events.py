@@ -26,9 +26,6 @@ Event kinds (see ``docs/telemetry.md`` for the field schema):
 * ``dram_row``    — a DRAM access with row-buffer ``hit`` flag and bank.
 * ``run_summary`` — one final event per run carrying the headline
   counters, so a trace file is self-describing.
-* ``search``      — design-space-search progress (one event per
-  generation; ``cycle`` holds the generation index, fields carry the
-  evaluated/resumed counts and the incumbent best point).
 """
 
 from __future__ import annotations
@@ -43,10 +40,9 @@ MSHR = "mshr"
 PREDICTOR = "predictor"
 DRAM_ROW = "dram_row"
 RUN_SUMMARY = "run_summary"
-SEARCH = "search"
 
 EVENT_KINDS = frozenset(
-    {STALL, L1I, FTQ, MSHR, PREDICTOR, DRAM_ROW, RUN_SUMMARY, SEARCH}
+    {STALL, L1I, FTQ, MSHR, PREDICTOR, DRAM_ROW, RUN_SUMMARY}
 )
 
 #: Stall causes, in report order.

@@ -61,7 +61,7 @@ def _record_deliveries(machine) -> list:
 def _fingerprint(machine, log) -> dict:
     h = hashlib.blake2b(digest_size=16)
     h.update(array("q", [v for row in log for v in row]).tobytes())
-    snapshot = machine.metrics.snapshot()
+    snapshot = machine.metrics()
     return {
         "deliveries": len(log),
         "digest": h.hexdigest(),

@@ -73,7 +73,7 @@ class TestLifetime:
                              ids=["machine", "profiled", "smt"])
     def test_finished_machine_dies_on_del(self, trace, build, no_cyclic_gc):
         machine = build(trace)
-        assert machine.metrics.snapshot()["machine.cycles"] > 0
+        assert machine.metrics()["machine.cycles"] > 0
         ref = weakref.ref(machine)
         del machine
         assert ref() is None
@@ -134,7 +134,7 @@ class TestPrivateL1D:
         for the same instructions."""
         machine = build_machine(trace, "conv32")
         machine.run(WARMUP, MEASURE)
-        solo = machine.metrics.snapshot()
+        solo = machine.metrics()
         backend = machine.threads[0].backend
         live = Backend(backend.params, MemoryHierarchy(machine.params))
         live.bind_trace(trace)

@@ -3,7 +3,8 @@
 import pytest
 
 import repro.experiments.runner as runner_mod
-from repro.experiments.runner import ResultCache, run_pair, sweep
+from repro.experiments.pool import run_pairs
+from repro.experiments.runner import ResultCache, run_pair
 from repro.stats.counters import SimResult
 
 from ..trace.test_io import _v1_array_file, _v1_record_file
@@ -118,17 +119,10 @@ class TestCache:
 
 class TestSweep:
     def test_sweep_covers_matrix(self):
-        out = sweep(["client_000"], ["conv32", "ubs"])
+        out = run_pairs([("client_000", "conv32"), ("client_000", "ubs")])
         assert set(out) == {("client_000", "conv32"), ("client_000", "ubs")}
         for result in out.values():
             assert isinstance(result, SimResult)
-
-    def test_missing_pairs(self):
-        from repro.experiments.runner import missing_pairs
-        assert missing_pairs(["client_000"], ["conv32"]) == \
-            [("client_000", "conv32")]
-        run_pair("client_000", "conv32")
-        assert missing_pairs(["client_000"], ["conv32"]) == []
 
 
 class TestCounters:
@@ -169,17 +163,16 @@ class TestCounters:
         assert isolated_cache.counters_line() == \
             "cache 1 hits / 1 misses / 1 stored / 0 corrupt-evicted"
 
-    def test_register_metrics_pull_gauges(self, isolated_cache):
-        from repro.telemetry import MetricsRegistry
-        registry = MetricsRegistry()
-        isolated_cache.register_metrics(registry)
+    def test_metrics_reads_counters(self, isolated_cache):
         run_pair("client_000", "conv32")
-        snap = registry.snapshot()
-        # Pull gauges: the snapshot reflects counts at snapshot time.
-        assert snap["result_cache.misses"] == 1
-        assert snap["result_cache.stores"] == 1
+        snap = isolated_cache.metrics()
+        assert snap == {"result_cache.hits": 0, "result_cache.misses": 1,
+                        "result_cache.stores": 1,
+                        "result_cache.corrupt_evicted": 0}
         run_pair("client_000", "conv32")
-        assert registry.snapshot()["result_cache.hits"] == 1
+        # Each call reads the counters as they are then.
+        assert isolated_cache.metrics()["result_cache.hits"] == 1
+        assert snap["result_cache.hits"] == 0
 
 
 class TestEstimatesSidecar:

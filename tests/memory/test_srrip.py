@@ -74,16 +74,16 @@ class TestDRRIP:
         follower = next(s for s in range(64)
                         if s not in p._srrip_sets
                         and s not in p._brrip_sets)
-        p._psel = -100     # SRRIP winning
+        p._psel = 100      # BRRIP leaders miss more: SRRIP wins
         assert p._insertion_rrpv(0, follower) == _RRPV_MAX - 1
-        p._psel = 100      # BRRIP winning: mostly distant
+        p._psel = -100     # SRRIP leaders miss more: BRRIP wins
         values = {p._insertion_rrpv(0, follower) for _ in range(64)}
-        assert _RRPV_MAX in values
+        assert _RRPV_MAX in values      # BRRIP inserts mostly distant
 
     def test_cache_misses_train_psel(self):
         """The cache calls DRRIP's overridden note_miss on every miss (it
         skips only the no-op default), so misses in an SRRIP leader set
-        move PSEL toward SRRIP."""
+        move PSEL toward BRRIP."""
         params = CacheParams(name="T", size=2048, ways=4, latency=1,
                              mshr_entries=1, replacement="drrip")
         cache = ConventionalICache(params)
@@ -92,6 +92,27 @@ class TestDRRIP:
             assert cache.lookup((leader + i * cache.sets) * 64, 4) \
                 is not MissKind.HIT
         assert cache.policy._psel == -3
+
+    @staticmethod
+    def _thrash_misses(replacement: str) -> int:
+        """Misses of a 64-set, 4-way cache cycling 6 blocks through every
+        set for 40 passes: each pass evicts every block before its reuse
+        under SRRIP's (and LRU's) insertion."""
+        params = CacheParams(name="T", size=64 * 4 * 64, ways=4, latency=1,
+                             mshr_entries=1, replacement=replacement)
+        cache = ConventionalICache(params)
+        for _ in range(40):
+            for block in range(6):
+                for set_idx in range(cache.sets):
+                    access(cache, (block * cache.sets + set_idx) * 64)
+        return cache.misses
+
+    def test_duel_picks_brrip_on_thrash(self):
+        """BRRIP's distant insertion keeps part of the working set; the
+        followers must adopt it once the SRRIP leaders miss more."""
+        srrip = self._thrash_misses("srrip")
+        assert srrip == 64 * 6 * 40
+        assert self._thrash_misses("drrip") < 0.7 * srrip
 
     def test_through_cache(self):
         params = CacheParams(name="T", size=2048, ways=4, latency=1,

@@ -186,6 +186,16 @@ class TestValidationAndLifecycle:
                                pairs=[["no_such_workload", "conv32"]])
         assert server.stats["jobs_submitted"] == 0
 
+    def test_corun_names_validated(self):
+        """A co-run passes when its components are suite workloads (the
+        ``smt_matrix --server`` pairs), and names the bad component when
+        one is not."""
+        validate = ServiceServer._validate_pairs
+        assert validate([("smt:server_000+client_000@icount", "ubs"),
+                         ("smt:spec_000+spec_000", "conv32")]) is None
+        assert "unknown workload 'no_such'" in \
+            validate([("smt:server_000+no_such", "conv32")])
+
     def test_bad_config_rejected(self, server):
         with pytest.raises(ServiceError, match="bad config"):
             with ServiceClient(server.address) as client:
