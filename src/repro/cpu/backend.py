@@ -11,12 +11,17 @@ port conflicts are not (the paper's results are front-end dominated).
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
+from itertools import chain, count
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from ..memory.cache import Cache
 from ..memory.hierarchy import MemoryHierarchy
 from ..params import CacheParams, CoreParams
 from ..trace.record import EXEC_LATENCY, InstrKind
+from .precompute import derived
 
 #: Plain-int kind codes (column reads yield ints, not InstrKind members).
 _LOAD_I = int(InstrKind.LOAD)
@@ -34,11 +39,48 @@ _LOAD, _STORE, _LOAD_MISS, _STORE_MISS = -1, -2, -3, -4
 _SRC_INDEX = {r: (r & 63) if r >= 0 else 65 for r in range(-128, 128)}
 _DST_INDEX = {r: (r & 63) if r >= 0 else 64 for r in range(-128, 128)}
 
+#: EXEC_LATENCY as a tuple indexed by the InstrKind value.
+EXEC_LATENCY_TABLE = tuple(
+    EXEC_LATENCY[kind] for kind in sorted(EXEC_LATENCY, key=int))
+
+
+class OpTable:
+    """A trace's back-end ops (see :func:`build_op_table`).
+
+    ``ops[i]`` is instruction ``i``'s interned ``(lat, src1, src2, dst)``
+    tuple. ``table`` lists the distinct tuples in first-use order and
+    ``index[i]`` is ``ops[i]``'s position in it: a u16 column (u32 past
+    65,536 distinct tuples), the form a sidecar file stores.
+    """
+
+    __slots__ = ("ops", "index", "table")
+
+    def __init__(self, ops: list, index, table: list) -> None:
+        self.ops = ops
+        self.index = index
+        self.table = table
+
+    def columns(self) -> tuple:
+        """The index column and the distinct tuples, flattened."""
+        return self.index, array("i", chain.from_iterable(self.table))
+
+    @classmethod
+    def from_columns(cls, columns) -> "OpTable":
+        """The table :meth:`columns` describes; ``ops`` shares one tuple
+        per distinct op, as the build does."""
+        index, flat = columns
+        if len(flat) % 4:
+            raise ValueError(f"op table of {len(flat)} ints is not 4-wide")
+        fields = iter(flat)
+        table = list(zip(fields, fields, fields, fields))
+        return cls(list(map(table.__getitem__, index)), index, table)
+
 
 def build_op_table(trace, exec_latency: Tuple[int, ...],
-                   l1d: Optional[CacheParams]) -> list:
+                   l1d: Optional[CacheParams]) -> OpTable:
     """The back-end's per-instruction ``(lat, src1, src2, dst)`` tuples for
-    a columnar ``trace``, interned so each distinct tuple is stored once.
+    a columnar ``trace``, interned so each distinct tuple is stored once,
+    and their index column (see :class:`OpTable`).
 
     ``lat`` is the execution latency, or a negative code for a memory op
     that goes to the hierarchy; the register fields are scoreboard indices
@@ -70,12 +112,17 @@ def build_op_table(trace, exec_latency: Tuple[int, ...],
                     fill(addr)
                     lats[i] = _LOAD_MISS if lat == _LOAD else _STORE_MISS
     src = _SRC_INDEX.__getitem__
-    interned: dict = {}
-    intern = interned.setdefault
-    return [intern(op, op) for op in zip(lats, map(src, trace.src1),
-                                         map(src, trace.src2),
-                                         map(_DST_INDEX.__getitem__,
-                                             trace.dst))]
+    # A new tuple takes the next index; dict keys keep first-use order.
+    ids = defaultdict(count().__next__)
+    index = list(map(ids.__getitem__,
+                     zip(lats, map(src, trace.src1), map(src, trace.src2),
+                         map(_DST_INDEX.__getitem__, trace.dst))))
+    table = list(ids)
+    # Drop both lists before the op list is built, so the build's peak
+    # memory stays at two lists of references.
+    del lats
+    index = array("H" if len(table) <= 1 << 16 else "I", index)
+    return OpTable(list(map(table.__getitem__, index)), index, table)
 
 
 class Backend:
@@ -104,10 +151,7 @@ class Backend:
         # Hoisted constants for the delivery loop (accept).
         self._decode_latency = params.decode_latency
         self._commit_width = params.commit_width
-        # EXEC_LATENCY as a tuple indexed by the InstrKind value.
-        self._exec_latency = tuple(
-            EXEC_LATENCY[kind] for kind in sorted(EXEC_LATENCY, key=int)
-        )
+        self._exec_latency = EXEC_LATENCY_TABLE
         # The bound trace's op table and the columns read beside it.
         self._ops: List[Tuple[int, int, int, int]] = []
         self._kind = b""
@@ -161,17 +205,17 @@ class Backend:
         accesses by timing, so they keep the live, shared L1-D.
 
         The table is a pure function of the trace, the latency table and
-        the private L1-D's parameters, so it is kept on ``trace.derived``:
-        every machine built on a trace shares one table per L1-D mode, at
-        every thread offset.
+        the private L1-D's parameters, so it is a
+        :func:`~repro.cpu.precompute.derived` entry: every machine built
+        on a trace shares one table per L1-D mode, at every thread offset.
         """
         l1d = self.hierarchy.params.l1d if private_l1d else None
-        key = ("backend_ops", self._exec_latency, l1d)
-        ops = trace.derived.get(key)
-        if ops is None:
-            ops = build_op_table(trace, self._exec_latency, l1d)
-            trace.derived[key] = ops
-        self._ops = ops
+        lat = self._exec_latency
+        # Only the op list stays on the trace: the index column is the
+        # sidecar's form of it.
+        self._ops = derived(trace, ("backend_ops", lat, l1d), OpTable,
+                            lambda: build_op_table(trace, lat, l1d),
+                            attrgetter("ops"))
         self._kind = trace.kind
         self._mem_addr = trace.mem_addr
         self._addr_offset = addr_offset

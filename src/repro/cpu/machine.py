@@ -31,7 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..frontend.bpu import BranchPredictionUnit, Resteer
-from ..frontend.ftq import precompute_range_stream, segment_stream
+from ..frontend.ftq import (DeliveryChunks, RangeStream,
+                            precompute_range_stream, segment_stream)
 from ..memory.distillation import DistillationICache
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.icache import (InstructionCacheBase, ConventionalICache,
@@ -57,6 +58,7 @@ from ..core.configs import ubs_params_for_budget, way_config
 from ..core.predictor import PredictorConfig
 from ..core.ubs_cache import UBSICache
 from .backend import Backend
+from .precompute import derived
 
 #: Address-space stride between hardware threads. Far above any set-index
 #: or block-offset bit, so the shift lands entirely in tag bits: threads
@@ -133,29 +135,24 @@ class HardwareThread:
         self.bpu = BranchPredictionUnit(params.branch)
         # The range stream is a pure function of (trace, BPU params):
         # precompute it off the measured clock and replay it in the BPU
-        # stage. Streams and their per-cycle delivery chunks are cached on
-        # the trace, so every L1-I configuration shares one BPU walk.
+        # stage. Streams and their per-cycle delivery chunks are derived
+        # entries of the trace, so every L1-I configuration shares one
+        # BPU walk.
         core = params.core
-        derived = trace.derived
-        skey = ("range_stream", params.branch)
-        stream = derived.get(skey)
-        if stream is None:
-            stream = precompute_range_stream(trace, self.bpu)
-            derived[skey] = stream
+        branch = params.branch
+        stream = derived(trace, ("range_stream", branch), RangeStream,
+                         lambda: precompute_range_stream(trace, self.bpu))
         self.bpu.cond_lookups = self.bpu.mispredicts = 0
         self.stream = stream
         self.stream_len = len(stream)
         self.bpu_pos = 0              # next stream entry the BPU builds
         self.fdip_pos = 0             # next range FDIP prefetches
         self.bpu_blocked = False      # run-ahead stopped behind a resteer
-        ckey = ("range_segs", params.branch, core.fetch_bytes,
-                core.fetch_width)
-        chunks = derived.get(ckey)
-        if chunks is None:
-            chunks = segment_stream(trace, stream, core.fetch_bytes,
-                                    core.fetch_width)
-            derived[ckey] = chunks
-        self.chunks = chunks
+        self.chunks = derived(
+            trace, ("range_segs", branch, core.fetch_bytes,
+                    core.fetch_width), DeliveryChunks,
+            lambda: segment_stream(trace, stream, core.fetch_bytes,
+                                   core.fetch_width))
         self.backend = Backend(core, hierarchy)
         # Off the clock; a lone thread's L1-D outcomes are precomputed.
         self.backend.bind_trace(trace, self.addr_offset, private_l1d)

@@ -2,10 +2,19 @@
 
 ``run_pair(workload, config)`` simulates one workload against one L1-I
 configuration and caches the :class:`~repro.stats.counters.SimResult` as
-JSON under ``.repro_cache/results/``. Generated traces are cached too
-(``.repro_cache/traces/``), because trace synthesis is a visible fraction
-of each run. The cache key includes a model version stamp — bump
-:data:`RESULTS_VERSION` whenever simulator semantics change.
+JSON under ``.repro_cache/results/``. The cache key includes a model
+version stamp — bump :data:`RESULTS_VERSION` whenever simulator semantics
+change.
+
+Generated traces are cached too (``.repro_cache/traces/``), because trace
+synthesis is a visible fraction of each run. A synthesised workload's
+``.atrace`` file is named by a digest of its spec, its length and
+:data:`~repro.trace.synthesis.SYNTHESIS_FORMAT`, so a changed spec
+generates a new trace instead of reading a stale one. Beside each
+``.atrace`` sit its precompute sidecars: the range stream, delivery
+chunks and op tables every machine on the trace builds first, persisted
+by the first process that builds them and loaded by every later one
+(:mod:`repro.cpu.precompute`).
 
 Baseline ``conv32`` runs always collect the motivation-analysis extras
 (byte-usage histogram with end-of-run resident flush, Fig. 4 touch
@@ -21,19 +30,22 @@ import logging
 import math
 import os
 import re
-import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from ..cpu.machine import build_machine
+from ..cpu.precompute import SIDECARS, Sidecars
 from ..errors import TraceError
 from ..memory.icache import ConventionalICache
 from ..stats.counters import SimResult
 from ..trace.arrays import ArrayTrace
-from ..trace.io import read_trace, write_trace
+from ..trace.io import publish, read_trace, write_trace
+from ..trace.synthesis import SYNTHESIS_FORMAT
 from ..trace.workloads import (SMTWorkload, Workload, get_workload,
-                               is_smt_workload, scale_factor)
+                               is_imported_workload, is_smt_workload,
+                               scale_factor)
 
 #: Bump when any change alters simulation results.
 RESULTS_VERSION = 9
@@ -98,13 +110,27 @@ class ResultCache:
                f"__v{RESULTS_VERSION}__s{scale:g}.json")
         return self.root / "results" / key
 
-    def _trace_path(self, workload: str) -> Path:
-        # Uncompressed columnar container: reads are a single buffer pull
-        # whose columns load zero-copy (the sweep engine's pool workers
-        # read their traces from exactly these files).
+    def _trace_path(self, workload: Union[str, Workload]) -> Path:
+        """The ``.atrace`` file of ``workload`` (a name or a workload).
+
+        A synthesised workload's file is named by a short digest of its
+        :class:`~repro.trace.synthesis.SynthesisSpec`, its instruction
+        count and :data:`~repro.trace.synthesis.SYNTHESIS_FORMAT`, so a
+        changed spec or generator misses instead of reading a stale
+        trace. An imported (``champsim:``) trace is named by its path
+        alone. The file is an uncompressed columnar container: a read is
+        one buffer pull whose columns load zero-copy (the sweep engine's
+        pool workers read their traces from exactly these files)."""
+        name = workload if isinstance(workload, str) else workload.name
         scale = scale_factor()
-        return self.root / "traces" / \
-            f"{self._safe_name(workload)}__s{scale:g}.atrace"
+        stem = f"{self._safe_name(name)}__s{scale:g}"
+        if not is_imported_workload(name):
+            if isinstance(workload, str):
+                workload = get_workload(name)
+            key = json.dumps([asdict(workload.spec), sum(workload.windows()),
+                              SYNTHESIS_FORMAT], sort_keys=True)
+            stem += "__" + hashlib.blake2s(key.encode()).hexdigest()[:10]
+        return self.root / "traces" / f"{stem}.atrace"
 
     def _estimates_path(self) -> Path:
         scale = scale_factor()
@@ -158,16 +184,7 @@ class ResultCache:
 
     @staticmethod
     def _atomic_write(path: Path, text: str) -> None:
-        fh = tempfile.NamedTemporaryFile(
-            "w", dir=path.parent, prefix=path.name + ".", suffix=".tmp",
-            delete=False)
-        try:
-            with fh:
-                fh.write(text)
-            os.replace(fh.name, path)
-        except BaseException:
-            os.unlink(fh.name)
-            raise
+        publish(path, lambda tmp: Path(tmp).write_text(text))
 
     # -- host timing estimates (sweep-engine scheduling) -------------------
 
@@ -219,7 +236,7 @@ class ResultCache:
         longer exists (renamed suites, deleted families) would otherwise
         ride along forever and mis-order future fills.
         """
-        from ..trace.workloads import is_imported_workload, workload_names
+        from ..trace.workloads import workload_names
 
         merged = self.load_estimates()
         merged.update(
@@ -240,31 +257,28 @@ class ResultCache:
 
     def array_trace_for(self, workload: Workload) -> ArrayTrace:
         """The workload's trace as a columnar :class:`ArrayTrace`,
-        generated (and persisted) on first use."""
-        path = self._trace_path(workload.name)
+        generated (and persisted) on first use. The trace carries a
+        :class:`~repro.cpu.precompute.Sidecars` store, so its per-trace
+        precompute persists beside the file (see
+        :mod:`repro.cpu.precompute`)."""
+        path = self._trace_path(workload)
+        trace = None
         if path.exists():
             try:
-                return read_trace(path)
+                trace = read_trace(path)
             except (OSError, TraceError) as exc:
                 # Damaged files and containers older than the current
                 # format: warn, drop the file and regenerate the trace.
                 _log.warning("regenerating unreadable cached trace %s "
                              "(%s: %s)", path, type(exc).__name__, exc)
                 path.unlink(missing_ok=True)
-        trace = workload.generate()
-        # Atomic publish: concurrent generators of the same workload
-        # (e.g. two overlapping fills) each write a unique temp file and
-        # the last rename wins with identical bytes.
-        fh = tempfile.NamedTemporaryFile(
-            "wb", dir=path.parent, prefix=path.name + ".", suffix=".tmp",
-            delete=False)
-        try:
-            fh.close()
-            write_trace(fh.name, trace)
-            os.replace(fh.name, path)
-        except BaseException:
-            os.unlink(fh.name)
-            raise
+        if trace is None:
+            trace = workload.generate()
+            # Atomic publish: concurrent generators of the same workload
+            # (e.g. two overlapping fills) each write a unique temp file
+            # and the last rename wins with identical bytes.
+            publish(path, lambda tmp: write_trace(tmp, trace))
+        trace.derived[SIDECARS] = Sidecars(path, trace.digest)
         return trace
 
 

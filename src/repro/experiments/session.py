@@ -14,7 +14,8 @@ the engine: a :class:`~repro.service.RemoteEngine` when ``--server`` (or
 ``REPRO_SERVER``) names a daemon that answers, else a persistent local
 :class:`~repro.experiments.pool.SweepEngine`. On exit it closes the
 engine and finishes the observer with ``metrics.json`` holding the
-result cache's counters plus the CLI's own :attr:`metrics`.
+result cache's counters (local runs only) plus the CLI's own
+:attr:`metrics`.
 """
 
 from __future__ import annotations
@@ -89,7 +90,9 @@ class RunSession:
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
-        metrics = self.cache.metrics()
+        # A routed run never touches the local cache: its counters would
+        # read 0 whatever the daemon did, so they are left out.
+        metrics = self.cache.metrics() if self.server is None else {}
         metrics.update(self.metrics)
         if self.server is not None:
             metrics["server"] = self.server

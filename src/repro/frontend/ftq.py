@@ -14,7 +14,9 @@ It returns a :class:`RangeStream`, one typed ``array`` column per range
 field, and :func:`segment_stream` splits every range into its per-cycle
 delivery chunks, again as flat columns. Neither holds a Python object per
 range, so a trace's front-end state costs a few bytes per range and
-nothing to the cyclic GC.
+nothing to the cyclic GC. Both persist as their columns
+(:meth:`~_Columns.columns`, :meth:`~_Columns.from_columns`; see
+:mod:`repro.cpu.precompute`).
 
 Every hardware thread builds and consumes its ranges in emission order,
 so the cycle loop's FTQ and FDIP queue are cursors into the stream (see
@@ -35,7 +37,29 @@ from ..trace.record import IS_BRANCH
 from .bpu import BranchPredictionUnit
 
 
-class RangeStream:
+class _Columns:
+    """Typed columns whose slots, in order, are the whole state."""
+
+    __slots__ = ()
+
+    def columns(self) -> tuple:
+        """The columns, in slot order."""
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    @classmethod
+    def from_columns(cls, columns) -> "_Columns":
+        """An instance over ``columns`` (arrays or ``memoryview`` casts,
+        in slot order)."""
+        if len(columns) != len(cls.__slots__):
+            raise ValueError(f"{cls.__name__} has {len(cls.__slots__)} "
+                             f"columns, not {len(columns)}")
+        obj = cls.__new__(cls)
+        for name, column in zip(cls.__slots__, columns):
+            setattr(obj, name, column)
+        return obj
+
+
+class RangeStream(_Columns):
     """A trace's fetch ranges in emission order, one column per field.
 
     ``start[r]`` and ``nbytes[r]`` give range ``r``'s byte span,
@@ -63,7 +87,7 @@ class RangeStream:
         return len(self.start)
 
 
-class DeliveryChunks:
+class DeliveryChunks(_Columns):
     """Every range's per-cycle delivery chunks as three flat columns.
 
     Range ``r``'s chunks are indices ``offset[r]`` to ``offset[r + 1]``;

@@ -33,7 +33,15 @@ There is no per-instruction object view to read back.
 function of the trace and a few parameters: the BPU range stream and its
 delivery chunks (typed columns, see :mod:`repro.frontend.ftq`) and the
 back-end's interned op tables. Every machine built on the trace shares
-those entries; they are never serialised.
+those entries. A trace built in memory keeps them in memory only; a
+trace handed out by the trace cache also persists each one in a sidecar
+file beside its ``.atrace``, keyed by :attr:`ArrayTrace.digest` (see
+:mod:`repro.cpu.precompute`).
+
+:attr:`ArrayTrace.digest` is the SHA-256 of the serialised bytes,
+recorded from the bytes :func:`~repro.trace.io.read_trace` reads or
+:func:`~repro.trace.io.write_trace` writes (None for a trace that has
+been neither).
 
 Serialised layout (little endian)::
 
@@ -65,6 +73,7 @@ into the buffer.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -176,10 +185,12 @@ class ArrayTrace:
     """
 
     __slots__ = ("pc", "target", "mem_addr", "size", "kind", "taken",
-                 "src1", "src2", "dst", "end", "boundary", "derived", "_n")
+                 "src1", "src2", "dst", "end", "boundary", "derived", "_n",
+                 "digest")
 
     def __init__(self, columns: Sequence, n: int,
-                 sidecars: Optional[Sequence] = None) -> None:
+                 sidecars: Optional[Sequence] = None,
+                 digest: Optional[str] = None) -> None:
         for (name, _fmt), col in zip(COLUMNS, columns):
             object.__setattr__(self, name, col)
         object.__setattr__(self, "_n", n)
@@ -189,8 +200,11 @@ class ArrayTrace:
             object.__setattr__(self, name, col)
         # Scratch cache for expensive trace-derived state (e.g. the
         # precomputed BPU range stream) shared by consumers holding the
-        # same trace object. Never serialized; keys are consumer-chosen.
+        # same trace object; keys are consumer-chosen.
         object.__setattr__(self, "derived", {})
+        #: SHA-256 (hex) of the serialised bytes when they were read or
+        #: written (:meth:`from_buffer`, :meth:`write_to`), else None.
+        object.__setattr__(self, "digest", digest)
 
     def __setattr__(self, name, value):  # columns are immutable views
         raise AttributeError("ArrayTrace is read-only")
@@ -258,6 +272,7 @@ class ArrayTrace:
                 f"truncated array trace: {len(view)} bytes for "
                 f"{count} instructions (need {need})"
             )
+        view = view[:need]
         by_name = {}
         offset = _HEADER.size
         for name, fmt in V2_COLUMNS:
@@ -265,7 +280,8 @@ class ArrayTrace:
             by_name[name] = view[offset:offset + nbytes].cast(fmt)
             offset += nbytes
         return cls(tuple(by_name[name] for name, _ in COLUMNS), count,
-                   tuple(by_name[name] for name, _ in SIDECAR_COLUMNS))
+                   tuple(by_name[name] for name, _ in SIDECAR_COLUMNS),
+                   hashlib.sha256(view).hexdigest())
 
     # -- serialisation -----------------------------------------------------
 
@@ -276,6 +292,15 @@ class ArrayTrace:
 
     def to_bytes(self) -> bytes:
         return b"".join(self._chunks())
+
+    def write_to(self, fh) -> None:
+        """Write the serialised bytes to the binary file ``fh``, noting
+        their :attr:`digest` on the way."""
+        h = hashlib.sha256()
+        for chunk in self._chunks():
+            h.update(chunk)
+            fh.write(chunk)
+        object.__setattr__(self, "digest", h.hexdigest())
 
     def _chunks(self) -> Iterable[bytes]:
         yield _HEADER.pack(MAGIC, VERSION, self._n)

@@ -23,8 +23,10 @@ traces be named as workloads (``champsim:<path>``) in sweeps.
 from __future__ import annotations
 
 import gzip
+import os
+import tempfile
 from pathlib import Path
-from typing import BinaryIO, Union
+from typing import BinaryIO, Callable, Union
 
 from ..errors import TraceError
 from .arrays import MAGIC, VERSION, ArrayTrace
@@ -43,9 +45,27 @@ def write_trace(path: PathLike, trace: ArrayTrace) -> int:
     """Write a trace to ``path`` in the columnar container; returns the
     number of instructions."""
     with _open(path, "wb") as fh:
-        for chunk in trace._chunks():
-            fh.write(chunk)
+        trace.write_to(fh)
     return len(trace)
+
+
+def publish(path: PathLike, write: Callable[[str], object]) -> None:
+    """Create or replace ``path`` atomically: ``write(tmp)`` fills a
+    uniquely named temp file in ``path``'s directory, which is then
+    renamed over ``path`` (and deleted if ``write`` raises). Concurrent
+    publishers of the same file never expose a partial one; the last
+    rename wins."""
+    path = Path(path)
+    fh = tempfile.NamedTemporaryFile(
+        "wb", dir=path.parent, prefix=path.name + ".", suffix=".tmp",
+        delete=False)
+    fh.close()
+    try:
+        write(fh.name)
+        os.replace(fh.name, path)
+    except BaseException:
+        os.unlink(fh.name)
+        raise
 
 
 def is_champsim_file(path: PathLike) -> bool:

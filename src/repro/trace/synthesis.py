@@ -35,6 +35,7 @@ against the method it replaces, values and generator state both.
 
 from __future__ import annotations
 
+import gc
 import random
 from array import array
 from bisect import bisect_right
@@ -48,6 +49,11 @@ from ..errors import ConfigurationError
 from .arrays import COLUMNS, ArrayTrace
 from .program import _TERM_INSTR, BasicBlock, Function, Program, TermKind
 from .record import InstrKind
+
+#: Version of the generator's output for a given spec. Part of the trace
+#: cache's file names (``ResultCache._trace_path``): bump it with any
+#: change that moves a synthesised byte, so cached traces miss.
+SYNTHESIS_FORMAT = 1
 
 STACK_BASE = 0x7FFF_0000
 GLOBAL_BASE = 0x1000_0000
@@ -351,7 +357,20 @@ class ProgramBuilder:
         own slice plus some shared code; Zipf-interleaved requests then
         produce large instruction reuse distances, which is what overwhelms
         a 32 KB L1-I on real server binaries.
+
+        The cyclic GC is paused for the build (the caller's setting is
+        restored): every container it allocates ends up in the returned
+        program, so a collection would only scan live objects.
         """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._build()
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _build(self) -> Program:
         spec = self.spec
         n = spec.n_functions
         n_entries = spec.n_entry_points

@@ -65,3 +65,43 @@ def test_dse_keys(tmp_path):
     assert sorted(metrics) == sorted(CACHE_KEYS + [
         "evaluations", "generations", "pairs_simulated", "evals_resumed"])
     assert metrics["evaluations"] == 1
+
+
+class _StubRemoteEngine:
+    """A :class:`repro.service.RemoteEngine` stand-in that "simulates"
+    every pair on the daemon, leaving the client's cache untouched."""
+
+    def __init__(self, address, obs=None):
+        self.address = address
+        self.fill_seconds = 0.5
+        self.pairs_simulated = 0
+        self.pairs_per_min = 0.0
+
+    def run(self, pairs, progress=None):
+        self.pairs_simulated = len(pairs)
+        return {}
+
+    def close(self):
+        pass
+
+
+def test_routed_run_leaves_out_client_cache_counters(tmp_path, monkeypatch):
+    """Through a daemon the client's result-cache counters always read 0,
+    so ``metrics.json`` names the server instead of reporting them."""
+    import repro.service as service
+
+    monkeypatch.setattr(service, "probe", lambda address: {"jobs": 2,
+                                                           "pid": 1})
+    monkeypatch.setattr(service, "RemoteEngine", _StubRemoteEngine)
+    monkeypatch.setattr(run_all_mod, "all_pairs",
+                        lambda: [("spec_000", "conv32"),
+                                 ("spec_000", "ubs")])
+    obs_dir = tmp_path / "obs"
+    assert run_all_mod.main(["--obs-dir", str(obs_dir),
+                             "--server", "unix:/stub.sock"]) == 0
+    metrics = _metrics(obs_dir)
+    assert sorted(metrics) == sorted([
+        "pairs_selected", "pairs_simulated", "fill_seconds",
+        "fill_pairs_per_min", "server"])
+    assert metrics["server"] == "unix:/stub.sock"
+    assert metrics["pairs_simulated"] == 2

@@ -182,7 +182,11 @@ class TestHygiene:
     def test_no_temp_files_left(self, tmp_path):
         engine = _engine(tmp_path, "tmp", jobs=2)
         engine.run(PAIRS)
-        assert list(Path(engine.cache.root).rglob("*.tmp")) == []
+        root = Path(engine.cache.root)
+        # Results, traces and the traces' precompute sidecars all publish
+        # through a temp file and a rename.
+        assert len(list(root.rglob("*.derived"))) == 6
+        assert list(root.rglob("*.tmp")) == []
 
     def test_store_is_atomic_and_deterministic(self, tmp_path):
         """store() must leave no droppings and write sorted-key JSON so
@@ -196,10 +200,51 @@ class TestHygiene:
     def test_trace_files_shared_between_configs(self, tmp_path):
         engine = _engine(tmp_path, "trace", jobs=2)
         engine.run(PAIRS)
-        traces = os.listdir(engine.cache.root / "traces")
-        # One .atrace per workload, not per pair.
-        assert sorted(traces) == ["client_000__s0.03.atrace",
-                                  "server_000__s0.03.atrace"]
+        files = os.listdir(engine.cache.root / "traces")
+        # One .atrace per workload, not per pair, and one sidecar per
+        # derived entry of each (range stream, chunks, solo op table).
+        names = [engine.cache._trace_path(w).name
+                 for w in ("client_000", "server_000")]
+        assert sorted(f for f in files if f.endswith(".atrace")) == names
+        assert sorted(f.split(".atrace.")[0] + ".atrace" for f in files
+                      if f.endswith(".derived")) == \
+            [names[0]] * 3 + [names[1]] * 3
+
+
+class TestPrecomputeOnce:
+    def test_parallel_fill_builds_each_trace_once(self, tmp_path,
+                                                  monkeypatch):
+        """Each builder runs once per trace across a --jobs 2 fill: the
+        worker that did not build a trace loads its precompute from the
+        sidecars the pioneer wrote. The workers inherit the counting
+        builders by fork and log each call to a shared file."""
+        import repro.cpu.backend as backend_mod
+        import repro.cpu.machine as machine_mod
+        from repro.cpu.precompute import precompute_fingerprint
+        from repro.trace.io import read_trace
+
+        precompute_fingerprint()      # inherited: no probe builds counted
+        log = tmp_path / "builds.log"
+        for owner, name in ((machine_mod, "precompute_range_stream"),
+                            (machine_mod, "segment_stream"),
+                            (backend_mod, "build_op_table")):
+            real = getattr(owner, name)
+
+            def counting(trace, *args, _real=real, _name=name):
+                with open(log, "a") as fh:
+                    fh.write(f"{_name} {trace.digest}\n")
+                return _real(trace, *args)
+
+            monkeypatch.setattr(owner, name, counting)
+        engine = _engine(tmp_path, "once", jobs=2)
+        engine.run(PAIRS)
+        digests = {read_trace(engine.cache._trace_path(w)).digest
+                   for w in ("server_000", "client_000")}
+        calls = log.read_text().split("\n")[:-1]
+        assert sorted(calls) == sorted(
+            f"{name} {digest}" for digest in digests
+            for name in ("precompute_range_stream", "segment_stream",
+                         "build_op_table"))
 
 
 class TestPersistent:

@@ -240,3 +240,223 @@ class TestEstimatesSidecar:
             "client_000::conv32": 1.0, "bad key": 1.0,
             "client_001::ubs": 0.0})
         assert isolated_cache.load_estimates() == {"client_000::conv32": 1.0}
+
+
+class TestTraceKey:
+    """A synthesised workload's ``.atrace`` is named by its spec, its
+    length and the synthesis format, so a changed generator input misses."""
+
+    def _counting_generate(self, monkeypatch):
+        from repro.trace.workloads import Workload
+
+        generated = []
+        real = Workload.generate
+
+        def generate(workload):
+            generated.append(workload.name)
+            return real(workload)
+
+        monkeypatch.setattr(Workload, "generate", generate)
+        return generated
+
+    def test_unchanged_spec_reuses_the_trace(self, isolated_cache,
+                                             monkeypatch):
+        from repro.trace.workloads import get_workload
+
+        first = isolated_cache.array_trace_for(get_workload("client_000"))
+        generated = self._counting_generate(monkeypatch)
+        again = isolated_cache.array_trace_for(get_workload("client_000"))
+        assert generated == []
+        assert again == first
+
+    def test_changed_spec_field_regenerates(self, isolated_cache,
+                                            monkeypatch):
+        from dataclasses import replace
+
+        from repro.trace.workloads import get_workload
+
+        workload = get_workload("client_000")
+        isolated_cache.array_trace_for(workload)
+        changed = replace(workload, spec=replace(workload.spec,
+                                                 p_unit_cold=0.30))
+        old_path = isolated_cache._trace_path(workload)
+        new_path = isolated_cache._trace_path(changed)
+        assert new_path != old_path
+        assert new_path.name.startswith("client_000__s0.03__")
+        generated = self._counting_generate(monkeypatch)
+        trace = isolated_cache.array_trace_for(changed)
+        assert generated == ["client_000"]
+        assert new_path.exists() and old_path.exists()
+        assert trace == changed.generate()
+
+    def test_synthesis_format_names_the_file(self, isolated_cache,
+                                             monkeypatch):
+        before = isolated_cache._trace_path("client_000")
+        monkeypatch.setattr(runner_mod, "SYNTHESIS_FORMAT",
+                            runner_mod.SYNTHESIS_FORMAT + 1)
+        assert isolated_cache._trace_path("client_000") != before
+
+    def test_imported_names_keep_their_scheme(self, isolated_cache):
+        name = "champsim:/data/traces/srv.champsimtrace"
+        path = isolated_cache._trace_path(name)
+        assert path.name == \
+            f"{ResultCache._safe_name(name)}__s0.03.atrace"
+
+
+class TestPrecomputeSidecars:
+    """Per-trace precompute persisted beside the ``.atrace``
+    (:mod:`repro.cpu.precompute`): a later process, here a fresh cache
+    over the same directory, loads it instead of building it."""
+
+    CORUN = "smt:client_000+spec_000"
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """Count the three builders' calls (the fingerprint is computed
+        first, so its own probe builds are not counted)."""
+        import repro.cpu.backend as backend_mod
+        import repro.cpu.machine as machine_mod
+        from repro.cpu.precompute import precompute_fingerprint
+
+        precompute_fingerprint()
+        calls = []
+        for owner, name in ((machine_mod, "precompute_range_stream"),
+                            (machine_mod, "segment_stream"),
+                            (backend_mod, "build_op_table")):
+            real = getattr(owner, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    @staticmethod
+    def _fresh_fingerprint(monkeypatch):
+        import repro.cpu.precompute as precompute_mod
+
+        monkeypatch.setattr(precompute_mod, "_fingerprint", None)
+
+    def _simulate(self, cache, workload, config):
+        from repro.trace.workloads import get_workload
+
+        wl = get_workload(workload)
+        trace = None if workload.startswith("smt:") \
+            else cache.array_trace_for(wl)
+        return runner_mod._simulate(wl, config, trace, cache=cache)
+
+    def _cold_then_again(self, isolated_cache, workload, config):
+        cold = self._simulate(isolated_cache, workload, config)
+        return cold, ResultCache(isolated_cache.root)
+
+    @pytest.mark.parametrize("workload,config", [
+        ("client_000", "conv32"), ("client_000", "ubs"),
+        (CORUN, "conv32")])
+    def test_hit_equals_cold_build(self, isolated_cache, monkeypatch,
+                                   workload, config):
+        cold, later = self._cold_then_again(isolated_cache, workload,
+                                            config)
+        calls = self._count_builds(monkeypatch)
+        hit = self._simulate(later, workload, config)
+        assert calls == []
+        assert _stable(hit) == _stable(cold)
+
+    def test_changed_branch_params_miss(self, isolated_cache, monkeypatch):
+        from repro.cpu.machine import Machine, build_icache
+        from repro.params import BranchParams, MachineParams
+        from repro.trace.workloads import get_workload
+
+        _cold, later = self._cold_then_again(isolated_cache, "client_000",
+                                             "conv32")
+        calls = self._count_builds(monkeypatch)
+        trace = later.array_trace_for(get_workload("client_000"))
+        params = MachineParams(branch=BranchParams(perceptron_threshold=10))
+        Machine(trace, build_icache("conv32"), params=params)
+        # A new stream and its chunks; the op table does not depend on
+        # the branch predictor, so it is a hit.
+        assert calls == ["precompute_range_stream", "segment_stream"]
+
+    def test_changed_trace_misses(self, isolated_cache, monkeypatch):
+        from repro.trace.io import write_trace
+        from repro.trace.workloads import get_workload
+
+        cold, later = self._cold_then_again(isolated_cache, "client_000",
+                                            "conv32")
+        path = isolated_cache._trace_path("client_000")
+        other = get_workload("spec_000").generate()
+        write_trace(path, other)
+        calls = self._count_builds(monkeypatch)
+        result = self._simulate(later, "client_000", "conv32")
+        assert sorted(calls) == ["build_op_table", "precompute_range_stream",
+                                 "segment_stream"]
+        assert result.cycles != cold.cycles
+
+    def test_changed_precompute_misses(self, isolated_cache, monkeypatch):
+        """A builder change that moves an output (here the perceptron's
+        training threshold) moves the fingerprint, so nothing is served
+        from the sidecars built before it."""
+        from repro.frontend.perceptron import HashedPerceptron
+
+        _cold, later = self._cold_then_again(isolated_cache, "client_000",
+                                             "conv32")
+        real_init = HashedPerceptron.__init__
+
+        def no_margin(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            self.threshold = 0
+
+        monkeypatch.setattr(HashedPerceptron, "__init__", no_margin)
+        self._fresh_fingerprint(monkeypatch)
+        calls = self._count_builds(monkeypatch)
+        self._simulate(later, "client_000", "conv32")
+        assert "precompute_range_stream" in calls
+
+    def test_no_op_refactor_hits(self, isolated_cache, monkeypatch):
+        """A change that moves no output keeps the fingerprint, so the
+        sidecars still serve."""
+        from repro.frontend.perceptron import HashedPerceptron
+
+        cold, later = self._cold_then_again(isolated_cache, "client_000",
+                                            "conv32")
+        real = HashedPerceptron.predict_and_train
+
+        def same(self, pc, taken):
+            return real(self, pc, taken)
+
+        monkeypatch.setattr(HashedPerceptron, "predict_and_train", same)
+        self._fresh_fingerprint(monkeypatch)
+        calls = self._count_builds(monkeypatch)
+        hit = self._simulate(later, "client_000", "conv32")
+        assert calls == []
+        assert _stable(hit) == _stable(cold)
+
+    def test_truncated_sidecar_warns_deletes_and_rebuilds(
+            self, isolated_cache, monkeypatch, caplog):
+        import logging
+
+        cold, later = self._cold_then_again(isolated_cache, "client_000",
+                                            "conv32")
+        sidecars = sorted((isolated_cache.root / "traces").glob("*.derived"))
+        assert len(sidecars) == 3
+        damaged = sidecars[0]
+        damaged.write_bytes(damaged.read_bytes()[:-100])
+        calls = self._count_builds(monkeypatch)
+        with caplog.at_level(logging.WARNING, "repro.cpu.precompute"):
+            result = self._simulate(later, "client_000", "conv32")
+        assert any("damaged sidecar" in rec.getMessage()
+                   and str(damaged) in rec.getMessage()
+                   for rec in caplog.records)
+        assert len(calls) == 1
+        assert _stable(result) == _stable(cold)
+        # Rebuilt and published again, intact.
+        assert sorted((isolated_cache.root / "traces").glob("*.derived")) \
+            == sidecars
+        assert damaged.stat().st_size > 100
+
+    def test_traces_built_in_memory_write_no_sidecar(self, isolated_cache):
+        from repro.cpu.machine import build_machine
+        from repro.trace.workloads import get_workload
+
+        build_machine(get_workload("client_000").generate(), "conv32")
+        assert list(isolated_cache.root.rglob("*.derived")) == []
