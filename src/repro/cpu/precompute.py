@@ -16,16 +16,20 @@ sidecar file beside the ``.atrace``, and a later process that loads the
 same trace from the cache loads the entry instead of building it. A
 trace built in memory has no store and builds its entries as before.
 
-A sidecar file is named by a digest of three parts, so it is never
+A sidecar file is named by a digest of four parts, so it is never
 served for anything but what it was built from:
 
 * the trace's content digest (:attr:`~repro.trace.arrays.ArrayTrace.digest`);
 * the ``repr`` of the entry's key: ``BranchParams``, the fetch geometry,
   the latency table, the L1-D parameters;
+* the results version of the cache that owns the store
+  (:data:`~repro.experiments.runner.RESULTS_VERSION`), so the bump that
+  retires every cached result after a change of simulator semantics
+  retires every sidecar too;
 * the :func:`precompute_fingerprint`, a digest of the three builders'
-  outputs on a small hand-built trace (:func:`probe_trace`). A builder
-  change that moves any of those outputs renames every sidecar; a
-  refactor that moves none keeps them.
+  outputs on a small hand-built trace (:func:`probe_trace`) at two
+  parameter points. A builder change that moves any of those outputs
+  renames every sidecar; a refactor that moves none keeps them.
 
 Layout (little endian)::
 
@@ -55,6 +59,7 @@ from array import array
 from pathlib import Path
 from typing import Callable, Hashable, Optional
 
+from ..params import BranchParams, CacheParams, CoreParams, MachineParams
 from ..trace.arrays import COLUMNS, ArrayTrace
 from ..trace.io import publish
 from ..trace.record import InstrKind
@@ -93,17 +98,21 @@ def derived(trace: ArrayTrace, key: Hashable, cls: type,
 
 class Sidecars:
     """Where a cached trace's derived entries persist: one file per key,
-    named ``<trace file>.<digest>.derived`` beside ``trace_path``."""
+    named ``<trace file>.<digest>.derived`` beside ``trace_path``.
+    ``digest`` is the trace's content digest and ``version`` the owning
+    cache's results version."""
 
-    __slots__ = ("trace_path", "digest")
+    __slots__ = ("trace_path", "digest", "version")
 
-    def __init__(self, trace_path: Path, digest: str) -> None:
+    def __init__(self, trace_path: Path, digest: str, version: int) -> None:
         self.trace_path = Path(trace_path)
         self.digest = digest
+        self.version = version
 
     def path(self, key: Hashable) -> Path:
         name = hashlib.sha256(
-            f"{self.digest}\0{key!r}\0{precompute_fingerprint()}".encode()
+            f"{self.digest}\0{key!r}\0v{self.version}\0"
+            f"{precompute_fingerprint()}".encode()
         ).hexdigest()[:24]
         return self.trace_path.with_name(
             f"{self.trace_path.name}.{name}.derived")
@@ -195,31 +204,63 @@ def decode(data: bytes) -> tuple:
 
 _fingerprint: Optional[str] = None
 
+#: The fingerprint's second parameter point, beside the defaults: a BTB
+#: of 64 entries and a return-address stack of 8, which the probe
+#: overflows many times over, a smaller perceptron, a wider fetch and an
+#: L1-D of 16 blocks.
+SMALL_POINT = MachineParams(
+    branch=BranchParams(btb_entries=64, btb_ways=4, ras_entries=8,
+                        perceptron_tables=4, perceptron_entries=256),
+    core=CoreParams(fetch_bytes=32, fetch_width=6),
+    l1d=CacheParams(name="L1D", size=1024, ways=2, latency=5,
+                    mshr_entries=4))
+
 
 def probe_trace() -> ArrayTrace:
-    """The fingerprint's input: 64 passes over a loop that calls a
-    function. It has a conditional branch taken on every third pass,
-    variable-length instructions that straddle 64-byte blocks, and loads
-    and stores that both hit and miss an L1-D."""
-    columns = {name: array(fmt) for name, fmt in COLUMNS}
+    """The fingerprint's input, about 2,400 instructions of every
+    :class:`~repro.trace.record.InstrKind`: 32 passes over a loop with
+    variable-length instructions that straddle 64-byte blocks, loads and
+    stores that both hit and miss an L1-D, a conditional branch taken on
+    every third pass, a direct call, an indirect call and an indirect
+    jump whose targets change from pass to pass, and a direct jump.
+    Every eighth pass also makes
+
+    * a self-recursive call 72 deep, past the 64 return-address-stack
+      entries of the default :class:`~repro.params.BranchParams`;
+    * a walk over ten jumps that share one set of the default BTB (more
+      than its eight ways), each reached through one hot indirect jump
+      in the same set, so an LRU victim differs from any other choice;
+    * a chain of 96 jumps, more than the small BTB of
+      :data:`SMALL_POINT` holds.
+    """
+    rows = []
 
     def add(pc: int, size: int, kind: InstrKind, taken: bool = False,
             target: int = 0, src1: int = -1, src2: int = -1, dst: int = -1,
             mem_addr: int = 0) -> int:
-        for name, value in (("pc", pc), ("target", target),
-                            ("mem_addr", mem_addr), ("size", size),
-                            ("kind", kind), ("taken", taken),
-                            ("src1", src1), ("src2", src2), ("dst", dst)):
-            columns[name].append(value)
+        rows.append({"pc": pc, "target": target, "mem_addr": mem_addr,
+                     "size": size, "kind": kind, "taken": taken,
+                     "src1": src1, "src2": src2, "dst": dst})
         return pc + size
 
-    loop, func = 0x1000, 0x9000
-    passes = 64
+    def jump(pc: int, target: int) -> int:
+        add(pc, 4, InstrKind.JUMP, taken=True, target=target)
+        return target
+
+    loop, func, funcs = 0x1000, 0x9000, (0xA000, 0xA400)
+    tail, side = loop + 0x400, 0x20000
+    # The default BTB has 512 sets indexed by pc >> 2, so a 2 KiB stride
+    # maps the hub and every rung of the ladder to one set.
+    hub, ladder = 0x40000, [0x40800 + 0x800 * k for k in range(10)]
+    rec, depth = 0xC000, 72
+    chain = [0x80000 + 36 * k for k in range(96)]
+    passes = 32
     for i in range(passes):
         pc = loop
         for k in range(6):
             pc = add(pc, 2 + 3 * k % 11, InstrKind.ALU, src1=k, src2=k + 1,
                      dst=(k + 2) % 8)
+        pc = add(pc, 1, InstrKind.NOP)
         pc = add(pc, 5, InstrKind.LOAD, src1=1, dst=3,
                  mem_addr=0x100000 + 64 * (7 * i % 40))
         pc = add(pc, 3, InstrKind.STORE, src1=3, src2=2,
@@ -236,37 +277,68 @@ def probe_trace() -> ArrayTrace:
         for _ in range(3):
             fpc = add(fpc, 4, InstrKind.FP, src1=4, dst=5)
         add(fpc, 1, InstrKind.RET, taken=True, target=ret)
-        add(ret, 2, InstrKind.BR_COND, taken=i < passes - 1, target=loop)
-    return ArrayTrace(tuple(columns[name] for name, _ in COLUMNS),
-                      len(columns["pc"]))
+        callee = funcs[i % 2]
+        ret = add(ret, 3, InstrKind.CALL_IND, taken=True, target=callee,
+                  src1=6)
+        add(add(callee, 2, InstrKind.ALU, src1=6, dst=6), 1, InstrKind.RET,
+            taken=True, target=ret)
+        case = ret + 64 + 32 * (i % 3)
+        add(ret, 3, InstrKind.BR_IND, taken=True, target=case, src1=7)
+        pc = jump(case, tail)
+        extra = i % 8 == 7
+        pc = add(pc, 2, InstrKind.BR_COND, taken=extra, target=side)
+        if extra:
+            pc = add(side, 5, InstrKind.CALL, taken=True, target=rec)
+            for level in range(depth + 1):
+                add(rec, 4, InstrKind.ALU, src1=2, dst=2)
+                add(rec + 4, 2, InstrKind.BR_COND, taken=level == depth,
+                    target=rec + 11)
+                if level < depth:
+                    add(rec + 6, 5, InstrKind.CALL, taken=True, target=rec)
+            for level in range(depth + 1):
+                add(rec + 11, 1, InstrKind.RET, taken=True,
+                    target=rec + 11 if level < depth else pc)
+            head = pc
+            for k, rung in enumerate(ladder):
+                add(jump(head, hub), 4, InstrKind.BR_IND, taken=True,
+                    target=rung, src1=7)
+                pc = add(jump(rung, head + 4), 2, InstrKind.BR_COND,
+                         taken=k < len(ladder) - 1, target=head)
+            jump(pc, chain[0])
+            for k, site in enumerate(chain):
+                pc = jump(site, chain[k + 1] if k + 1 < len(chain)
+                          else pc + 4)
+            pc = jump(pc, tail + 2)
+        add(pc, 2, InstrKind.BR_COND, taken=i < passes - 1, target=loop)
+    return ArrayTrace(tuple(array(fmt, [row[name] for row in rows])
+                            for name, fmt in COLUMNS), len(rows))
 
 
 def precompute_fingerprint() -> str:
     """SHA-256 (hex) of every builder's output on :func:`probe_trace`,
-    at the default parameters: the range stream, its delivery chunks,
-    and the op table with and without the private L1-D. Computed once
-    per process."""
+    at the default parameters and at :data:`SMALL_POINT`: the range
+    stream, its delivery chunks, and the op table with and without the
+    private L1-D. Computed once per process."""
     global _fingerprint
     if _fingerprint is None:
         from ..frontend.bpu import BranchPredictionUnit
         from ..frontend.ftq import precompute_range_stream, segment_stream
-        from ..params import MachineParams
         from .backend import EXEC_LATENCY_TABLE, build_op_table
 
-        params = MachineParams()
         trace = probe_trace()
-        stream = precompute_range_stream(
-            trace, BranchPredictionUnit(params.branch))
-        outputs = (
-            stream,
-            segment_stream(trace, stream, params.core.fetch_bytes,
-                           params.core.fetch_width),
-            build_op_table(trace, EXEC_LATENCY_TABLE, params.l1d),
-            build_op_table(trace, EXEC_LATENCY_TABLE, None),
-        )
         digest = hashlib.sha256()
-        for value in outputs:
-            for part in payload(value.columns()):
-                digest.update(part)
+        for params in (MachineParams(), SMALL_POINT):
+            stream = precompute_range_stream(
+                trace, BranchPredictionUnit(params.branch))
+            outputs = (
+                stream,
+                segment_stream(trace, stream, params.core.fetch_bytes,
+                               params.core.fetch_width),
+                build_op_table(trace, EXEC_LATENCY_TABLE, params.l1d),
+                build_op_table(trace, EXEC_LATENCY_TABLE, None),
+            )
+            for value in outputs:
+                for part in payload(value.columns()):
+                    digest.update(part)
         _fingerprint = digest.hexdigest()
     return _fingerprint

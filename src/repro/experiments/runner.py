@@ -278,7 +278,8 @@ class ResultCache:
             # (e.g. two overlapping fills) each write a unique temp file
             # and the last rename wins with identical bytes.
             publish(path, lambda tmp: write_trace(tmp, trace))
-        trace.derived[SIDECARS] = Sidecars(path, trace.digest)
+        trace.derived[SIDECARS] = Sidecars(path, trace.digest,
+                                           RESULTS_VERSION)
         return trace
 
 

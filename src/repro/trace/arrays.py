@@ -38,10 +38,11 @@ trace handed out by the trace cache also persists each one in a sidecar
 file beside its ``.atrace``, keyed by :attr:`ArrayTrace.digest` (see
 :mod:`repro.cpu.precompute`).
 
-:attr:`ArrayTrace.digest` is the SHA-256 of the serialised bytes,
-recorded from the bytes :func:`~repro.trace.io.read_trace` reads or
-:func:`~repro.trace.io.write_trace` writes (None for a trace that has
-been neither).
+:attr:`ArrayTrace.digest` is the SHA-256 of the serialised bytes, the
+bytes :func:`~repro.trace.io.write_trace` writes and
+:func:`~repro.trace.io.read_trace` reads. It is hashed from the columns
+on first use, so a read or write that no sidecar lookup follows pays
+nothing for it.
 
 Serialised layout (little endian)::
 
@@ -186,11 +187,10 @@ class ArrayTrace:
 
     __slots__ = ("pc", "target", "mem_addr", "size", "kind", "taken",
                  "src1", "src2", "dst", "end", "boundary", "derived", "_n",
-                 "digest")
+                 "_digest")
 
     def __init__(self, columns: Sequence, n: int,
-                 sidecars: Optional[Sequence] = None,
-                 digest: Optional[str] = None) -> None:
+                 sidecars: Optional[Sequence] = None) -> None:
         for (name, _fmt), col in zip(COLUMNS, columns):
             object.__setattr__(self, name, col)
         object.__setattr__(self, "_n", n)
@@ -202,9 +202,7 @@ class ArrayTrace:
         # precomputed BPU range stream) shared by consumers holding the
         # same trace object; keys are consumer-chosen.
         object.__setattr__(self, "derived", {})
-        #: SHA-256 (hex) of the serialised bytes when they were read or
-        #: written (:meth:`from_buffer`, :meth:`write_to`), else None.
-        object.__setattr__(self, "digest", digest)
+        object.__setattr__(self, "_digest", None)
 
     def __setattr__(self, name, value):  # columns are immutable views
         raise AttributeError("ArrayTrace is read-only")
@@ -272,7 +270,6 @@ class ArrayTrace:
                 f"truncated array trace: {len(view)} bytes for "
                 f"{count} instructions (need {need})"
             )
-        view = view[:need]
         by_name = {}
         offset = _HEADER.size
         for name, fmt in V2_COLUMNS:
@@ -280,8 +277,7 @@ class ArrayTrace:
             by_name[name] = view[offset:offset + nbytes].cast(fmt)
             offset += nbytes
         return cls(tuple(by_name[name] for name, _ in COLUMNS), count,
-                   tuple(by_name[name] for name, _ in SIDECAR_COLUMNS),
-                   hashlib.sha256(view).hexdigest())
+                   tuple(by_name[name] for name, _ in SIDECAR_COLUMNS))
 
     # -- serialisation -----------------------------------------------------
 
@@ -293,14 +289,18 @@ class ArrayTrace:
     def to_bytes(self) -> bytes:
         return b"".join(self._chunks())
 
-    def write_to(self, fh) -> None:
-        """Write the serialised bytes to the binary file ``fh``, noting
-        their :attr:`digest` on the way."""
-        h = hashlib.sha256()
-        for chunk in self._chunks():
-            h.update(chunk)
-            fh.write(chunk)
-        object.__setattr__(self, "digest", h.hexdigest())
+    @property
+    def digest(self) -> str:
+        """SHA-256 (hex) of the serialised bytes (:meth:`to_bytes`),
+        hashed from the columns without copying them, once."""
+        digest = self._digest
+        if digest is None:
+            h = hashlib.sha256(_HEADER.pack(MAGIC, VERSION, self._n))
+            for name, _fmt in V2_COLUMNS:
+                h.update(getattr(self, name))
+            digest = h.hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
     def _chunks(self) -> Iterable[bytes]:
         yield _HEADER.pack(MAGIC, VERSION, self._n)

@@ -45,7 +45,8 @@ def write_trace(path: PathLike, trace: ArrayTrace) -> int:
     """Write a trace to ``path`` in the columnar container; returns the
     number of instructions."""
     with _open(path, "wb") as fh:
-        trace.write_to(fh)
+        for chunk in trace._chunks():
+            fh.write(chunk)
     return len(trace)
 
 

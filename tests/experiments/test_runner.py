@@ -412,6 +412,20 @@ class TestPrecomputeSidecars:
         self._simulate(later, "client_000", "conv32")
         assert "precompute_range_stream" in calls
 
+    def test_results_version_bump_misses(self, isolated_cache, monkeypatch):
+        """The bump that retires cached results after a change of
+        simulator semantics retires the sidecars too."""
+        _cold, later = self._cold_then_again(isolated_cache, "client_000",
+                                             "conv32")
+        monkeypatch.setattr(runner_mod, "RESULTS_VERSION",
+                            runner_mod.RESULTS_VERSION + 1)
+        calls = self._count_builds(monkeypatch)
+        self._simulate(later, "client_000", "conv32")
+        assert sorted(calls) == ["build_op_table", "precompute_range_stream",
+                                 "segment_stream"]
+        assert len(list((isolated_cache.root / "traces")
+                        .glob("*.derived"))) == 6
+
     def test_no_op_refactor_hits(self, isolated_cache, monkeypatch):
         """A change that moves no output keeps the fingerprint, so the
         sidecars still serve."""
