@@ -94,57 +94,21 @@ def simulate(workload: Union[str, Workload], config: str = "conv32", *,
              telemetry: Optional[Telemetry] = None) -> SimResult:
     """Run one workload against one L1-I configuration.
 
-    ``workload`` is a suite name (e.g. ``"server_003"``) or a
+    ``workload`` is a suite name (e.g. ``"server_003"``), a co-run name
+    (``"smt:server_000+client_000"``) or a
     :class:`~repro.trace.workloads.Workload`; ``config`` is a configuration
-    name understood by :func:`~repro.cpu.machine.build_icache`.
+    name understood by :func:`~repro.cpu.machine.build_icache`, optionally
+    with an ``_f<N>`` FTQ-depth suffix (or pass ``params``, not both).
     ``telemetry`` optionally attaches an event recorder and/or stage
-    profiler (see :mod:`repro.telemetry`).
+    profiler (see :mod:`repro.telemetry`). The experiment runner and
+    ``python -m repro run`` take the same path
+    (:func:`repro.experiments.runner.pair_machine` and
+    :func:`~repro.experiments.runner.run_machine`).
     """
     if isinstance(workload, str):
         workload = get_workload(workload)
-    from .trace.workloads import SMTWorkload
+    from .experiments.runner import pair_machine, run_machine
 
-    if isinstance(workload, SMTWorkload):
-        # Co-run pairs have no single merged trace: each component
-        # becomes one hardware thread of a shared-front-end SMTMachine.
-        from .cpu.machine import split_machine_config
-        from .smt import SMTMachine
-
-        base, override = split_machine_config(config)
-        if params is None:
-            params = override
-        elif override is not None:
-            raise ConfigurationError(
-                f"configuration {config!r} carries a machine-level "
-                "suffix; pass either the suffix or explicit params, "
-                "not both"
-            )
-        components = workload.component_workloads()
-        machine = SMTMachine(
-            [w.generate() for w in components], build_icache(base),
-            params=params, telemetry=telemetry, policy=workload.policy)
-        result = machine.run([w.windows() for w in components])
-        result.workload = workload.name
-        result.config = config
-        for comp, tdict in zip(components, result.extra["threads"]):
-            tdict["workload"] = comp.name
-            tdict["config"] = config
-        return result
-    trace = workload.generate()
-    warmup, measure = workload.windows()
-    from .cpu.machine import split_machine_config
-
-    base, override = split_machine_config(config)
-    if params is None:
-        params = override
-    elif override is not None:
-        raise ConfigurationError(
-            f"configuration {config!r} carries a machine-level suffix; "
-            "pass either the suffix or explicit params, not both"
-        )
-    icache = build_icache(base)
-    machine = Machine(trace, icache, params, telemetry=telemetry)
-    result = machine.run(warmup, measure, sample_efficiency=sample_efficiency)
-    result.workload = workload.name
-    result.config = config
-    return result
+    traces = [w.generate() for w in workload.component_workloads()]
+    machine = pair_machine(workload, config, traces, params, telemetry)
+    return run_machine(machine, workload, config, sample_efficiency)

@@ -5,9 +5,15 @@
     python -m repro list                      # workload suite
     python -m repro run server_001 ubs        # one simulation
     python -m repro run server_001 ubs --trace-out t.jsonl --profile
+    python -m repro run server_001 ubs_f64    # any config, _f<N> FTQ depth
+    python -m repro run smt:server_000+client_000 ubs   # an SMT co-run
     python -m repro compare server_001 conv32 conv64 ubs
     python -m repro report t.jsonl            # stall-accounting breakdown
     python -m repro models                    # Table III / Table IV
+
+``run`` and ``compare`` build and run each pair exactly as
+:func:`repro.simulate` does (the runner's shared path), so every name
+``repro.simulate`` accepts works here too.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import json
 import sys
 from typing import List, Optional
 
-from . import Machine, build_icache, get_workload
+from . import get_workload
+from .experiments.runner import pair_machine, run_machine
 from .telemetry import (
     EventTrace,
     RUN_SUMMARY,
@@ -39,18 +46,6 @@ def _cmd_list(_args) -> int:
             print(f"  {name:14s} isa={spec.isa:8s} "
                   f"functions={spec.n_functions}")
     return 0
-
-
-def _run_one(workload_name: str, config: str, trace=None,
-             telemetry: Optional[Telemetry] = None):
-    workload = get_workload(workload_name)
-    if trace is None:
-        trace = workload.generate()
-    warmup, measure = workload.windows()
-    machine = Machine(trace, build_icache(config), telemetry=telemetry)
-    result = machine.run(warmup, measure)
-    result.workload, result.config = workload_name, config
-    return result, trace, machine
 
 
 def _print_result(result, baseline=None) -> None:
@@ -93,8 +88,11 @@ def _export_trace(recorder: EventTrace, result, path: str) -> None:
 
 def _cmd_run(args) -> int:
     telemetry = _build_telemetry(args)
-    result, _, machine = _run_one(args.workload, args.config,
-                                  telemetry=telemetry)
+    workload = get_workload(args.workload)
+    traces = [w.generate() for w in workload.component_workloads()]
+    machine = pair_machine(workload, args.config, traces,
+                           telemetry=telemetry)
+    result = run_machine(machine, workload, args.config)
     if telemetry is not None and telemetry.recorder.enabled:
         _export_trace(telemetry.recorder, result, args.trace_out)
     if args.metrics_out:
@@ -116,11 +114,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    workload = get_workload(args.workload)
+    # One set of traces serves every configuration.
+    traces = [w.generate() for w in workload.component_workloads()]
     baseline = None
-    trace = None
     payloads = []
     for config in args.configs:
-        result, trace, _ = _run_one(args.workload, config, trace)
+        result = run_machine(pair_machine(workload, config, traces),
+                             workload, config)
         if baseline is None:
             baseline = result
         if args.json:

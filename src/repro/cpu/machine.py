@@ -289,8 +289,7 @@ class Core:
     # -- the cycle loop -----------------------------------------------------------
 
     def _simulate(self, windows: Sequence[Tuple[int, int]],
-                  sample_efficiency: bool,
-                  efficiency_interval: Optional[int]) -> None:
+                  sample_efficiency: bool) -> None:
         """Simulate every thread's ``(warmup, measure)`` window, leaving
         each thread's :class:`SimResult` in ``thread.result``.
 
@@ -319,12 +318,10 @@ class Core:
             # the warm-up count — with warmup=0, after the very first one.
             t.warmup_boundary = warmup if warmup > 0 else 1
         # Efficiency sampling needs the cache to itself: solo runs only.
-        # The interval defaults to ~1/75th of the measured window.
+        # The interval is ~1/75th of the measured window.
         sampler = None
         if solo and sample_efficiency:
-            sampler = EfficiencySampler(
-                efficiency_interval if efficiency_interval is not None
-                else max(250, threads[0].measure // 75))
+            sampler = EfficiencySampler(max(250, threads[0].measure // 75))
         next_sample = _NEVER          # set when the measured window opens
 
         icache = self.icache
@@ -878,14 +875,12 @@ class Machine(Core):
         return out
 
     def run(self, warmup: int, measure: int,
-            sample_efficiency: bool = True,
-            efficiency_interval: Optional[int] = None) -> SimResult:
+            sample_efficiency: bool = True) -> SimResult:
         """Simulate ``warmup + measure`` instructions; report the measured
-        window. The efficiency sampling interval defaults to ~1/75th of the
+        window. The efficiency sampling interval is ~1/75th of the
         measured window (the paper's 100K cycles is ~1/1000th of its 50M+
         instruction windows; we keep the same spirit at our scale)."""
-        self._simulate([(warmup, measure)], sample_efficiency,
-                       efficiency_interval)
+        self._simulate([(warmup, measure)], sample_efficiency)
         return self.threads[0].result
 
 
@@ -914,21 +909,21 @@ def build_icache(config: str) -> InstructionCacheBase:
         for suffix in ("_ghrp", "_acic", "_srrip", "_drrip", "_fifo",
                        "_random"):
             if rest.endswith(suffix):
-                size_kb = int(rest[:-len(suffix)])
+                size_kb = _number(config, rest[:-len(suffix)])
                 return ConventionalICache(
                     conventional_l1i(size_kb * 1024,
                                      replacement=suffix[1:]))
-        size_kb = int(rest)
+        size_kb = _number(config, rest)
         ways = 12 if size_kb == 192 else 8
         return ConventionalICache(conventional_l1i(size_kb * 1024, ways=ways))
     if config == "distill32":
         return DistillationICache()
     if config.startswith("small"):
-        return SmallBlockICache(block_size=int(config[5:]))
+        return SmallBlockICache(block_size=_number(config, config[5:]))
     if config == "ubs":
         return UBSICache()
     if config.startswith("ubs_budget"):
-        budget_kb = int(config[len("ubs_budget"):])
+        budget_kb = _number(config, config[len("ubs_budget"):])
         return UBSICache(ubs_params_for_budget(budget_kb * 1024))
     if config.startswith("ubs_pred_"):
         kind = config[len("ubs_pred_"):]
@@ -963,20 +958,31 @@ def build_icache(config: str) -> InstructionCacheBase:
                          predictor_config=predictor)
     if config.startswith("ubs_ways"):
         spec = config[len("ubs_ways"):]
-        n_ways, cfg = spec.split("c")
-        sizes = way_config(int(n_ways), int(cfg))
+        n_ways, _c, cfg = spec.partition("c")
+        sizes = way_config(_number(config, n_ways), _number(config, cfg))
         return UBSICache(UBSParams(way_sizes=sizes))
     if config.startswith("ubs_gap"):
-        return UBSICache(UBSParams(run_merge_gap=int(config[len("ubs_gap"):])))
+        return UBSICache(UBSParams(
+            run_merge_gap=_number(config, config[len("ubs_gap"):])))
     if config.startswith("ubs_win"):
         return UBSICache(
-            UBSParams(candidate_window=int(config[len("ubs_win"):])))
+            UBSParams(candidate_window=_number(config,
+                                               config[len("ubs_win"):])))
     if config == "ubs_ghrp":
         return UBSICache(UBSParams(replacement="ghrp"))
     if config == "ideal":
         from ..memory.ideal import IdealICache
         return IdealICache()
     raise ConfigurationError(f"unknown L1-I configuration {config!r}")
+
+
+def _number(config: str, field: str) -> int:
+    """The decimal number ``field`` of configuration name ``config``."""
+    if re.fullmatch(r"[0-9]+", field) is None:
+        raise ConfigurationError(
+            f"malformed L1-I configuration {config!r}: expected a number, "
+            f"got {field!r}")
+    return int(field)
 
 
 #: ``<base>_f<N>`` — machine-level FTQ-depth override on any L1-I config

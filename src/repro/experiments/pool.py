@@ -18,8 +18,8 @@ group, and every pair re-reads or re-generates its workload's trace.
   :meth:`ResultCache.array_trace_for`, whose columns load zero-copy
   from one buffer read. Each worker (and the inline engine) keeps a
   small LRU of :class:`~repro.trace.arrays.ArrayTrace` objects over
-  that cache (:func:`_memo_trace`), so repeat pairs of the same
-  workload read nothing.
+  that cache (:func:`repro.experiments.runner._memo_trace`), so repeat
+  pairs of the same workload read nothing.
 * **Single-flight trace generation** — for a workload whose trace is not
   on disk yet, only one "pioneer" pair is dispatched; its worker
   generates and atomically persists the trace, and the workload's
@@ -58,19 +58,14 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..stats.counters import SimResult
 from ..trace.arrays import ArrayTrace
-from ..trace.workloads import get_workload, is_smt_workload
+from ..trace.workloads import get_workload
 from .runner import ResultCache, _simulate, default_cache
 
 Pair = Tuple[str, str]
-#: progress(workload, config, done, todo_total) after each simulated pair.
-ProgressFn = Callable[[str, str, int, int], None]
-
-#: Traces memoised per worker process (and by the inline engine).
-TRACE_MEMO_LIMIT = 4
 
 #: Relative cost of a configuration family, used to order never-measured
 #: pairs longest-expected-first (sub-block designs simulate slower than
@@ -100,22 +95,6 @@ def expected_cost(pair: Pair, estimates: Dict[str, float]) -> float:
             weight = value
             break
     return weight * get_workload(pair[0]).spec.n_functions / 1000.0
-
-
-def _memo_trace(memo: "OrderedDict[str, ArrayTrace]", cache: ResultCache,
-                workload: str) -> ArrayTrace:
-    """``workload``'s columnar trace from ``memo``, an LRU of at most
-    :data:`TRACE_MEMO_LIMIT` traces over ``cache``: a miss reads (or
-    generates and persists) the trace through
-    :meth:`ResultCache.array_trace_for`."""
-    trace = memo.get(workload)
-    if trace is not None:
-        memo.move_to_end(workload)
-        return trace
-    trace = memo[workload] = cache.array_trace_for(get_workload(workload))
-    while len(memo) > TRACE_MEMO_LIMIT:
-        memo.popitem(last=False)
-    return trace
 
 
 # -- worker side --------------------------------------------------------------
@@ -196,15 +175,7 @@ def _worker_run_pair(workload: str, config: str, cache_root: str,
         # stays out of the counters.
         result = cache.load(workload, config, count=False)
         if result is None:
-            if is_smt_workload(workload):
-                # Co-run pairs have no single trace to memoise; the SMT
-                # runner pulls each component through the disk cache.
-                result = _simulate(get_workload(workload), config,
-                                   cache=cache)
-            else:
-                trace = _memo_trace(_worker_traces, cache, workload)
-                result = _simulate(get_workload(workload), config, trace)
-            cache.store(result)
+            result = _simulate(workload, config, cache, _worker_traces)
         return result
 
     if tracer is not None:
@@ -274,8 +245,7 @@ class SweepEngine:
         if self.profiler is not None:
             self.profiler.charge(stage, perf_counter() - t0)
 
-    def run(self, pairs: Iterable[Pair],
-            progress: Optional[ProgressFn] = None) -> Dict[Pair, SimResult]:
+    def run(self, pairs: Iterable[Pair]) -> Dict[Pair, SimResult]:
         """Simulate every missing pair; return results for *all* pairs."""
         prof = self.profiler
         if prof is not None:
@@ -315,9 +285,9 @@ class SweepEngine:
                 fresh: Dict[str, float] = {}
                 try:
                     if self.jobs == 1:
-                        self._run_inline(todo, results, fresh, progress)
+                        self._run_inline(todo, results, fresh)
                     else:
-                        self._run_pool(todo, results, fresh, progress)
+                        self._run_pool(todo, results, fresh)
                 finally:
                     if obs is not None:
                         obs.sweep_finished(self)
@@ -333,41 +303,26 @@ class SweepEngine:
     # -- inline (jobs == 1) ------------------------------------------------
 
     def _run_inline(self, todo: List[Pair], results: Dict[Pair, SimResult],
-                    estimates: Dict[str, float],
-                    progress: Optional[ProgressFn]) -> None:
+                    estimates: Dict[str, float]) -> None:
         cache = self.cache
         obs = self.obs
         # A persistent engine's memo survives this run, so repeat
         # requests for the same workload skip the trace read entirely.
         memo = self._memo if self.persistent else OrderedDict()
-        done = 0
         for workload, config in todo:
             if obs is not None:
                 obs.pair_started(workload, config)
-            trace = None
-            if not is_smt_workload(workload):
-                # Co-run pairs skip the memo: their component traces load
-                # through the disk cache inside the SMT runner.
-                t0 = perf_counter()
-                trace = _memo_trace(memo, cache, workload)
-                self._charge("trace", t0)
             t0 = perf_counter()
-            result = _simulate(get_workload(workload), config, trace,
-                               cache=cache)
+            result = _simulate(workload, config, cache, memo)
             self._charge("simulate", t0)
-            cache.store(result)
             self._note_done(results, estimates, workload, config, result)
-            done += 1
             if obs is not None:
                 obs.pair_done(workload, config, result)
-            if progress is not None:
-                progress(workload, config, done, len(todo))
 
     # -- process pool (jobs > 1) -------------------------------------------
 
     def _run_pool(self, todo: List[Pair], results: Dict[Pair, SimResult],
-                  estimates: Dict[str, float],
-                  progress: Optional[ProgressFn]) -> None:
+                  estimates: Dict[str, float]) -> None:
         from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
                                         wait)
 
@@ -386,7 +341,6 @@ class SweepEngine:
             else:
                 blocked.setdefault(workload, []).append((workload, config))
 
-        done = 0
         obs = self.obs
         carrier = obs.worker_carrier() if obs is not None else None
         if self.persistent:
@@ -424,11 +378,8 @@ class SweepEngine:
                         for offset, pair in enumerate(waiters):
                             heapq.heappush(ready,
                                            (base + offset,) + pair)
-                    done += 1
                     if obs is not None:
                         obs.pair_done(workload, config, result)
-                    if progress is not None:
-                        progress(workload, config, done, len(todo))
         finally:
             if not self.persistent:
                 pool.shutdown(wait=True)
@@ -443,9 +394,6 @@ class SweepEngine:
 
 
 def run_pairs(pairs: Iterable[Pair], jobs: int = 1,
-              cache: Optional[ResultCache] = None,
-              progress: Optional[ProgressFn] = None,
-              profiler=None, obs=None) -> Dict[Pair, SimResult]:
+              cache: Optional[ResultCache] = None) -> Dict[Pair, SimResult]:
     """Convenience wrapper: one :class:`SweepEngine` run."""
-    return SweepEngine(jobs=jobs, cache=cache, profiler=profiler,
-                       obs=obs).run(pairs, progress=progress)
+    return SweepEngine(jobs=jobs, cache=cache).run(pairs)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..stats.counters import SimResult
 from ..trace.workloads import PERF_FAMILIES, workload_names
 
 
@@ -36,10 +35,6 @@ def by_family(names: Sequence[str]) -> Dict[str, List[str]]:
         family = name.rsplit("_", 1)[0]
         groups.setdefault(family, []).append(name)
     return groups
-
-
-def speedup(result: SimResult, baseline: SimResult) -> float:
-    return result.speedup_over(baseline)
 
 
 def format_table(headers: Sequence[str],

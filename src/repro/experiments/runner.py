@@ -1,7 +1,16 @@
 """Cached simulation runner shared by every benchmark.
 
-``run_pair(workload, config)`` simulates one workload against one L1-I
-configuration and caches the :class:`~repro.stats.counters.SimResult` as
+Every entry point turns a (workload, config) pair into a
+:class:`~repro.stats.counters.SimResult` through two functions here:
+:func:`pair_machine` builds the machine (a
+:class:`~repro.cpu.machine.Machine`, or an :class:`~repro.smt.SMTMachine`
+for an ``smt:`` co-run; any config name, ``_f<N>`` suffix included) and
+:func:`run_machine` runs it and stamps the result. :func:`repro.simulate`,
+``python -m repro run``/``compare`` and the cached runner below call
+them; only the runner adds extras (host timing, the conv32 analysis).
+
+``run_pair(workload, config)`` simulates one pair, solo or co-run, and
+caches the :class:`~repro.stats.counters.SimResult` as
 JSON under ``.repro_cache/results/``. The cache key includes a model
 version stamp — bump :data:`RESULTS_VERSION` whenever simulator semantics
 change.
@@ -16,7 +25,7 @@ chunks and op tables every machine on the trace builds first, persisted
 by the first process that builds them and loaded by every later one
 (:mod:`repro.cpu.precompute`).
 
-Baseline ``conv32`` runs always collect the motivation-analysis extras
+Solo baseline ``conv32`` runs always collect the motivation-analysis extras
 (byte-usage histogram with end-of-run resident flush, Fig. 4 touch
 distances), so the analysis figures reuse the same simulations as the
 performance figures.
@@ -30,16 +39,20 @@ import logging
 import math
 import os
 import re
+from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from ..cpu.machine import build_machine
+from ..cpu.machine import (Core, Machine, build_icache, build_machine,
+                           split_machine_config)
 from ..cpu.precompute import SIDECARS, Sidecars
-from ..errors import TraceError
-from ..memory.icache import ConventionalICache
+from ..errors import ConfigurationError, TraceError
+from ..memory.icache import InstructionCacheBase
+from ..params import MachineParams
 from ..stats.counters import SimResult
+from ..telemetry import Telemetry
 from ..trace.arrays import ArrayTrace
 from ..trace.io import publish, read_trace, write_trace
 from ..trace.synthesis import SYNTHESIS_FORMAT
@@ -293,60 +306,115 @@ def default_cache() -> ResultCache:
     return _default_cache
 
 
-def _simulate_smt(workload: SMTWorkload, config: str,
-                  cache: Optional[ResultCache] = None) -> SimResult:
-    """Simulate an ``smt:`` co-run pair: component traces load through
-    the ordinary trace cache, each becomes one hardware thread of an
-    :class:`repro.smt.SMTMachine`, and the composite result carries each
-    thread's own :class:`SimResult` under ``extra["threads"]``."""
-    from ..smt import build_smt_machine
+# -- one (workload, config) pair (see the module docstring) -------------------
 
-    if cache is None:
-        cache = default_cache()
-    components = workload.component_workloads()
-    traces = [cache.array_trace_for(w) for w in components]
-    windows = [w.windows() for w in components]
-    machine = build_smt_machine(traces, config, policy=workload.policy)
-    t0 = perf_counter()
-    result = machine.run(windows)
-    wall = perf_counter() - t0
+def machine_parts(config: str, params: Optional[MachineParams] = None
+                  ) -> Tuple[InstructionCacheBase, Optional[MachineParams]]:
+    """The L1-I that ``config`` names and the machine parameters of its
+    ``_f<N>`` FTQ-depth suffix, or ``params`` instead; a name with a
+    suffix and explicit ``params`` is an error. Raises
+    :class:`~repro.errors.ConfigurationError` for any name it cannot
+    build."""
+    base, override = split_machine_config(config)
+    if override is not None and params is not None:
+        raise ConfigurationError(
+            f"configuration {config!r} carries a machine-level suffix; "
+            "pass either the suffix or explicit params, not both")
+    return build_icache(base), override if params is None else params
+
+
+def pair_machine(workload: Workload, config: str,
+                 traces: Sequence[ArrayTrace],
+                 params: Optional[MachineParams] = None,
+                 telemetry: Optional[Telemetry] = None) -> Core:
+    """The machine simulating ``config`` on ``workload`` over ``traces``
+    (one per :meth:`~repro.trace.workloads.Workload.component_workloads`
+    entry): for a co-run an
+    :class:`~repro.smt.SMTMachine` with its arbitration policy, else a
+    :class:`~repro.cpu.machine.Machine`. See :func:`machine_parts` for
+    ``config`` and ``params``."""
+    if not isinstance(workload, SMTWorkload):
+        if params is None:
+            return build_machine(traces[0], config, telemetry)
+        return Machine(traces[0], *machine_parts(config, params), telemetry)
+    from .. import smt      # solo runs never load the SMT package
+
+    if params is None:
+        return smt.build_smt_machine(traces, config, telemetry,
+                                     policy=workload.policy)
+    return smt.SMTMachine(traces, *machine_parts(config, params), telemetry,
+                          workload.policy)
+
+
+def run_machine(machine: Core, workload: Workload, config: str,
+                sample_efficiency: bool = True) -> SimResult:
+    """Run a :func:`pair_machine` machine over each thread's
+    ``(warmup, measure)`` windows; its result carries ``workload``'s name
+    and ``config``, and so does each thread's result of a co-run (under
+    ``extra["threads"]``, with the thread's own workload name)."""
+    threads = workload.component_workloads()
+    windows = [w.windows() for w in threads]
+    if isinstance(workload, SMTWorkload):
+        result = machine.run(windows, sample_efficiency)
+        for thread, tdict in zip(threads, result.extra["threads"]):
+            tdict["workload"] = thread.name
+            tdict["config"] = config
+    else:
+        result = machine.run(*windows[0], sample_efficiency)
     result.workload = workload.name
     result.config = config
-    for comp, tdict in zip(components, result.extra["threads"]):
-        tdict["workload"] = comp.name
-        tdict["config"] = config
-    result.extra["sim_wall_seconds"] = round(wall, 6)
-    if wall > 0:
-        result.extra["sim_cycles_per_sec"] = round(result.cycles / wall)
-        result.extra["sim_instrs_per_sec"] = round(
-            result.instructions / wall)
     return result
 
 
-def _simulate(workload: Workload, config: str,
-              trace: Optional[ArrayTrace] = None,
-              cache: Optional[ResultCache] = None) -> SimResult:
-    if isinstance(workload, SMTWorkload):
-        return _simulate_smt(workload, config, cache)
-    if trace is None:
-        trace = default_cache().array_trace_for(workload)
-    warmup, measure = workload.windows()
-    machine = build_machine(trace, config)
+# -- the cached runner ---------------------------------------------------------
+
+#: Traces memoised per pool worker process (and by the inline engine).
+TRACE_MEMO_LIMIT = 4
+
+
+def _memo_trace(memo: "OrderedDict[str, ArrayTrace]", cache: ResultCache,
+                workload: Workload) -> ArrayTrace:
+    """``workload``'s columnar trace from ``memo``, an LRU of at most
+    :data:`TRACE_MEMO_LIMIT` traces over ``cache``: a miss reads (or
+    generates and persists) the trace through
+    :meth:`ResultCache.array_trace_for`."""
+    trace = memo.get(workload.name)
+    if trace is not None:
+        memo.move_to_end(workload.name)
+        return trace
+    trace = memo[workload.name] = cache.array_trace_for(workload)
+    while len(memo) > TRACE_MEMO_LIMIT:
+        memo.popitem(last=False)
+    return trace
+
+
+def _simulate(workload_name: str, config: str, cache: ResultCache,
+              memo: Optional["OrderedDict[str, ArrayTrace]"] = None
+              ) -> SimResult:
+    """Simulate one pair, solo or co-run, on traces from ``cache`` looked
+    up through ``memo`` (see :func:`_memo_trace`; a fresh one when None),
+    add the runner's extras (host timing; for a solo ``conv32`` run the
+    motivation analysis) and store the result in ``cache``."""
+    workload = get_workload(workload_name)
+    if memo is None:
+        memo = OrderedDict()
+    traces = [_memo_trace(memo, cache, w)
+              for w in workload.component_workloads()]
+    machine = pair_machine(workload, config, traces)
     icache = machine.icache
-    analysis = isinstance(icache, ConventionalICache) and config == "conv32"
+    analysis = config == "conv32" and len(traces) == 1
     if analysis:
         icache.track_touch_distance = True
     t0 = perf_counter()
-    result = machine.run(warmup, measure)
+    result = run_machine(machine, workload, config)
     wall = perf_counter() - t0
-    result.workload = workload.name
-    result.config = config
     # Simulator throughput for the host-performance baseline: every
     # benchmark JSON records how fast this run simulated.
     result.extra["sim_wall_seconds"] = round(wall, 6)
     if wall > 0:
         result.extra["sim_cycles_per_sec"] = round(result.cycles / wall)
-        result.extra["sim_instrs_per_sec"] = round(measure / wall)
+        result.extra["sim_instrs_per_sec"] = round(
+            result.instructions / wall)
     if analysis:
         # End-of-run flush so low-MPKI workloads (whose blocks are never
         # evicted) still contribute lifetime byte-usage counts.
@@ -355,17 +423,14 @@ def _simulate(workload: Workload, config: str,
         result.extra["touch_distance"] = {
             str(n): icache.touch_distance.fraction(n) for n in range(1, 5)
         }
+    cache.store(result)
     return result
 
 
-def run_pair(workload_name: str, config: str,
-             trace: Optional[ArrayTrace] = None) -> SimResult:
+def run_pair(workload_name: str, config: str) -> SimResult:
     """Cached simulation of one (workload, config) pair."""
     cache = default_cache()
     hit = cache.load(workload_name, config)
     if hit is not None:
         return hit
-    result = _simulate(get_workload(workload_name), config, trace)
-    cache.store(result)
-    return result
-
+    return _simulate(workload_name, config, cache)

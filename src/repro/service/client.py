@@ -256,8 +256,7 @@ class RemoteEngine:
             return 0.0
         return self.pairs_simulated * 60.0 / self.fill_seconds
 
-    def run(self, pairs: Iterable[Pair],
-            progress=None) -> Dict[Pair, SimResult]:
+    def run(self, pairs: Iterable[Pair]) -> Dict[Pair, SimResult]:
         """Run every pair through the daemon; mirrors
         ``SweepEngine.run`` (dedup, results for all pairs, obs hook
         sequence, ``pairs_simulated`` / ``fill_seconds``)."""
@@ -295,7 +294,7 @@ class RemoteEngine:
             job_id = self.client.submit(
                 ordered, carrier=carrier,
                 deadline_seconds=self.deadline_seconds)
-            info = self._drain(job_id, todo, progress)
+            info = self._drain(job_id)
         finally:
             if sweeping:
                 obs.sweep_finished(self)
@@ -311,10 +310,9 @@ class RemoteEngine:
         self.fill_seconds = time.perf_counter() - start
         return results
 
-    def _drain(self, job_id: str, todo: List[Pair],
-               progress) -> Dict[str, Any]:
+    def _drain(self, job_id: str) -> Dict[str, Any]:
         """Poll ``wait`` until terminal, feeding each newly completed
-        pair to the obs hooks / legacy progress callback."""
+        pair to the obs hooks."""
         obs = self.obs
         reported = 0
         while True:
@@ -328,7 +326,5 @@ class RemoteEngine:
                     obs.pair_done(workload, config, SimpleNamespace(
                         extra={"sim_wall_seconds":
                                entry.get("sim_wall_seconds", 0.0)}))
-                if progress is not None:
-                    progress(workload, config, reported, len(todo))
             if info["status"] not in ("queued", "running"):
                 return info

@@ -61,7 +61,8 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..experiments.pool import SweepEngine, estimate_key
-from ..experiments.runner import RESULTS_VERSION, ResultCache, default_cache
+from ..experiments.runner import (RESULTS_VERSION, ResultCache,
+                                  default_cache, machine_parts)
 from ..obs.hooks import ProgressObs
 from ..jsonl import append_record, read_records
 from ..obs.spans import Tracer
@@ -456,8 +457,6 @@ class ServiceServer:
     def _validate_pairs(pairs: List[Pair]) -> Optional[str]:
         """Cheap submit-time validation so a typo fails the submitting
         client instead of poisoning a shared batch."""
-        from ..cpu.machine import build_icache, split_machine_config
-
         known = None
         for workload in {w for w, _c in pairs}:
             if is_imported_workload(workload):
@@ -478,8 +477,7 @@ class ServiceServer:
                 return f"unknown workload {workload!r}"
         for config in {c for _w, c in pairs}:
             try:
-                icache_name, _machine = split_machine_config(config)
-                build_icache(icache_name)
+                machine_parts(config)
             except ConfigurationError as exc:
                 return f"bad config {config!r}: {exc}"
         return None

@@ -74,8 +74,7 @@ class SMTMachine(Core):
         return out
 
     def run(self, windows: Sequence[Tuple[int, int]],
-            sample_efficiency: bool = True,
-            efficiency_interval: Optional[int] = None) -> SimResult:
+            sample_efficiency: bool = True) -> SimResult:
         """Simulate every thread's ``(warmup, measure)`` window.
 
         One thread: the result of ``Machine.run(warmup, measure)``.
@@ -85,7 +84,7 @@ class SMTMachine(Core):
         and no efficiency samples (the shared cache cannot be attributed
         per thread).
         """
-        self._simulate(windows, sample_efficiency, efficiency_interval)
+        self._simulate(windows, sample_efficiency)
         threads = self.threads
         if len(threads) == 1:
             return threads[0].result

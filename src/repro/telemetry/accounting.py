@@ -1,7 +1,7 @@
 """Stall accounting: turn an event trace into a cycle-level breakdown.
 
 :class:`StallAccounting` consumes ``stall`` events (and the trailing
-``run_summary`` event when present) and answers the questions the paper's
+``run_summary`` events when present) and answers the questions the paper's
 front-end analysis asks: how many cycles went to each stall cause, how
 long individual stalls were (interval histogram, bucketed by powers of
 two), and which fetch addresses stalled the most (top-N PCs). Per-cause
@@ -48,7 +48,19 @@ class StallAccounting:
         are ignored, so a full mixed trace can be streamed through."""
         self.events_seen += 1
         if event.kind == RUN_SUMMARY:
-            self.summary = dict(event.fields)
+            summary = dict(event.fields)
+            prior = self.summary
+            if prior is not None:
+                # A co-run ends with one summary per hardware thread, as
+                # its SimResult does: counters sum over the threads and
+                # the run spans the longest one.
+                for key in ("instructions", "fetch_stall_cycles",
+                            "mispredict_stall_cycles"):
+                    summary[key] = int(prior.get(key, 0)) \
+                        + int(summary.get(key, 0))
+                summary["cycles"] = max(int(prior.get("cycles", 0)),
+                                        int(summary.get("cycles", 0)))
+            self.summary = summary
             return
         if event.kind != STALL:
             return

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import gzip
 import os
-import tempfile
+import secrets
 from pathlib import Path
 from typing import BinaryIO, Callable, Union
 
@@ -55,17 +55,17 @@ def publish(path: PathLike, write: Callable[[str], object]) -> None:
     uniquely named temp file in ``path``'s directory, which is then
     renamed over ``path`` (and deleted if ``write`` raises). Concurrent
     publishers of the same file never expose a partial one; the last
-    rename wins."""
-    path = Path(path)
-    fh = tempfile.NamedTemporaryFile(
-        "wb", dir=path.parent, prefix=path.name + ".", suffix=".tmp",
-        delete=False)
-    fh.close()
+    rename wins. The file's mode is ``0o666`` less the process umask, as
+    for any file ``open`` creates, so a cache directory shared between
+    users stays readable to them."""
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    # Not tempfile: its files are 0600 whatever the umask.
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
     try:
-        write(fh.name)
-        os.replace(fh.name, path)
+        write(tmp)
+        os.replace(tmp, path)
     except BaseException:
-        os.unlink(fh.name)
+        os.unlink(tmp)
         raise
 
 

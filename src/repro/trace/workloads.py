@@ -86,6 +86,10 @@ class Workload:
         warmup, measure = self.windows()
         return generate_trace(self.spec, warmup + measure)
 
+    def component_workloads(self) -> List["Workload"]:
+        """The workloads run as hardware threads, one trace each."""
+        return [self]
+
 
 # -- imported (ChampSim) workloads -------------------------------------------
 
@@ -204,6 +208,7 @@ class SMTWorkload(Workload):
     policy: str = "rr"
 
     def component_workloads(self) -> List[Workload]:
+        """One thread per component workload."""
         return [get_workload(c) for c in self.components]
 
     def generate(self) -> ArrayTrace:

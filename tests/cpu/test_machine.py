@@ -166,3 +166,13 @@ class TestBuildICache:
     def test_unknown_config(self):
         with pytest.raises(ConfigurationError):
             build_icache("l4_quantum_cache")
+
+    @pytest.mark.parametrize("config", [
+        "conv32_x", "convX", "conv", "small_x", "ubs_budgetX", "ubs_waysXc1",
+        "ubs_ways10", "ubs_ways10c", "ubs_gapX", "ubs_gap-1", "ubs_winX"])
+    def test_malformed_number_is_configuration_error(self, config):
+        """A name whose number does not parse is a bad configuration,
+        not a bare ValueError (the daemon's submit check catches only
+        ConfigurationError)."""
+        with pytest.raises(ConfigurationError, match="malformed"):
+            build_icache(config)

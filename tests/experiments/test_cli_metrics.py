@@ -77,7 +77,7 @@ class _StubRemoteEngine:
         self.pairs_simulated = 0
         self.pairs_per_min = 0.0
 
-    def run(self, pairs, progress=None):
+    def run(self, pairs):
         self.pairs_simulated = len(pairs)
         return {}
 

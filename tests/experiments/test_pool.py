@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.runner as runner_mod
+from repro.obs.hooks import ProgressObs
 from repro.experiments.pool import (SweepEngine, estimate_key, expected_cost,
                                     run_pairs)
 from repro.experiments.runner import ResultCache
@@ -106,9 +107,9 @@ class TestScheduling:
         calls = []
         real = runner_mod._simulate
 
-        def counting(workload, config, trace=None, cache=None):
-            calls.append((workload.name, config))
-            return real(workload, config, trace, cache=cache)
+        def counting(workload, config, cache, memo=None):
+            calls.append((workload, config))
+            return real(workload, config, cache, memo)
 
         import repro.experiments.pool as pool_mod
         monkeypatch.setattr(pool_mod, "_simulate", counting)
@@ -151,13 +152,6 @@ class TestScheduling:
         warm = SweepEngine(jobs=1, cache=engine.cache)
         warm.run(PAIRS[:2])
         assert warm.pairs_simulated == 0
-
-    def test_progress_callback(self, tmp_path):
-        seen = []
-        engine = _engine(tmp_path, "prog", jobs=1)
-        engine.run(PAIRS, progress=lambda w, c, d, t: seen.append((d, t)))
-        assert seen[-1] == (4, 4)
-        assert [d for d, _ in seen] == [1, 2, 3, 4]
 
     def test_profiler_charged(self, tmp_path):
         from repro.telemetry.profiler import StageProfiler
@@ -255,17 +249,26 @@ class TestPersistent:
         shared-memory segment while it runs."""
         before = _shm_entries()
         seen = []
+
+        class SampleShm(ProgressObs):
+            """Samples /dev/shm as each pair of the warm sweep lands."""
+
+            def pair_done(self, workload, config, result=None):
+                if sampling:
+                    seen.append(_shm_entries())
+
+        sampling = False
         engine = SweepEngine(jobs=2, cache=ResultCache(tmp_path / "p"),
-                             persistent=True)
+                             obs=SampleShm(), persistent=True)
         with engine:
             engine.run(PAIRS)              # pioneer runs generate traces
             pool = engine._pool
             assert pool is not None
+            sampling = True
             engine.run([("server_000", "conv64"),
                         ("server_000", "small16"),
                         ("client_000", "conv64"),
-                        ("client_000", "small16")],
-                       progress=lambda *_: seen.append(_shm_entries()))
+                        ("client_000", "small16")])
             assert engine._pool is pool    # same warm pool
             assert engine.pairs_simulated == 4
         assert seen == [before] * 4

@@ -339,12 +339,7 @@ class TestPrecomputeSidecars:
         monkeypatch.setattr(precompute_mod, "_fingerprint", None)
 
     def _simulate(self, cache, workload, config):
-        from repro.trace.workloads import get_workload
-
-        wl = get_workload(workload)
-        trace = None if workload.startswith("smt:") \
-            else cache.array_trace_for(wl)
-        return runner_mod._simulate(wl, config, trace, cache=cache)
+        return runner_mod._simulate(workload, config, cache)
 
     def _cold_then_again(self, isolated_cache, workload, config):
         cold = self._simulate(isolated_cache, workload, config)
@@ -474,3 +469,75 @@ class TestPrecomputeSidecars:
 
         build_machine(get_workload("client_000").generate(), "conv32")
         assert list(isolated_cache.root.rglob("*.derived")) == []
+
+
+#: The runner's conv32 motivation-analysis extras (repro.simulate adds none).
+ANALYSIS = ("byte_usage_counts", "touch_distance")
+
+
+def _without_runner_extras(data):
+    """A result dict without the runner's host-timing and analysis
+    extras, in each co-run thread's result too."""
+    for extra in [data["extra"]] + [t["extra"]
+                                    for t in data["extra"].get("threads", ())]:
+        for key in VOLATILE + ANALYSIS:
+            extra.pop(key, None)
+    return data
+
+
+class TestOnePath:
+    """The runner, repro.simulate and the CLI build and run a pair through
+    the same pair_machine/run_machine path."""
+
+    @pytest.mark.parametrize("workload,config", [
+        ("client_000", "conv32"), ("smt:client_000+spec_000", "ubs_f64"),
+        # Both threads share one memoised trace object in the runner.
+        ("smt:client_000+client_000", "conv32")])
+    def test_run_pair_equals_simulate(self, workload, config):
+        import repro
+
+        cached = _without_runner_extras(run_pair(workload, config).to_dict())
+        assert cached == repro.simulate(workload, config).to_dict()
+
+    def test_conv32_analysis_only_in_runner(self):
+        import repro
+
+        assert set(ANALYSIS) <= set(run_pair("client_000", "conv32").extra)
+        assert not set(ANALYSIS) & set(
+            repro.simulate("client_000", "conv32").extra)
+
+    @pytest.mark.parametrize("workload", [
+        "client_000", "smt:client_000+spec_000"])
+    def test_traces_come_from_the_given_cache(self, tmp_path, workload):
+        """Solo and co-run pairs both read and write the traces of the
+        cache they are given, not the default cache."""
+        from repro.trace.workloads import get_workload
+
+        given = ResultCache(tmp_path / "given")
+        runner_mod._simulate(workload, "conv32", given)
+        for thread in get_workload(workload).component_workloads():
+            assert given._trace_path(thread).exists()
+        assert not list((runner_mod.default_cache().root / "traces").iterdir())
+
+    def test_suffix_and_params_together_rejected(self):
+        from repro.errors import ConfigurationError
+        from repro.params import MachineParams
+
+        with pytest.raises(ConfigurationError, match="either the suffix"):
+            runner_mod.machine_parts("ubs_f16", MachineParams())
+
+
+class TestFileModes:
+    def test_cache_files_honour_umask(self, isolated_cache):
+        """Results, traces and sidecars are created like any other file:
+        0644 under umask 022 (not tempfile's 0600)."""
+        import os
+
+        old = os.umask(0o022)
+        try:
+            run_pair("client_000", "conv32")
+        finally:
+            os.umask(old)
+        files = [p for p in isolated_cache.root.rglob("*") if p.is_file()]
+        assert {p.suffix for p in files} == {".json", ".atrace", ".derived"}
+        assert {p.stat().st_mode & 0o777 for p in files} == {0o644}

@@ -98,10 +98,14 @@ class TestEta:
         progress.pair_done("w1", "c")
         assert progress.eta_seconds() >= 0.0
 
-    def test_partial_sidecar_counts_uncovered_pairs(self):
+    def test_partial_sidecar_counts_uncovered_pairs(self, monkeypatch):
         # Regression: with a sidecar covering only some scheduled pairs,
         # the uncovered ones used to contribute 0s and the ETA collapsed
         # to near zero as soon as the covered pairs finished.
+        import repro.obs.progress as progress_mod
+
+        clock = [100.0]
+        monkeypatch.setattr(progress_mod, "perf_counter", lambda: clock[0])
         progress = SweepProgress(stream=io.StringIO(), tty=False)
         pairs = [("w1", "c"), ("w2", "c"), ("w3", "c"), ("w4", "c")]
         costs = {("w1", "c"): 10.0, ("w2", "c"): 10.0}   # half covered
@@ -109,18 +113,14 @@ class TestEta:
         # Before anything finishes, uncovered pairs are priced at the
         # mean sidecar cost instead of zero.
         assert progress.eta_seconds() == 10.0 + 10.0 + 2 * 10.0
-        # Both covered pairs finish; two uncovered pairs remain. The old
-        # model said ~0s here.
+        # Both covered pairs finish 8 s in; two uncovered pairs remain.
+        # The old model said ~0s here.
+        clock[0] = 108.0
         progress.pair_done("w1", "c", wall_seconds=20.0)
         progress.pair_done("w2", "c", wall_seconds=20.0)
-        eta = progress.eta_seconds()
-        assert eta > 0.0
-        # Extrapolated from the measured completion rate: 2 pairs remain
-        # at the pace the first two completed at.
-        rate = progress.done / max(1e-9,
-                                   __import__("time").perf_counter()
-                                   - progress._started)
-        assert eta == __import__("pytest").approx(2 / rate, rel=0.25)
+        # Extrapolated from the measured completion rate (2 pairs in
+        # 8 s): the 2 remaining pairs take 8 s more.
+        assert progress.eta_seconds() == 8.0
 
     def test_partial_sidecar_mean_calibrates(self):
         # Uncovered-pair pricing follows the measured-pace calibration

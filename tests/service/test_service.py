@@ -202,6 +202,14 @@ class TestValidationAndLifecycle:
                 client.request("submit",
                                pairs=[["server_000", "no_such_config"]])
 
+    def test_malformed_config_rejected(self, server):
+        """A name build_icache cannot parse is a "bad config" answer, not
+        an internal error."""
+        with pytest.raises(ServiceError, match="bad config 'conv32_x'"):
+            with ServiceClient(server.address) as client:
+                client.request("submit", pairs=[["server_000", "conv32_x"]])
+        assert server.stats["jobs_submitted"] == 0
+
     def test_scale_mismatch_rejected(self, server):
         with pytest.raises(ServiceError, match="scale mismatch"):
             with ServiceClient(server.address) as client:

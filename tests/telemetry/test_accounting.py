@@ -77,3 +77,19 @@ class TestRealRun:
         assert acct.summary is not None
         assert acct.summary["cycles"] == result.cycles
         assert acct.summary["instructions"] == result.instructions
+
+    def test_corun_summaries_sum_over_threads(self, monkeypatch):
+        """A co-run trace ends with one run summary per hardware thread;
+        the accounting checks its stall events against their sum and
+        reports the co-run's span and instructions."""
+        import repro
+
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        recorder = EventTrace()
+        result = repro.simulate("smt:spec_000+client_000", "ubs",
+                                telemetry=repro.Telemetry(recorder))
+        acct = StallAccounting.from_events(recorder)
+        assert acct.validate_against_summary() == {}
+        assert acct.cause_cycles["miss"] == result.frontend.fetch_stall_cycles
+        assert acct.summary["cycles"] == result.cycles
+        assert acct.summary["instructions"] == result.instructions

@@ -70,10 +70,10 @@ class TestTelemetryCLI:
     def test_report_totals_match_run(self, capsys, tmp_path):
         """Acceptance: report sums equal the run's FrontEndStats."""
         import re
-        from repro.__main__ import _run_one
+        import repro
         from repro.telemetry import EventTrace, Telemetry
         tel = Telemetry(EventTrace())
-        result, _, _ = _run_one("spec_000", "ubs", telemetry=tel)
+        result = repro.simulate("spec_000", "ubs", telemetry=tel)
         from repro.__main__ import _export_trace
         trace = tmp_path / "t.jsonl"
         _export_trace(tel.recorder, result, str(trace))
@@ -122,3 +122,41 @@ class TestTelemetryCLI:
                                 instructions=0, cycles=0))
         out = capsys.readouterr().out
         assert "icache-stall" in out  # no ZeroDivisionError
+
+
+class TestSharedPath:
+    """``run`` and ``compare`` build and run a pair as repro.simulate
+    does, so they take every name it takes: ``_f<N>`` suffixes and
+    ``smt:`` co-runs."""
+
+    @pytest.fixture(autouse=True)
+    def small_scale(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+
+    @pytest.mark.parametrize("workload,config", [
+        ("server_000", "conv32_f16"),
+        ("smt:server_000+client_000", "ubs"),
+        ("smt:server_000+client_000", "ubs_f64"),
+    ])
+    def test_run_json_equals_simulate(self, capsys, workload, config):
+        import json
+
+        import repro
+        assert main(["run", workload, config, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        expected = repro.simulate(workload, config).to_dict()
+        assert payload == json.loads(json.dumps(expected))
+
+    def test_compare_corun(self, capsys):
+        import json
+
+        import repro
+        workload = "smt:server_000+client_000"
+        assert main(["compare", workload, "conv32", "ubs_f64",
+                     "--json"]) == 0
+        base, other = json.loads(capsys.readouterr().out)
+        assert "speedup" in other and "stall_coverage" in other
+        del other["speedup"], other["stall_coverage"]
+        for payload, config in ((base, "conv32"), (other, "ubs_f64")):
+            expected = repro.simulate(workload, config).to_dict()
+            assert payload == json.loads(json.dumps(expected))
