@@ -86,11 +86,6 @@ class BranchProfile:
     def taken_fraction(self) -> float:
         return self.taken / self.branches if self.branches else 0.0
 
-    @property
-    def conditional_taken_fraction(self) -> float:
-        return (self.conditional_taken / self.conditional
-                if self.conditional else 0.0)
-
 
 def branch_profile(trace: ArrayTrace) -> BranchProfile:
     branches = taken = cond = cond_taken = 0

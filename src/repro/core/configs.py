@@ -109,9 +109,13 @@ def ubs_params_for_budget(budget: int,
     Mirrors Section VI-F: the way-size profile is kept and the set count is
     scaled (64 sets ~ the default ~32 KB-budget point). Non-power-of-two
     budgets such as 20 KB are approximated by the closest not-larger
-    power-of-two set count with a proportionally trimmed way list.
+    power-of-two set count with a proportionally trimmed way list. A
+    budget smaller than one set raises :class:`ConfigurationError`.
     """
     per_set = base.data_bytes_per_set
+    if budget < per_set:
+        raise ConfigurationError(
+            f"budget {budget} smaller than one UBS set ({per_set} bytes)")
     exact_sets = budget / per_set
     sets = 1
     while sets * 2 <= exact_sets:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.configs import (
     DATA_BUDGET_BYTES,
@@ -292,7 +292,3 @@ class DesignSpace:
         unique.sort()
         return unique
 
-
-def iter_space_points(space: DesignSpace) -> Iterator[DesignPoint]:
-    """Convenience iterator over the grid (small spaces only)."""
-    return iter(space.grid())

@@ -8,11 +8,10 @@ group, and every pair re-reads or re-generates its workload's trace.
 
 * **Pair-granular dynamic load balancing** — every missing (workload,
   config) pair is an independent task pulled from one global queue the
-  moment a worker frees up, ordered longest-expected-first using the
-  measured ``sim_wall_seconds`` of previous runs (persisted in the
-  result cache's ``estimates__s<scale>.json`` sidecar, with a
-  footprint×config heuristic for never-seen pairs). No straggler group
-  can serialise the tail of the fill.
+  moment a worker frees up, ordered longest-expected-first by
+  :func:`expected_cost`, a workload-footprint × config-family
+  heuristic. No straggler group can serialise the tail of the fill.
+  The same costs seed the live progress ETA.
 * **One trace hand-off: the on-disk trace cache** — a trace crosses a
   process boundary only as the ``.atrace`` file of
   :meth:`ResultCache.array_trace_for`, whose columns load zero-copy
@@ -67,8 +66,8 @@ from .runner import ResultCache, _simulate, default_cache
 
 Pair = Tuple[str, str]
 
-#: Relative cost of a configuration family, used to order never-measured
-#: pairs longest-expected-first (sub-block designs simulate slower than
+#: Relative cost of a configuration family, used to order cold pairs
+#: longest-expected-first (sub-block designs simulate slower than
 #: conventional caches; the ideal cache skips most of the memory model).
 _CONFIG_WEIGHTS = (
     ("ideal", 0.5),
@@ -79,16 +78,16 @@ _CONFIG_WEIGHTS = (
 )
 
 
-def estimate_key(workload: str, config: str) -> str:
+def pair_key(workload: str, config: str) -> str:
+    """The ``workload::config`` name of a pair (span attributes, the
+    daemon's result keys, ``--pairs`` filters)."""
     return f"{workload}::{config}"
 
 
-def expected_cost(pair: Pair, estimates: Dict[str, float]) -> float:
-    """Expected wall seconds of a pair: measured when available, else a
-    footprint×config-weight heuristic (only the ordering matters)."""
-    est = estimates.get(estimate_key(*pair))
-    if est is not None:
-        return est
+def expected_cost(pair: Pair) -> float:
+    """Relative simulation cost of a pair: the workload's code footprint
+    (function count) times its config family's weight. The engine orders
+    cold pairs by it; the progress ETA calibrates it to seconds."""
     weight = 1.0
     for prefix, value in _CONFIG_WEIGHTS:
         if pair[1].startswith(prefix):
@@ -180,7 +179,7 @@ def _worker_run_pair(workload: str, config: str, cache_root: str,
 
     if tracer is not None:
         with tracer.span("pair", workload=workload, config=config,
-                         key=estimate_key(workload, config)):
+                         key=pair_key(workload, config)):
             result = run()
     else:
         result = run()
@@ -274,26 +273,19 @@ class SweepEngine:
 
             self.pairs_simulated = len(todo)
             if todo:
-                estimates = cache.load_estimates()
-                todo.sort(key=lambda p: -expected_cost(p, estimates))
+                costs = {p: expected_cost(p) for p in todo}
+                todo.sort(key=lambda p: -costs[p])
                 obs = self.obs
                 if obs is not None:
-                    obs.sweep_started(
-                        todo, len(ordered),
-                        {p: expected_cost(p, estimates) for p in todo},
-                        self.jobs)
-                fresh: Dict[str, float] = {}
+                    obs.sweep_started(todo, len(ordered), costs, self.jobs)
                 try:
                     if self.jobs == 1:
-                        self._run_inline(todo, results, fresh)
+                        self._run_inline(todo, results)
                     else:
-                        self._run_pool(todo, results, fresh)
+                        self._run_pool(todo, results)
                 finally:
                     if obs is not None:
                         obs.sweep_finished(self)
-                t0 = perf_counter()
-                cache.store_estimates(fresh)
-                self._charge("store", t0)
             self.fill_seconds = perf_counter() - start
             return results
         finally:
@@ -302,8 +294,8 @@ class SweepEngine:
 
     # -- inline (jobs == 1) ------------------------------------------------
 
-    def _run_inline(self, todo: List[Pair], results: Dict[Pair, SimResult],
-                    estimates: Dict[str, float]) -> None:
+    def _run_inline(self, todo: List[Pair],
+                    results: Dict[Pair, SimResult]) -> None:
         cache = self.cache
         obs = self.obs
         # A persistent engine's memo survives this run, so repeat
@@ -315,14 +307,14 @@ class SweepEngine:
             t0 = perf_counter()
             result = _simulate(workload, config, cache, memo)
             self._charge("simulate", t0)
-            self._note_done(results, estimates, workload, config, result)
+            results[(workload, config)] = result
             if obs is not None:
                 obs.pair_done(workload, config, result)
 
     # -- process pool (jobs > 1) -------------------------------------------
 
-    def _run_pool(self, todo: List[Pair], results: Dict[Pair, SimResult],
-                  estimates: Dict[str, float]) -> None:
+    def _run_pool(self, todo: List[Pair],
+                  results: Dict[Pair, SimResult]) -> None:
         from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
                                         wait)
 
@@ -370,8 +362,7 @@ class SweepEngine:
                     for key, count in delta.items():
                         cache.counters[key] += count
                     result = SimResult.from_dict(payload)
-                    self._note_done(results, estimates, workload, config,
-                                    result)
+                    results[(workload, config)] = result
                     waiters = blocked.pop(workload, None)
                     if waiters:      # pioneer done: trace is on disk now
                         base = len(todo)
@@ -383,14 +374,6 @@ class SweepEngine:
         finally:
             if not self.persistent:
                 pool.shutdown(wait=True)
-
-    @staticmethod
-    def _note_done(results, estimates, workload, config,
-                   result: SimResult) -> None:
-        results[(workload, config)] = result
-        wall = result.extra.get("sim_wall_seconds")
-        if wall:
-            estimates[estimate_key(workload, config)] = wall
 
 
 def run_pairs(pairs: Iterable[Pair], jobs: int = 1,

@@ -19,8 +19,9 @@ workload ``champsim:PATH`` against the core configurations, scheduled
 through the same engine as the synthetic suite.
 
 Progress is rendered live — a redrawing status line (done/total, cache
-hits, in-flight pairs, an ETA calibrated from the estimates sidecar) on
-a TTY, one plain line per pair otherwise. With ``--obs-dir DIR`` (or
+hits, in-flight pairs, an ETA from the engine's per-pair cost model,
+calibrated by the pairs already done) on a TTY, one plain line per pair
+otherwise. With ``--obs-dir DIR`` (or
 ``REPRO_OBS_DIR``) the fill additionally writes a full run directory —
 ``manifest.json``, cross-process ``spans.jsonl``, worker heartbeats and
 a final ``metrics.json`` — that ``python -m repro.obs report`` / ``tail``
@@ -35,7 +36,7 @@ import sys
 from typing import List, Tuple
 
 from ..trace.workloads import WorkloadFamily, workload_names
-from .pool import estimate_key
+from .pool import pair_key
 from .report import perf_workloads
 from .session import RunSession, add_session_arguments
 
@@ -127,7 +128,7 @@ def main(argv: List[str]) -> int:
             pairs.append((IMPORT_PREFIX + path, config))
     if opts.pairs is not None:
         pairs = [(w, c) for w, c in pairs
-                 if opts.pairs.search(estimate_key(w, c))]
+                 if opts.pairs.search(pair_key(w, c))]
     if opts.list:
         for w, c in pairs:
             print(w, c)

@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import re
 from collections import OrderedDict
@@ -57,8 +56,7 @@ from ..trace.arrays import ArrayTrace
 from ..trace.io import publish, read_trace, write_trace
 from ..trace.synthesis import SYNTHESIS_FORMAT
 from ..trace.workloads import (SMTWorkload, Workload, get_workload,
-                               is_imported_workload, is_smt_workload,
-                               scale_factor)
+                               is_imported_workload, scale_factor)
 
 #: Bump when any change alters simulation results.
 RESULTS_VERSION = 9
@@ -145,10 +143,6 @@ class ResultCache:
             stem += "__" + hashlib.blake2s(key.encode()).hexdigest()[:10]
         return self.root / "traces" / f"{stem}.atrace"
 
-    def _estimates_path(self) -> Path:
-        scale = scale_factor()
-        return self.root / f"estimates__s{scale:g}.json"
-
     def has(self, workload: str, config: str) -> bool:
         """Whether a cached entry for the pair exists, without reading
         (or counting) it — a cheap peek for callers that only need to
@@ -193,75 +187,7 @@ class ResultCache:
         # rename it over the destination.
         path = self._result_path(result.workload, result.config)
         payload = json.dumps(result.to_dict(), sort_keys=True)
-        self._atomic_write(path, payload)
-
-    @staticmethod
-    def _atomic_write(path: Path, text: str) -> None:
-        publish(path, lambda tmp: Path(tmp).write_text(text))
-
-    # -- host timing estimates (sweep-engine scheduling) -------------------
-
-    @staticmethod
-    def _valid_estimate(key, value) -> bool:
-        """An estimate entry the scheduler can use: a ``workload::config``
-        key and a finite positive wall time."""
-        if not isinstance(key, str) or "::" not in key:
-            return False
-        try:
-            seconds = float(value)
-        except (TypeError, ValueError):
-            return False
-        return math.isfinite(seconds) and seconds > 0
-
-    def load_estimates(self) -> Dict[str, float]:
-        """Measured ``sim_wall_seconds`` per ``"workload::config"`` at the
-        current scale; the sweep engine orders cold pairs by these.
-
-        A missing sidecar is the normal cold-start case and reads as
-        empty with no warning (the engine falls back to its
-        deterministic footprint×config-weight ordering). Individual
-        stale or malformed entries are skipped — one bad key must not
-        throw away every usable measurement — and only a sidecar that is
-        not JSON at all earns a (single) warning before being ignored.
-        """
-        path = self._estimates_path()
-        if not path.exists():
-            return {}
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            _log.warning("ignoring unreadable estimates sidecar %s (%s)",
-                         path, exc)
-            return {}
-        if not isinstance(data, dict):
-            _log.warning("ignoring estimates sidecar %s (not an object)",
-                         path)
-            return {}
-        return {k: float(v) for k, v in data.items()
-                if self._valid_estimate(k, v)}
-
-    def store_estimates(self, estimates: Dict[str, float]) -> None:
-        """Merge ``estimates`` into the sidecar (atomic replace; a lost
-        update from a concurrent fill only costs scheduling accuracy).
-
-        Rewrites prune stale keys: entries naming a workload that no
-        longer exists (renamed suites, deleted families) would otherwise
-        ride along forever and mis-order future fills.
-        """
-        from ..trace.workloads import workload_names
-
-        merged = self.load_estimates()
-        merged.update(
-            {k: v for k, v in estimates.items()
-             if self._valid_estimate(k, v)})
-        known = set(workload_names())
-        merged = {k: v for k, v in merged.items()
-                  if k.split("::", 1)[0] in known
-                  or is_imported_workload(k.split("::", 1)[0])
-                  or is_smt_workload(k.split("::", 1)[0])}
-        self._atomic_write(self._estimates_path(),
-                           json.dumps(merged, sort_keys=True))
+        publish(path, lambda tmp: Path(tmp).write_text(payload))
 
     # -- traces ------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..params import BranchParams
 
@@ -29,15 +29,6 @@ class BTB:
         self._clock = 0
         self.hits = 0
         self.misses = 0
-
-    def _locate(self, pc: int) -> Tuple[int, int]:
-        set_idx = (pc >> 2) & self._index_mask
-        tag = pc >> 2
-        try:
-            way = self._tags[set_idx].index(tag)
-        except ValueError:
-            way = -1
-        return set_idx, way
 
     def lookup(self, pc: int) -> Optional[int]:
         """Target stored for the branch at ``pc`` (None on BTB miss)."""

@@ -49,10 +49,6 @@ class DRAM:
         self._telemetry = recorder
         self._tel_enabled = recorder.enabled
 
-    def _bank_and_row(self, addr: int) -> tuple:
-        row_addr = addr // self._row_size
-        return row_addr % self._banks, row_addr // self._banks
-
     def access(self, addr: int, cycle: int) -> int:
         """Latency (cycles from ``cycle``) to read the block at ``addr``."""
         row_addr = addr // self._row_size

@@ -94,18 +94,6 @@ class InstructionCacheBase:
         """Number of valid blocks currently resident."""
         raise NotImplementedError
 
-    # -- shared helpers ----------------------------------------------------------
-
-    @staticmethod
-    def split_range(addr: int, nbytes: int):
-        """Split an arbitrary byte range at transfer-block boundaries."""
-        end = addr + nbytes
-        while addr < end:
-            boundary = (addr | (TRANSFER_BLOCK - 1)) + 1
-            chunk = min(end, boundary) - addr
-            yield addr, chunk
-            addr += chunk
-
     def metrics(self, prefix: str = "l1i") -> Dict[str, int]:
         """Hit/miss/content counters under ``prefix``."""
         return {f"{prefix}.hits": self.hits,

@@ -21,8 +21,8 @@ orchestrated run a first-class queryable artifact:
   boundaries, bundling the tracer, the live progress renderer and the
   result-cache counters;
 * **live progress** (:mod:`repro.obs.progress`) — a TTY renderer with
-  done/total, in-flight pairs, cache hit/miss counts and an ETA derived
-  from the ``estimates__s<scale>.json`` sidecar;
+  done/total, in-flight pairs, cache hit/miss counts and an ETA from the
+  engine's per-pair cost model, calibrated by the pairs already done;
 * **a CLI** (``python -m repro.obs``) — ``report`` reconstructs the span
   tree with critical-path and self-time rollups, ``tail`` follows a live
   run.

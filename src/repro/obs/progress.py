@@ -6,16 +6,12 @@ hit/miss counts and an ETA; off a TTY (CI logs, pipes) it degrades to
 one plain line per completed pair — exactly the log shape ``run_all``
 always printed, so existing log-scraping keeps working.
 
-The ETA comes from the sweep engine's own scheduling estimates (the
-``estimates__s<scale>.json`` sidecar): remaining work is the sum of the
-expected wall seconds of not-yet-finished pairs divided by the worker
-count, scaled by a calibration factor (measured wall of completed pairs
-over their expected cost) once at least one pair has finished — so a
-host slower or faster than the machine that wrote the sidecar converges
-onto a truthful ETA after the first completion. Pairs the sidecar does
-not cover are extrapolated from the measured completion rate (or, before
-anything finishes, from the mean sidecar cost) instead of silently
-counting as free.
+The ETA comes from the cost model the sweep engine schedules by
+(:func:`repro.experiments.pool.expected_cost`, one cost for every pair
+it will simulate): remaining cost divided by the worker count, times a
+calibration factor — the measured wall seconds of completed pairs over
+their cost. Before the first pair finishes the factor is 1, so the ETA
+reads in cost units; from then on it is in this host's seconds.
 """
 
 from __future__ import annotations
@@ -62,8 +58,7 @@ class SweepProgress:
         self._inflight: "Dict[Pair, float]" = {}   # pair -> start time
         self._started = perf_counter()
         self._expected_done = 0.0
-        self._remaining_known = 0.0   # sidecar seconds of unfinished pairs
-        self._unknown_left = 0        # unfinished pairs with no estimate
+        self._remaining = 0.0         # cost of unfinished pairs
         self._wall_done = 0.0
         self._last_draw = 0.0
         self._line_open = False
@@ -76,10 +71,7 @@ class SweepProgress:
         self.cache_hits = total_pairs - len(todo)
         self.jobs = max(1, jobs)
         self._costs = dict(costs)
-        self._remaining_known = sum(
-            costs[pair] for pair in todo if pair in costs
-        )
-        self._unknown_left = sum(1 for pair in todo if pair not in costs)
+        self._remaining = sum(costs.get(pair, 0.0) for pair in todo)
         self._started = perf_counter()
         if self.tty:
             self._draw(force=True)
@@ -103,9 +95,7 @@ class SweepProgress:
         cost = self._costs.get(pair)
         if cost is not None:
             self._expected_done += cost
-            self._remaining_known -= cost
-        elif self._unknown_left:
-            self._unknown_left -= 1
+            self._remaining -= cost
         if wall_seconds:
             self._wall_done += wall_seconds
         elif started is not None:
@@ -130,24 +120,11 @@ class SweepProgress:
     # -- estimation ----------------------------------------------------------
 
     def eta_seconds(self) -> float:
-        remaining = max(0.0, self._remaining_known)
-        # Calibrate sidecar estimates against this host's measured pace.
+        # Calibrate the cost model against this host's measured pace.
         calibration = 1.0
         if self._expected_done > 0 and self._wall_done > 0:
             calibration = self._wall_done / self._expected_done
-        eta = remaining * calibration / self.jobs
-        unknown = self._unknown_left
-        if unknown:
-            # Pairs with no sidecar estimate still take time: extrapolate
-            # from this sweep's measured completion rate, or — before
-            # anything has finished — from the mean sidecar cost.
-            if self.done:
-                rate = self.done / max(1e-9, perf_counter() - self._started)
-                eta += unknown / rate
-            elif self._costs:
-                mean = sum(self._costs.values()) / len(self._costs)
-                eta += unknown * mean * calibration / self.jobs
-        return eta
+        return max(0.0, self._remaining) * calibration / self.jobs
 
     # -- drawing -------------------------------------------------------------
 

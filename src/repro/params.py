@@ -198,24 +198,6 @@ class UBSParams:
     def data_capacity(self) -> int:
         return self.sets * self.data_bytes_per_set
 
-    def scaled_to_budget(self, budget: int) -> "UBSParams":
-        """Return a copy whose set count targets ``budget`` bytes of data.
-
-        Scaling keeps the way-size profile and resizes the number of sets to
-        the largest power of two whose data capacity does not exceed the
-        budget (mirroring Section VI-F where UBS is evaluated at different
-        storage budgets).
-        """
-        if budget < self.data_bytes_per_set:
-            raise ConfigurationError(
-                f"budget {budget} smaller than one UBS set "
-                f"({self.data_bytes_per_set} bytes)"
-            )
-        sets = 1
-        while sets * 2 * self.data_bytes_per_set <= budget:
-            sets *= 2
-        return replace(self, sets=sets, predictor_sets=sets)
-
 
 @dataclass(frozen=True)
 class MachineParams:

@@ -33,7 +33,7 @@ import time
 from types import SimpleNamespace
 from typing import Any, Dict, Iterable, List, Optional
 
-from ..experiments.pool import estimate_key, expected_cost
+from ..experiments.pool import expected_cost, pair_key
 from ..stats.counters import SimResult
 from ..trace.workloads import scale_factor
 from .protocol import (
@@ -168,16 +168,13 @@ class ServiceClient:
             "peek", pairs=[list(p) for p in pairs])["cold"]
 
     def submit(self, pairs: Iterable[Pair],
-               carrier: Optional[Dict[str, str]] = None,
-               deadline_seconds: Optional[float] = None) -> str:
+               carrier: Optional[Dict[str, str]] = None) -> str:
         message: Dict[str, Any] = {
             "pairs": [list(p) for p in pairs],
             "scale": scale_factor(),
         }
         if carrier is not None:
             message["carrier"] = carrier
-        if deadline_seconds is not None:
-            message["deadline_seconds"] = deadline_seconds
         return self.request("submit", **message)["job_id"]
 
     def status(self, job_id: str) -> Dict[str, Any]:
@@ -223,11 +220,9 @@ class RemoteEngine:
     """
 
     def __init__(self, address: str, obs=None,
-                 deadline_seconds: Optional[float] = None,
                  client: Optional[ServiceClient] = None) -> None:
         self.address = address
         self.obs = obs
-        self.deadline_seconds = deadline_seconds
         self.client = client if client is not None \
             else ServiceClient(address, timeout=None)
         self.fill_seconds = 0.0
@@ -283,17 +278,15 @@ class RemoteEngine:
         # advisory — another client may fill a pair first, in which case
         # fewer ``pair_done`` events arrive than ``todo`` promised.
         cold_keys = set(self.client.peek(ordered))
-        todo = [p for p in ordered if estimate_key(*p) in cold_keys]
+        todo = [p for p in ordered if pair_key(*p) in cold_keys]
         sweeping = bool(todo) and obs is not None
         if sweeping:
             obs.sweep_started(todo, len(ordered),
-                              {p: expected_cost(p, {}) for p in todo},
+                              {p: expected_cost(p) for p in todo},
                               self.jobs)
         try:
             carrier = obs.worker_carrier() if obs is not None else None
-            job_id = self.client.submit(
-                ordered, carrier=carrier,
-                deadline_seconds=self.deadline_seconds)
+            job_id = self.client.submit(ordered, carrier=carrier)
             info = self._drain(job_id)
         finally:
             if sweeping:
@@ -306,7 +299,7 @@ class RemoteEngine:
         raw = self.client.results(job_id)
         results: Dict[Pair, SimResult] = {}
         for pair in ordered:
-            results[pair] = SimResult.from_dict(raw[estimate_key(*pair)])
+            results[pair] = SimResult.from_dict(raw[pair_key(*pair)])
         self.fill_seconds = time.perf_counter() - start
         return results
 

@@ -16,7 +16,7 @@ Requests name an operation in ``op``::
 
     {"schema_version": 1, "op": "submit",
      "pairs": [["server_000", "conv32"], ["server_000", "ubs"]],
-     "scale": 0.05, "deadline_seconds": 120.0,
+     "scale": 0.05,
      "carrier": {"trace_id": "...", "span_id": "...",
                  "spans_path": "/tmp/run/spans.jsonl"}}
 

@@ -34,10 +34,6 @@ Robustness contract:
   down (pool shut down, socket file removed);
 * **idle timeout**: with ``--idle-timeout S`` the daemon drains itself
   after S seconds without requests or work;
-* **per-job deadlines** cover *queue wait*: a job still queued when its
-  deadline passes is marked ``expired`` and never simulated (a running
-  batch is never aborted — simulations are short relative to deadlines
-  worth setting);
 * a failing batch falls back to per-job execution, so one job's bad
   imported trace cannot fail a neighbour's simulation.
 
@@ -60,7 +56,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..experiments.pool import SweepEngine, estimate_key
+from ..experiments.pool import SweepEngine, pair_key
 from ..experiments.runner import (RESULTS_VERSION, ResultCache,
                                   default_cache, machine_parts)
 from ..obs.hooks import ProgressObs
@@ -89,7 +85,7 @@ from .protocol import (
 _log = logging.getLogger(__name__)
 
 #: Terminal job states (``results`` is answerable, ``wait`` returns).
-TERMINAL = ("done", "failed", "cancelled", "expired", "lost")
+TERMINAL = ("done", "failed", "cancelled", "lost")
 
 #: Longest a single ``wait`` request blocks server-side before returning
 #: the current (possibly non-terminal) status; clients re-issue.
@@ -99,20 +95,16 @@ WAIT_SLICE_SECONDS = 30.0
 class Job:
     """One submitted batch of (workload, config) pairs."""
 
-    __slots__ = ("job_id", "pairs", "scale", "carrier", "deadline_seconds",
-                 "submitted_monotonic", "status", "error", "completed",
-                 "simulated", "results", "journaled")
+    __slots__ = ("job_id", "pairs", "scale", "carrier", "status", "error",
+                 "completed", "simulated", "results", "journaled")
 
     def __init__(self, job_id: str, pairs: List[Pair], scale: float,
                  carrier: Optional[Dict[str, str]] = None,
-                 deadline_seconds: Optional[float] = None,
                  journaled: bool = False, status: str = "queued") -> None:
         self.job_id = job_id
         self.pairs = pairs
         self.scale = scale
         self.carrier = carrier
-        self.deadline_seconds = deadline_seconds
-        self.submitted_monotonic = time.monotonic()
         self.status = status
         self.error: Optional[str] = None
         #: Pairs simulated on this job's behalf, in completion order
@@ -294,8 +286,11 @@ class ServiceServer:
                     float(record.get("scale", self.scale)),
                     journaled=True, status="lost")
             elif kind == "done" and record.get("job_id") in self._jobs:
+                # A terminal state this daemon does not know (an older
+                # daemon's "expired") reads as lost: resubmit.
+                status = record.get("status", "done")
                 self._jobs[record["job_id"]].status = \
-                    record.get("status", "done")
+                    status if status in TERMINAL else "lost"
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -410,7 +405,7 @@ class ServiceServer:
     def _op_peek(self, message: Dict[str, Any]) -> Dict[str, Any]:
         """Which of these pairs would a job actually simulate?"""
         pairs = check_pairs(message.get("pairs"))
-        cold = [estimate_key(w, c) for w, c in pairs
+        cold = [pair_key(w, c) for w, c in pairs
                 if not self.cache.has(w, c)]
         return ok_response(cold=cold)
 
@@ -431,13 +426,7 @@ class ServiceServer:
         carrier = message.get("carrier")
         if carrier is not None and not isinstance(carrier, dict):
             raise ProtocolError("'carrier' must be an object")
-        deadline = message.get("deadline_seconds")
-        if deadline is not None:
-            deadline = float(deadline)
-            if deadline <= 0:
-                raise ProtocolError("'deadline_seconds' must be positive")
-        job = Job(secrets.token_hex(8), pairs, self.scale,
-                  carrier=carrier, deadline_seconds=deadline)
+        job = Job(secrets.token_hex(8), pairs, self.scale, carrier=carrier)
         self._journal_append({"kind": "submit", "job_id": job.job_id,
                               "pairs": [list(p) for p in pairs],
                               "scale": self.scale,
@@ -528,9 +517,9 @@ class ServiceServer:
             hit = self.cache.load(workload, config)
             if hit is None:
                 return error_response(
-                    f"results for {estimate_key(workload, config)} evicted "
+                    f"results for {pair_key(workload, config)} evicted "
                     f"from the cache; resubmit the job")
-            results[estimate_key(workload, config)] = hit.to_dict()
+            results[pair_key(workload, config)] = hit.to_dict()
         with self._lock:
             job.results = results
         return ok_response(results=results)
@@ -572,16 +561,8 @@ class ServiceServer:
                 if not self._queue:
                     break              # draining and nothing left
                 batch: List[Job] = []
-                now = time.monotonic()
                 for job in self._queue:
                     if job.status != "queued":
-                        continue
-                    if (job.deadline_seconds is not None
-                            and now - job.submitted_monotonic
-                            > job.deadline_seconds):
-                        self._finish_job(job, "expired",
-                                         "deadline exceeded while queued; "
-                                         "never simulated")
                         continue
                     job.status = "running"
                     batch.append(job)
@@ -615,7 +596,7 @@ class ServiceServer:
                 self.stats["pairs_simulated"] += self.engine.pairs_simulated
             for job in batch:
                 job.results = {
-                    estimate_key(w, c): results[(w, c)].to_dict()
+                    pair_key(w, c): results[(w, c)].to_dict()
                     for w, c in job.pairs
                 }
                 self._finish_job(job, "done")
@@ -645,7 +626,7 @@ class ServiceServer:
                     self.stats["pairs_simulated"] += \
                         self.engine.pairs_simulated
                 job.results = {
-                    estimate_key(w, c): results[(w, c)].to_dict()
+                    pair_key(w, c): results[(w, c)].to_dict()
                     for w, c in job.pairs
                 }
                 self._finish_job(job, "done")
@@ -665,7 +646,7 @@ class ServiceServer:
                 job.error = error
             if status == "done":
                 self.stats["jobs_done"] += 1
-            elif status in ("failed", "expired"):
+            elif status == "failed":
                 self.stats["jobs_failed"] += 1
             self._cond.notify_all()
 
@@ -674,7 +655,7 @@ class ServiceServer:
         """Engine hook: a pair finished simulating. Update every
         interested job's progress and emit a ``pair`` span into each
         submitting client's trace tree (via its carrier)."""
-        key = estimate_key(workload, config)
+        key = pair_key(workload, config)
         wall = 0.0
         if result is not None:
             wall = float(result.extra.get("sim_wall_seconds") or 0.0)

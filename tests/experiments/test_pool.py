@@ -12,8 +12,7 @@ import pytest
 
 import repro.experiments.runner as runner_mod
 from repro.obs.hooks import ProgressObs
-from repro.experiments.pool import (SweepEngine, estimate_key, expected_cost,
-                                    run_pairs)
+from repro.experiments.pool import SweepEngine, expected_cost, run_pairs
 from repro.experiments.runner import ResultCache
 from repro.stats.counters import SimResult
 
@@ -127,21 +126,35 @@ class TestScheduling:
         assert again.pairs_simulated == 2  # only the two cold pairs
         assert set(out) == set(PAIRS)
 
-    def test_estimates_persisted_and_ordering(self, tmp_path):
-        engine = _engine(tmp_path, "est", jobs=1)
-        engine.run(PAIRS)
-        estimates = engine.cache.load_estimates()
-        assert set(estimates) == {estimate_key(w, c) for w, c in PAIRS}
-        assert all(v > 0 for v in estimates.values())
-        # Measured estimates dominate the ordering...
-        slow = {estimate_key("a", "conv32"): 9.0,
-                estimate_key("b", "conv32"): 1.0}
-        assert expected_cost(("a", "conv32"), slow) > \
-            expected_cost(("b", "conv32"), slow)
-        # ...and the cold-pair heuristic ranks sub-block configs as
-        # slower than the conventional baseline of the same workload.
-        assert expected_cost(("server_000", "ubs"), {}) > \
-            expected_cost(("server_000", "conv32"), {})
+    def test_expected_cost_ranks_subblock_configs_slower(self):
+        # The cost heuristic ranks sub-block configs as slower than the
+        # conventional baseline of the same workload.
+        assert expected_cost(("server_000", "ubs")) > \
+            expected_cost(("server_000", "conv32"))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_pairs_dispatched_longest_first(self, tmp_path, jobs):
+        scheduled, started = [], []
+
+        class Recorder(ProgressObs):
+            def sweep_started(self, todo, total_pairs, costs, jobs):
+                scheduled.extend(todo)
+                assert costs == {p: expected_cost(p) for p in todo}
+                super().sweep_started(todo, total_pairs, costs, jobs)
+
+            def pair_started(self, workload, config):
+                started.append((workload, config))
+                super().pair_started(workload, config)
+
+        # Cheapest first, so an engine that kept the input order fails.
+        pairs = sorted(PAIRS, key=expected_cost)
+        SweepEngine(jobs=jobs, cache=ResultCache(tmp_path / "order"),
+                    obs=Recorder()).run(pairs)
+        longest_first = sorted(pairs, key=lambda p: -expected_cost(p))
+        assert scheduled == longest_first
+        assert sorted(started) == sorted(pairs)
+        if jobs == 1:
+            assert started == longest_first
 
     def test_fill_metrics(self, tmp_path):
         engine = _engine(tmp_path, "metrics", jobs=1)
@@ -181,6 +194,12 @@ class TestHygiene:
         # through a temp file and a rename.
         assert len(list(root.rglob("*.derived"))) == 6
         assert list(root.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cache_root_holds_only_results_and_traces(self, tmp_path, jobs):
+        engine = _engine(tmp_path, "layout", jobs=jobs)
+        engine.run(PAIRS)
+        assert sorted(os.listdir(engine.cache.root)) == ["results", "traces"]
 
     def test_store_is_atomic_and_deterministic(self, tmp_path):
         """store() must leave no droppings and write sorted-key JSON so

@@ -175,73 +175,6 @@ class TestCounters:
         assert snap["result_cache.hits"] == 0
 
 
-class TestEstimatesSidecar:
-    """Scheduling-estimate persistence: tolerant reads, pruned writes."""
-
-    def test_missing_sidecar_silently_empty(self, isolated_cache, caplog):
-        import logging
-        with caplog.at_level(logging.WARNING, "repro.experiments.runner"):
-            assert isolated_cache.load_estimates() == {}
-        assert not caplog.records
-
-    def test_round_trip(self, isolated_cache):
-        isolated_cache.store_estimates({"client_000::conv32": 1.5})
-        assert isolated_cache.load_estimates() == {"client_000::conv32": 1.5}
-
-    def test_merge_keeps_other_keys(self, isolated_cache):
-        isolated_cache.store_estimates({"client_000::conv32": 1.0})
-        isolated_cache.store_estimates({"client_001::ubs": 2.0})
-        assert isolated_cache.load_estimates() == {
-            "client_000::conv32": 1.0, "client_001::ubs": 2.0}
-
-    def test_invalid_entries_skipped_individually(self, isolated_cache):
-        import json
-        isolated_cache._estimates_path().write_text(json.dumps({
-            "client_000::conv32": 1.5,     # good
-            "no-separator": 2.0,           # bad key
-            "client_001::ubs": "soon",     # bad value
-            "client_002::ubs": -1.0,       # non-positive
-            "client_003::ubs": None,       # not coercible
-        }))
-        assert isolated_cache.load_estimates() == {"client_000::conv32": 1.5}
-
-    def test_nan_and_inf_rejected(self, isolated_cache):
-        isolated_cache._estimates_path().write_text(
-            '{"client_000::conv32": NaN, "client_001::ubs": Infinity}')
-        assert isolated_cache.load_estimates() == {}
-
-    def test_non_object_sidecar_warns_once(self, isolated_cache, caplog):
-        import logging
-        isolated_cache._estimates_path().write_text("[1, 2, 3]")
-        with caplog.at_level(logging.WARNING, "repro.experiments.runner"):
-            assert isolated_cache.load_estimates() == {}
-        assert len(caplog.records) == 1
-
-    def test_unreadable_sidecar_warns_once(self, isolated_cache, caplog):
-        import logging
-        isolated_cache._estimates_path().write_text("{broken")
-        with caplog.at_level(logging.WARNING, "repro.experiments.runner"):
-            assert isolated_cache.load_estimates() == {}
-        assert len(caplog.records) == 1
-
-    def test_rewrite_prunes_stale_workloads(self, isolated_cache):
-        import json
-        isolated_cache._estimates_path().write_text(json.dumps({
-            "client_000::conv32": 1.0,
-            "renamed_suite_007::conv32": 2.0,     # workload no longer exists
-        }))
-        isolated_cache.store_estimates({"client_001::ubs": 3.0})
-        kept = isolated_cache.load_estimates()
-        assert "renamed_suite_007::conv32" not in kept
-        assert kept == {"client_000::conv32": 1.0, "client_001::ubs": 3.0}
-
-    def test_store_drops_invalid_fresh_entries(self, isolated_cache):
-        isolated_cache.store_estimates({
-            "client_000::conv32": 1.0, "bad key": 1.0,
-            "client_001::ubs": 0.0})
-        assert isolated_cache.load_estimates() == {"client_000::conv32": 1.0}
-
-
 class TestTraceKey:
     """A synthesised workload's ``.atrace`` is named by its spec, its
     length and the synthesis format, so a changed generator input misses."""

@@ -78,56 +78,15 @@ class TestEta:
         progress = SweepProgress(stream=io.StringIO(), tty=False)
         costs = {("w1", "c"): 10.0, ("w2", "c"): 30.0}
         progress.sweep_started(list(costs), 2, costs, jobs=2)
-        # Nothing done yet: all expected work, split over 2 jobs.
+        # Nothing done yet: the whole cost, split over 2 jobs.
         assert progress.eta_seconds() == (10.0 + 30.0) / 2
 
     def test_calibrates_to_measured_pace(self):
         progress = SweepProgress(stream=io.StringIO(), tty=False)
         costs = {("w1", "c"): 10.0, ("w2", "c"): 30.0}
         progress.sweep_started(list(costs), 2, costs, jobs=1)
-        # The sidecar said 10s but this host took 20s: twice as slow, so
-        # the remaining 30s of expected work reads as 60s.
+        # The pair cost 10 units and this host took 20s: 2s per unit, so
+        # the remaining 30 units read as 60s.
         progress.pair_started("w1", "c")
         progress.pair_done("w1", "c", wall_seconds=20.0)
         assert progress.eta_seconds() == 60.0
-
-    def test_no_costs_extrapolates_from_rate(self):
-        progress = SweepProgress(stream=io.StringIO(), tty=False)
-        progress.sweep_started([("w1", "c"), ("w2", "c")], 2, {}, jobs=1)
-        assert progress.eta_seconds() == 0.0    # nothing measured yet
-        progress.pair_done("w1", "c")
-        assert progress.eta_seconds() >= 0.0
-
-    def test_partial_sidecar_counts_uncovered_pairs(self, monkeypatch):
-        # Regression: with a sidecar covering only some scheduled pairs,
-        # the uncovered ones used to contribute 0s and the ETA collapsed
-        # to near zero as soon as the covered pairs finished.
-        import repro.obs.progress as progress_mod
-
-        clock = [100.0]
-        monkeypatch.setattr(progress_mod, "perf_counter", lambda: clock[0])
-        progress = SweepProgress(stream=io.StringIO(), tty=False)
-        pairs = [("w1", "c"), ("w2", "c"), ("w3", "c"), ("w4", "c")]
-        costs = {("w1", "c"): 10.0, ("w2", "c"): 10.0}   # half covered
-        progress.sweep_started(pairs, 4, costs, jobs=1)
-        # Before anything finishes, uncovered pairs are priced at the
-        # mean sidecar cost instead of zero.
-        assert progress.eta_seconds() == 10.0 + 10.0 + 2 * 10.0
-        # Both covered pairs finish 8 s in; two uncovered pairs remain.
-        # The old model said ~0s here.
-        clock[0] = 108.0
-        progress.pair_done("w1", "c", wall_seconds=20.0)
-        progress.pair_done("w2", "c", wall_seconds=20.0)
-        # Extrapolated from the measured completion rate (2 pairs in
-        # 8 s): the 2 remaining pairs take 8 s more.
-        assert progress.eta_seconds() == 8.0
-
-    def test_partial_sidecar_mean_calibrates(self):
-        # Uncovered-pair pricing follows the measured-pace calibration
-        # once covered work has completed on a slower host.
-        progress = SweepProgress(stream=io.StringIO(), tty=False)
-        pairs = [("w1", "c"), ("w2", "c")]
-        costs = {("w1", "c"): 10.0}
-        progress.sweep_started(pairs, 2, costs, jobs=2)
-        # Nothing done: known 10s plus one unknown at the 10s mean, /2.
-        assert progress.eta_seconds() == (10.0 + 10.0) / 2

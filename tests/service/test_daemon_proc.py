@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.pool import estimate_key
+from repro.experiments.pool import pair_key
 from repro.service.client import ServiceClient, probe
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -110,6 +110,6 @@ def test_kill_dash_nine_then_restart_serves_from_journal(tmp_path):
         if second.poll() is None:  # pragma: no cover - cleanup
             second.kill()
             second.wait()
-    assert set(results) == {estimate_key(*p) for p in pairs}
+    assert set(results) == {pair_key(*p) for p in pairs}
     assert stats["pairs_simulated"] == 0
     assert code == 0

@@ -1,5 +1,5 @@
 """In-process daemon tests: parity with the local engine, cross-client
-single-flight, job lifecycle (deadlines, cancel, journal restore), span
+single-flight, job lifecycle (cancel, journal restore), span
 threading and idle shutdown.
 
 Everything runs at ``REPRO_SCALE=0.03`` on a unix socket under
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.runner as runner_mod
-from repro.experiments.pool import SweepEngine, estimate_key
+from repro.experiments.pool import SweepEngine, pair_key
 from repro.experiments.runner import ResultCache
 from repro.obs.hooks import RunObs
 from repro.obs.runs import ObsRun
@@ -152,7 +152,7 @@ class TestSingleFlight:
         assert srv.stats["pairs_requested"] == 2
         assert srv.stats["pairs_simulated"] == 1
         assert srv.stats["jobs_done"] == 2
-        key = estimate_key(*PAIRS[0])
+        key = pair_key(*PAIRS[0])
         assert res_a[key] == res_b[key]
 
     def test_concurrent_clients_share_cache(self, server):
@@ -221,27 +221,6 @@ class TestValidationAndLifecycle:
                 client.request("frobnicate")
             with pytest.raises(ServiceError, match="unknown job"):
                 client.status("not-a-job")
-
-    def test_queued_deadline_expires_unsimulated(self, tmp_path):
-        srv = ServiceServer(f"unix:{tmp_path / 'svc.sock'}", jobs=1,
-                            cache=ResultCache(tmp_path / "cache"))
-        # No sim thread yet: the job waits in queue past its deadline.
-        sub = srv.handle_message({"op": "submit",
-                                  "pairs": [list(p) for p in PAIRS],
-                                  "deadline_seconds": 0.01})
-        assert sub["ok"]
-        time.sleep(0.05)
-        srv.start()
-        try:
-            job = srv.handle_message(
-                {"op": "wait", "job_id": sub["job_id"],
-                 "timeout": 10})["job"]
-        finally:
-            srv.close()
-        assert job["status"] == "expired"
-        assert srv.stats["pairs_simulated"] == 0
-        err = srv.handle_message({"op": "results", "job_id": sub["job_id"]})
-        assert not err["ok"] and "expired" in err["error"]
 
     def test_cancel_queued_job(self, tmp_path):
         srv = ServiceServer(f"unix:{tmp_path / 'svc.sock'}", jobs=1,
@@ -334,7 +313,7 @@ class TestJournalRestore:
                 results = client.results(job_id)
         finally:
             second.close()
-        assert set(results) == {estimate_key(*p) for p in PAIRS}
+        assert set(results) == {pair_key(*p) for p in PAIRS}
         assert second.stats["pairs_simulated"] == 0
 
     def test_unfinished_job_resurfaces_as_lost(self, tmp_path):
@@ -354,6 +333,26 @@ class TestJournalRestore:
         err = second.handle_message(
             {"op": "results", "job_id": sub["job_id"]})
         assert not err["ok"]
+
+    def test_unknown_journaled_state_reads_as_lost(self, tmp_path):
+        # An older daemon journaled queue-deadline expiries as "expired";
+        # a restored job must still be in a terminal state, or ``wait``
+        # would block for its whole slice.
+        from repro.jsonl import append_record
+
+        state = tmp_path / "state"
+        state.mkdir()
+        append_record(state / "jobs.jsonl", {
+            "kind": "submit", "job_id": "old", "scale": 0.03,
+            "pairs": [list(PAIRS[0])]})
+        append_record(state / "jobs.jsonl", {
+            "kind": "done", "job_id": "old", "status": "expired"})
+        srv = ServiceServer(f"unix:{tmp_path / 'svc.sock'}", jobs=1,
+                            cache=ResultCache(tmp_path / "cache"),
+                            state_dir=str(state))
+        job = srv.handle_message(
+            {"op": "wait", "job_id": "old", "timeout": 5})["job"]
+        assert job["status"] == "lost"
 
 
 class TestSpanThreading:
@@ -386,7 +385,7 @@ class TestSpanThreading:
         # The daemon recorded them (different thread, same pid here, but
         # the attributes carry the pair identity).
         keys = {s["attributes"]["key"] for s in pair_spans}
-        assert keys == {estimate_key(*p) for p in PAIRS}
+        assert keys == {pair_key(*p) for p in PAIRS}
 
     def test_warm_run_emits_no_sweep_span(self, tmp_path):
         srv = ServiceServer(f"unix:{tmp_path / 'svc.sock'}", jobs=1,

@@ -74,11 +74,14 @@ class TestUBSParams:
         with pytest.raises(ConfigurationError):
             UBSParams(way_sizes=(6, 12), instruction_granularity=4)
 
-    def test_scaled_to_budget(self):
-        p = UBSParams().scaled_to_budget(16 * 1024)
-        assert p.sets == 32
-        with pytest.raises(ConfigurationError):
-            UBSParams().scaled_to_budget(100)
+    def test_budget_below_one_set_rejected(self):
+        from repro.cpu.machine import build_icache
+
+        # 0 KB is less than one 508-byte set: no cache rather than a
+        # silently rounded-up one-set cache.
+        with pytest.raises(ConfigurationError, match="one UBS set"):
+            build_icache("ubs_budget0")
+        assert build_icache("ubs_budget16").params.sets == 32
 
 
 class TestOtherParams:

@@ -79,12 +79,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     import re
 
-    from repro.experiments.pool import estimate_key
+    from repro.experiments.pool import pair_key
     from repro.experiments.run_all import all_pairs
 
     pattern = re.compile(args.pairs)
     pairs = [(w, c) for w, c in all_pairs()
-             if pattern.search(estimate_key(w, c))]
+             if pattern.search(pair_key(w, c))]
     if not pairs:
         print(f"no pairs match {args.pairs!r}")
         return 2
